@@ -132,6 +132,8 @@ def _masses_to_distribution(masses: "dict[str, list[ProbValue]]") -> OutcomeDist
 
 _BASIS_2 = ProjectiveMeasurement.from_partition(2, {"1": [0], "2": [1]})
 
+_MOVE_OFFSET = {MOVE_LEFT: -1, MOVE_STAY: 0, MOVE_RIGHT: 1}
+
 
 def initial_register(spec: MachineSpec) -> Register:
     if spec.register == REGISTER_MATRIX:
@@ -182,13 +184,6 @@ def _quantum_outcomes(
     return out
 
 
-def _classical_step(spec: MachineSpec, cstate: str, sym: str, outcome: str):
-    step = spec.classical_delta.get((cstate, sym, outcome))
-    if step is None:
-        raise MachineError(f"no classical transition for ({cstate!r}, {sym!r}, {outcome!r})")
-    return step
-
-
 def _decision(spec: MachineSpec, state: str) -> Optional[str]:
     if state == spec.accept_state:
         return CATEGORY_ACCEPT
@@ -199,6 +194,76 @@ def _decision(spec: MachineSpec, state: str) -> Optional[str]:
     if state == RESTART_TARGET:
         return CATEGORY_CONTINUE
     return None
+
+
+class _Kernel:
+    """Square transitions of one machine at a fixed precision, memoized for one run.
+
+    ``resolve(cstate, sym, reg)`` gives a ``(category, next_state, offset,
+    reg2, p)`` per nonzero branch, with ``category`` None for a live branch
+    and ``offset`` the head move. ``successors`` memoizes it from a key's
+    second sighting on; a first sighting keeps only the key's hash, so an
+    aperiodic run keeps no old register alive.
+    """
+
+    def __init__(self, spec: MachineSpec, precision_bits: int):
+        self.spec = spec
+        self.precision_bits = precision_bits
+        self._memo: dict = {}
+        self._seen: "set[int]" = set()
+
+    def successors(self, cstate: str, sym: str, reg: Register) -> tuple:
+        key = (cstate, sym, reg)
+        out = self._memo.get(key)
+        if out is None:
+            out = self.resolve(cstate, sym, reg)
+            digest = hash(key)
+            if digest in self._seen:
+                self._memo[key] = out
+            else:
+                self._seen.add(digest)
+        return out
+
+    def resolve(self, cstate: str, sym: str, reg: Register) -> tuple:
+        spec = self.spec
+        out = []
+        total = Fraction(0)
+        for label, reg2, p in _quantum_outcomes(spec, cstate, sym, reg, self.precision_bits):
+            step = spec.classical_delta.get((cstate, sym, label))
+            if step is None:
+                raise MachineError(f"no classical transition for ({cstate!r}, {sym!r}, {label!r})")
+            total += p if isinstance(p, Fraction) else p.as_interval().lo
+            out.append((_decision(spec, step.state), step.state, _MOVE_OFFSET[step.move], reg2, p))
+        if total > 1:
+            raise MachineError("measurement branches exceed total mass")
+        return tuple(out)
+
+
+def _is_deterministic(successors: tuple) -> bool:
+    """True when a square has one branch, of probability exactly one."""
+    p = successors[0][4] if len(successors) == 1 else None
+    return isinstance(p, Fraction) and p == 1
+
+
+def _moved(pos: int, offset: int, last: int) -> int:
+    pos2 = pos + offset
+    if pos2 < 0 or pos2 > last:
+        raise MachineError("head moved off the tape")
+    return pos2
+
+
+def _weighted(weight: Fraction, p: "Union[Fraction, ApproxProb]") -> ProbValue:
+    """weight * p as a decided mass; an exact p of one keeps the weight as is."""
+    if isinstance(p, Fraction):
+        return ExactProb(weight if p == 1 else weight * p)
+    return prob_scale(p, weight)
+
+
+def _live_share(weight: Fraction, p: "Union[Fraction, ApproxProb]") -> Fraction:
+    """weight * p for a branch that stays live, which needs an exact p."""
+    if not isinstance(p, Fraction):
+        raise ExactnessError("interval-valued measurement outcome must halt or restart")
+    return weight if p == 1 else weight * p
 
 
 def tape_of(spec: MachineSpec, input_str: str) -> "list[str]":
@@ -217,6 +282,7 @@ def run_exact_realtime(
     if not spec.is_realtime():
         raise MachineError(f"{spec.model_class} is not a realtime machine class")
     tape = tape_of(spec, input_str)
+    kernel = _Kernel(spec, precision_bits)
     branches: "dict[tuple[str, Register], Fraction]" = {
         (spec.initial_state, initial_register(spec)): Fraction(1)
     }
@@ -224,27 +290,14 @@ def run_exact_realtime(
     for sym in tape:
         new_branches: "dict[tuple[str, Register], Fraction]" = {}
         for (cstate, reg), weight in branches.items():
-            check = Fraction(0)
-            for label, reg2, p in _quantum_outcomes(spec, cstate, sym, reg, precision_bits):
-                step = _classical_step(spec, cstate, sym, label)
-                category = _decision(spec, step.state)
-                if isinstance(p, Fraction):
-                    check += p
-                    share: ProbValue = ExactProb(weight * p)
-                else:
-                    check += p.as_interval().lo
-                    if category is None:
-                        raise ExactnessError(
-                            "interval-valued measurement outcome must halt or restart"
-                        )
-                    share = prob_scale(p, weight)
+            for category, state2, _, reg2, p in kernel.successors(cstate, sym, reg):
                 if category is not None:
-                    masses[category].append(share)
-                else:
-                    key = (step.state, reg2)
-                    new_branches[key] = new_branches.get(key, Fraction(0)) + share.value
-            if check > 1:
-                raise MachineError("measurement branches exceed total mass")
+                    masses[category].append(_weighted(weight, p))
+                    continue
+                share = _live_share(weight, p)
+                key = (state2, reg2)
+                merged = new_branches.get(key)
+                new_branches[key] = share if merged is None else merged + share
         branches = new_branches
     if branches:
         raise MachineError("live branches remain after the right end-marker")
@@ -361,6 +414,7 @@ def run_exact_sweeping(
     tape = tape_of(spec, input_str)
     last = len(tape) - 1
     step_budget = (max_sweeps + 1) * (len(tape) + 2) + 16
+    kernel = _Kernel(spec, precision_bits)
     masses = _empty_masses()
     stack = [(0, spec.initial_state, initial_register(spec), Fraction(1), 0, 0)]
     while stack:
@@ -370,30 +424,16 @@ def run_exact_sweeping(
             continue
         if steps > step_budget:
             raise MachineError("step budget exceeded without sweep progress")
-        sym = tape[pos]
-        for label, reg2, p in _quantum_outcomes(spec, cstate, sym, reg, precision_bits):
-            step = _classical_step(spec, cstate, sym, label)
-            category = _decision(spec, step.state)
-            if not isinstance(p, Fraction):
-                if category is None:
-                    raise ExactnessError(
-                        "interval-valued measurement outcome must halt or restart"
-                    )
-                masses[category].append(prob_scale(p, weight))
-                continue
+        for category, state2, offset, reg2, p in kernel.successors(cstate, tape[pos], reg):
             if category == CATEGORY_CONTINUE:
                 raise MachineError("restart is not part of the sweeping model")
             if category is not None:
-                masses[category].append(ExactProb(weight * p))
+                masses[category].append(_weighted(weight, p))
                 continue
-            delta = {MOVE_LEFT: -1, MOVE_STAY: 0, MOVE_RIGHT: 1}[step.move]
-            pos2 = pos + delta
-            if pos2 < 0 or pos2 > last:
-                raise MachineError("head moved off the tape")
+            share = _live_share(weight, p)
+            pos2 = _moved(pos, offset, last)
             arrived = pos2 != pos and pos2 in (0, last)
-            stack.append(
-                (pos2, step.state, reg2, weight * p, sweeps + (1 if arrived else 0), steps + 1)
-            )
+            stack.append((pos2, state2, reg2, share, sweeps + (1 if arrived else 0), steps + 1))
     return _masses_to_distribution(masses)
 
 
@@ -439,6 +479,7 @@ def analyze_sweeping(
     last = len(tape) - 1
     if tick_cap <= 0:
         tick_cap = 64 * (len(tape) + 2) + 256
+    kernel = _Kernel(spec, precision_bits)
     start = (0, spec.initial_state, initial_register(spec))
     live: "dict[tuple[int, str, Register], Fraction]" = {start: Fraction(1)}
     decided: "list[tuple[str, Fraction, int, int]]" = []
@@ -450,24 +491,20 @@ def analyze_sweeping(
         new_sweeps: "dict[tuple[int, str, Register], int]" = {}
         for (pos, cstate, reg), weight in live.items():
             sweeps = sweeps_by_config[(pos, cstate, reg)]
-            sym = tape[pos]
-            for label, reg2, p in _quantum_outcomes(spec, cstate, sym, reg, precision_bits):
+            for category, state2, offset, reg2, p in kernel.successors(cstate, tape[pos], reg):
                 if not isinstance(p, Fraction):
                     raise ExactnessError("loop analysis requires exact branch masses")
-                step = _classical_step(spec, cstate, sym, label)
-                category = _decision(spec, step.state)
                 if category == CATEGORY_CONTINUE:
                     raise MachineError("restart is not part of the sweeping model")
+                share = weight if p == 1 else weight * p
                 if category is not None:
-                    decided.append((category, weight * p, tick, sweeps))
+                    decided.append((category, share, tick, sweeps))
                     continue
-                delta = {MOVE_LEFT: -1, MOVE_STAY: 0, MOVE_RIGHT: 1}[step.move]
-                pos2 = pos + delta
-                if pos2 < 0 or pos2 > last:
-                    raise MachineError("head moved off the tape")
+                pos2 = _moved(pos, offset, last)
                 arrived = pos2 != pos and pos2 in (0, last)
-                key = (pos2, step.state, reg2)
-                new_live[key] = new_live.get(key, Fraction(0)) + weight * p
+                key = (pos2, state2, reg2)
+                merged = new_live.get(key)
+                new_live[key] = share if merged is None else merged + share
                 s2 = sweeps + (1 if arrived else 0)
                 if key in new_sweeps and new_sweeps[key] != s2:
                     raise MachineError("merged branches disagree on sweep count")
@@ -556,8 +593,9 @@ class MonteCarloResult:
 
 
 CATEGORY_CAPPED = "capped"
+_TRIAL_CATEGORIES = CATEGORIES + (CATEGORY_CAPPED,)
 
-_MAX_SAMPLE_BITS = 1 << 16
+MAX_PRECISION_BITS = 1 << 16
 
 
 class _StochNode:
@@ -565,17 +603,22 @@ class _StochNode:
 
     ``targets`` aligns with the outcome order of ``outcomes_at``; the
     cumulative probability bounds can be recomputed at higher precision
-    when a draw lands too close to a boundary to decide.
+    when a draw lands too close to a boundary to decide. Bounds are kept
+    per precision, so repeated draws at a node measure it only once.
     """
 
-    __slots__ = ("key", "targets", "outcomes_at")
+    __slots__ = ("key", "targets", "outcomes_at", "_bounds")
 
     def __init__(self, key, targets, outcomes_at: Callable[[int], list]):
         self.key = key
         self.targets = targets
         self.outcomes_at = outcomes_at
+        self._bounds: "dict[int, list[tuple[Fraction, Fraction]]]" = {}
 
     def cumulative_bounds(self, bits: int) -> "list[tuple[Fraction, Fraction]]":
+        bounds = self._bounds.get(bits)
+        if bounds is not None:
+            return bounds
         lo = hi = Fraction(0)
         bounds = []
         for _, _, p in self.outcomes_at(bits):
@@ -585,6 +628,7 @@ class _StochNode:
                 iv = p.as_interval()
                 lo, hi = lo + iv.lo, hi + iv.hi
             bounds.append((lo, hi))
+        self._bounds[bits] = bounds
         return bounds
 
 
@@ -612,10 +656,15 @@ def _sample_outcome(node: _StochNode, rng: SplittableRng, precision_bits: int) -
             return chosen
         num = (num << 64) | rng.draw64()
         den <<= 64
-        if bits < _MAX_SAMPLE_BITS:
+        if bits < MAX_PRECISION_BITS:
             bits *= 2
-        if den > 1 << (4 * _MAX_SAMPLE_BITS):
+        if den > 1 << (4 * MAX_PRECISION_BITS):
             raise RuntimeError("sampling failed to separate outcome boundaries")
+
+
+def _terminal(category: str) -> "tuple[str, Optional[str]]":
+    """The ("restart", None) or ("halt", category) target of a decided branch."""
+    return ("restart", None) if category == CATEGORY_CONTINUE else ("halt", category)
 
 
 class _CompiledMachine:
@@ -628,38 +677,23 @@ class _CompiledMachine:
     """
 
     def __init__(self, spec: MachineSpec, input_str: str, precision_bits: int):
-        self.spec = spec
         self.tape = tape_of(spec, input_str)
         self.last = len(self.tape) - 1
-        self.precision_bits = precision_bits
+        self.kernel = _Kernel(spec, precision_bits)
         self.start = (0, spec.initial_state, initial_register(spec))
         self._memo: dict = {}
 
-    def _next_position(self, pos: int, move: str) -> int:
-        pos2 = pos + {MOVE_LEFT: -1, MOVE_STAY: 0, MOVE_RIGHT: 1}[move]
-        if pos2 < 0 or pos2 > self.last:
-            raise MachineError("head moved off the tape")
-        return pos2
-
-    def _stoch_node(self, key) -> _StochNode:
+    def _stoch_node(self, key, successors: tuple) -> _StochNode:
         pos, cstate, reg = key
         sym = self.tape[pos]
-        spec = self.spec
-
-        def outcomes_at(bits: int):
-            return _quantum_outcomes(spec, cstate, sym, reg, bits)
-
-        targets = []
-        for label, reg2, _ in outcomes_at(self.precision_bits):
-            step = _classical_step(spec, cstate, sym, label)
-            category = _decision(spec, step.state)
-            if category == CATEGORY_CONTINUE:
-                targets.append(("restart", None))
-            elif category is not None:
-                targets.append(("halt", category))
-            else:
-                targets.append(("node", (self._next_position(pos, step.move), step.state, reg2)))
-        return _StochNode(key, targets, outcomes_at)
+        spec = self.kernel.spec
+        targets = [
+            _terminal(category)
+            if category is not None
+            else ("node", (_moved(pos, offset, self.last), state2, reg2))
+            for category, state2, offset, reg2, _ in successors
+        ]
+        return _StochNode(key, targets, lambda bits: _quantum_outcomes(spec, cstate, sym, reg, bits))
 
     def resolve(self, node):
         """Follow deterministic steps from node; returns (kind, payload, steps).
@@ -684,31 +718,20 @@ class _CompiledMachine:
             if len(chain) > max(4096, 16 * len(self.tape)):
                 raise NonterminatingError("deterministic run exceeded the step budget")
             pos, cstate, reg = cur
-            sym = self.tape[pos]
-            outs = _quantum_outcomes(self.spec, cstate, sym, reg, self.precision_bits)
-            deterministic = (
-                len(outs) == 1 and isinstance(outs[0][2], Fraction) and outs[0][2] == 1
-            )
-            if not deterministic:
-                kind, payload = "stoch", self._stoch_node(cur)
+            successors = self.kernel.successors(cstate, self.tape[pos], reg)
+            if not _is_deterministic(successors):
+                kind, payload = "stoch", self._stoch_node(cur, successors)
                 self._memo[cur] = (kind, payload, 0)
                 break
-            label, reg2, _ = outs[0]
-            step = _classical_step(self.spec, cstate, sym, label)
-            category = _decision(self.spec, step.state)
-            if category == CATEGORY_CONTINUE:
-                kind, payload = "restart", None
-                steps += 1
-                self._memo[cur] = (kind, payload, 1)
-                break
+            category, state2, offset, reg2, _ = successors[0]
             if category is not None:
-                kind, payload = "halt", category
+                kind, payload = _terminal(category)
                 steps += 1
                 self._memo[cur] = (kind, payload, 1)
                 break
             chain.append((cur, steps))
             steps += 1
-            cur = (self._next_position(pos, step.move), step.state, reg2)
+            cur = (_moved(pos, offset, self.last), state2, reg2)
         for n, before in chain:
             self._memo[n] = (kind, payload, steps - before)
         return kind, payload, steps
@@ -721,10 +744,7 @@ def _run_trials(
     step_cap: Optional[int],
     precision_bits: int,
 ):
-    counts = {
-        cat: 0
-        for cat in (CATEGORY_ACCEPT, CATEGORY_REJECT, CATEGORY_DONT_KNOW, CATEGORY_CONTINUE, CATEGORY_CAPPED)
-    }
+    counts = {cat: 0 for cat in _TRIAL_CATEGORIES}
     step_total = 0
     round_total = 0
     decided = 0
@@ -808,10 +828,7 @@ def run_monte_carlo(
             )
     else:
         results = [_run_trials(compiled, rng_root, block, step_cap, precision_bits) for block in blocks]
-    counts = {
-        cat: 0
-        for cat in (CATEGORY_ACCEPT, CATEGORY_REJECT, CATEGORY_DONT_KNOW, CATEGORY_CONTINUE, CATEGORY_CAPPED)
-    }
+    counts = {cat: 0 for cat in _TRIAL_CATEGORIES}
     step_total = 0
     round_total = 0
     decided = 0
@@ -900,76 +917,57 @@ def run_unary_length(
     if not spec.is_realtime():
         raise ValueError("unary fast path requires a realtime machine class")
     sym = spec.alphabet[0]
+    kernel = _Kernel(spec, precision_bits)
     masses = _empty_masses()
     # The left end-marker may branch; each branch is advanced separately.
     live: "list[tuple[str, Register, Fraction]]" = []
-    for label, reg2, p in _quantum_outcomes(
-        spec, spec.initial_state, LEFT_MARKER, initial_register(spec), precision_bits
+    for category, state2, _, reg2, p in kernel.successors(
+        spec.initial_state, LEFT_MARKER, initial_register(spec)
     ):
-        step = _classical_step(spec, spec.initial_state, LEFT_MARKER, label)
-        category = _decision(spec, step.state)
         if not isinstance(p, Fraction):
             raise ExactnessError("interval-valued branch on the left end-marker")
         if category is not None:
             masses[category].append(ExactProb(p))
         else:
-            live.append((step.state, reg2, p))
-    advanced: "list[tuple[str, Register, Fraction]]" = []
+            live.append((state2, reg2, p))
     for cstate, reg, weight in live:
-        outcome = _advance_unary(spec, cstate, reg, sym, length, precision_bits, walk_limit)
+        outcome = _advance_unary(kernel, cstate, reg, sym, length, walk_limit)
         if outcome[0] == "halt":
             masses[outcome[1]].append(ExactProb(weight))
-        else:
-            advanced.append((outcome[1], outcome[2], weight))
-    for cstate, reg, weight in advanced:
-        for label, reg2, p in _quantum_outcomes(spec, cstate, RIGHT_MARKER, reg, precision_bits):
-            step = _classical_step(spec, cstate, RIGHT_MARKER, label)
-            category = _decision(spec, step.state)
+            continue
+        for category, _, _, _, p in kernel.successors(outcome[1], RIGHT_MARKER, outcome[2]):
             if category is None:
                 raise MachineError("right end-marker must halt or restart a realtime machine")
-            if isinstance(p, Fraction):
-                masses[category].append(ExactProb(weight * p))
-            else:
-                masses[category].append(prob_scale(p, weight))
+            masses[category].append(_weighted(weight, p))
     return _masses_to_distribution(masses)
 
 
 def _advance_unary(
-    spec: MachineSpec,
-    cstate: str,
-    reg: Register,
-    sym: str,
-    length: int,
-    precision_bits: int,
-    walk_limit: int,
+    kernel: _Kernel, cstate: str, reg: Register, sym: str, length: int, walk_limit: int
 ):
     """Advance one deterministic branch over `length` unary squares."""
     if length == 0:
         return ("live", cstate, reg)
-    action = spec.quantum_delta.get((cstate, sym))
-    if isinstance(action, RotateAction):
-        step = spec.classical_delta.get((cstate, sym, "1"))
-        if step is None:
-            raise MachineError(f"no classical transition for ({cstate!r}, {sym!r}, '1')")
-        if step.state == cstate:
-            return ("live", cstate, reg.rotated(action.angle.scale(length)))
+    action = kernel.spec.quantum_delta.get((cstate, sym))
+    if isinstance(action, RotateAction) and kernel.resolve(cstate, sym, reg)[0][1] == cstate:
+        return ("live", cstate, reg.rotated(action.angle.scale(length)))
     seen = {(cstate, reg): 0}
     seq: "list[tuple[str, Register]]" = [(cstate, reg)]
     consumed = 0
     while consumed < length:
         if consumed > walk_limit:
             raise ValueError("unary walk exceeded the configuration limit")
-        outs = _quantum_outcomes(spec, cstate, sym, reg, precision_bits)
-        if len(outs) != 1 or not isinstance(outs[0][2], Fraction) or outs[0][2] != 1:
+        # The walk stops at its first repeated configuration, so a memo
+        # could never hit here.
+        successors = kernel.resolve(cstate, sym, reg)
+        if not _is_deterministic(successors):
             raise ValueError("unary fast path requires deterministic evolution")
-        label, reg2, _ = outs[0]
-        step = _classical_step(spec, cstate, sym, label)
-        category = _decision(spec, step.state)
+        category, state2, _, reg2, _ = successors[0]
         if category == CATEGORY_CONTINUE:
             raise ValueError("unary fast path does not model mid-input restarts")
         if category is not None:
             return ("halt", category)
-        cstate, reg = step.state, reg2
+        cstate, reg = state2, reg2
         consumed += 1
         key = (cstate, reg)
         if key in seen:

@@ -23,6 +23,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .analysis import (
+    MAX_PRECISION_BITS,
     MachineError,
     NonterminatingError,
     analyze_restarting,
@@ -59,7 +60,13 @@ from .contextuality import (
     report_to_json_text,
     transcript_to_json_text,
 )
-from .exactnum import ExactnessError, angle_probability, prob_exact, sqrt2_pi
+from .exactnum import (
+    MIN_PRECISION_BITS,
+    ExactnessError,
+    angle_probability,
+    prob_exact,
+    sqrt2_pi,
+)
 from .machines import (
     LEFT_MARKER,
     MODEL_RESTARTING,
@@ -251,6 +258,11 @@ def cmd_analyze(args) -> int:
     mode = args.mode
     if mode not in ("exact", "restart", "sweep", "mc"):
         raise UsageError("pick --mode from exact, restart, sweep, mc")
+    if not MIN_PRECISION_BITS <= args.precision_bits <= MAX_PRECISION_BITS:
+        raise UsageError(
+            f"--precision-bits must be between {MIN_PRECISION_BITS} and "
+            f"{MAX_PRECISION_BITS}, got {args.precision_bits}"
+        )
     spec = _build_machine(args)
     word = _instance_word(args)
     status = _check_promise(args, word)
@@ -887,7 +899,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite", choices=sorted(SUITES) + ["all"])
     p.add_argument("--seed", help="required for suites that sample game rounds")
-    p.add_argument("--workers", type=int, default=1)
     _add_common_output(p)
     p.set_defaults(fn=cmd_verify)
 
@@ -946,6 +957,12 @@ def _apply_config(parser: argparse.ArgumentParser, argv: List[str]) -> List[str]
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
+    # Bounds certified near MAX_PRECISION_BITS print as integers of about
+    # 20,000 digits, past the default int-to-str digit limit of newer
+    # interpreters. The limit is restored for the caller's process.
+    str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if str_digits:
+        sys.set_int_max_str_digits(0)
     try:
         argv = _apply_config(parser, argv)
         args = parser.parse_args(argv)
@@ -959,6 +976,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    finally:
+        if str_digits:
+            sys.set_int_max_str_digits(str_digits)
 
 
 if __name__ == "__main__":

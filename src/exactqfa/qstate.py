@@ -47,6 +47,14 @@ class QVector:
 
     amplitudes: "tuple[GaussianRational, ...]"
 
+    def __hash__(self) -> int:
+        # Runners look registers up in dicts on every square; amplitudes
+        # never change, so the dataclass hash is computed once and kept.
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = self.__dict__["_hash"] = hash((self.amplitudes,))
+        return cached
+
     @staticmethod
     def from_entries(entries: Iterable[EntryLike]) -> "QVector":
         return QVector(tuple(_as_gaussian(e) for e in entries))

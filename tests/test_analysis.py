@@ -17,6 +17,7 @@ from exactqfa.analysis import (
     run_monte_carlo,
     run_unary_length,
 )
+from exactqfa.constructions import build_lv_exptwinpal
 from exactqfa.exactnum import ExactnessError, sqrt2_pi
 from exactqfa.machines import (
     LEFT_MARKER,
@@ -448,3 +449,18 @@ def test_splittable_rng_children_are_stable_and_independent():
 def test_run_exact_realtime_rejects_unknown_symbols():
     with pytest.raises(MachineError, match="outside the machine alphabet"):
         run_exact_realtime(spin_machine(), "ab")
+
+
+def test_periodic_run_applies_each_configuration_a_bounded_number_of_times(monkeypatch):
+    # Every block of (u c u c v c v c)^t revisits the same configurations,
+    # so once they recur the run's transitions come from its memo.
+    calls = []
+    apply = QMatrix.apply
+    monkeypatch.setattr(QMatrix, "apply", lambda m, v: calls.append(1) or apply(m, v))
+    spec = build_lv_exptwinpal()
+    counts = []
+    for t in (50, 100):
+        calls.clear()
+        run_exact_realtime(spec, "abcabcaacaac" * t)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0

@@ -8,6 +8,8 @@ from fractions import Fraction
 import pytest
 
 from exactqfa import cli
+from exactqfa.analysis import MAX_PRECISION_BITS
+from exactqfa.exactnum import MIN_PRECISION_BITS
 from exactqfa.machines import parse_spec, validate
 
 
@@ -265,6 +267,39 @@ class TestAnalyze:
         assert code == 0
         doc = json.loads(out)
         assert doc["result"]["p_continue"] == "1/1"
+
+    @pytest.mark.parametrize("bits", [MIN_PRECISION_BITS - 1, MAX_PRECISION_BITS + 1])
+    def test_precision_bits_outside_range_is_usage_error(self, capsys, bits):
+        code, out, err = run_cli(
+            capsys,
+            "analyze",
+            "EXACT_EQ_RESTARTING",
+            "--input",
+            "abaab",
+            "--mode",
+            "restart",
+            "--precision-bits",
+            str(bits),
+        )
+        assert code == 2
+        assert out == ""
+        assert f"--precision-bits must be between {MIN_PRECISION_BITS} and" in err
+
+    @pytest.mark.parametrize("bits", [MIN_PRECISION_BITS, MAX_PRECISION_BITS])
+    def test_precision_bits_range_ends_are_accepted(self, capsys, bits):
+        code, out, _ = run_cli(
+            capsys,
+            "analyze",
+            "AW_EQ_PHASE",
+            "--input",
+            "ab",
+            "--mode",
+            "exact",
+            "--precision-bits",
+            str(bits),
+        )
+        assert code == 0
+        assert set(json.loads(out)["result"]["p_accept"]) == {"lo", "hi"}
 
     def test_bad_input_shorthand(self, capsys):
         code, _, err = run_cli(

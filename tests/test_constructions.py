@@ -27,6 +27,7 @@ from exactqfa.constructions import (
     pal_double_scan_state,
     pal_miss_probability,
 )
+from exactqfa.exactnum import ExactProb
 from exactqfa.machines import emit_spec, parse_spec, validate
 from exactqfa.qstate import QVector
 
@@ -157,6 +158,30 @@ def test_lv_block_machine_closed_form():
     dist = run_exact_realtime(spec, lv_word("ab", "aa", 3))
     assert dist.p_accept.value == 0
     assert dist.p_reject.value == Fraction(9, 25) * (1 - (1 - p_v) ** 3)
+
+
+@pytest.mark.parametrize(
+    "u,v",
+    [
+        (u, v)
+        for u in ("aa", "ab", "ba", "bb")
+        for v in ("aa", "ab", "ba", "bb")
+        if (u == u[::-1]) != (v == v[::-1])
+    ],
+)
+def test_lv_general_run_matches_closed_form(u, v):
+    # The branches are independent: the accepting one (mass 16/25)
+    # leaks on each v segment pair, the rejecting one (9/25) on each u
+    # pair, and a miss returns the register to the start axis.
+    spec = build_lv_exptwinpal()
+    for t in (1, 2, 25, 625):
+        dist = run_exact_realtime(spec, lv_word(u, v, t))
+        p_accept = Fraction(16, 25) * (1 - (1 - pal_miss_probability(v)) ** t)
+        p_reject = Fraction(9, 25) * (1 - (1 - pal_miss_probability(u)) ** t)
+        assert dist.p_accept == ExactProb(p_accept)
+        assert dist.p_reject == ExactProb(p_reject)
+        assert dist.p_dont_know == ExactProb(1 - p_accept - p_reject)
+        assert dist.p_continue == ExactProb(Fraction(0))
 
 
 def test_lv_block_machine_empty_input_is_dont_know():

@@ -162,3 +162,19 @@ def test_kron_shapes_and_values() -> None:
 
 def test_matrix_json_round_trip() -> None:
     assert QMatrix.from_json(ROT_A.to_json()) == ROT_A
+
+
+def test_equal_vectors_from_different_routes_hash_equal() -> None:
+    half = Fraction(1, 2)
+    for cache_first in (None, "left", "right"):
+        left = QVector.from_entries([half, 0, 0])
+        right = QVector.basis(3, 0).scale(half)
+        assert left.amplitudes is not right.amplitudes
+        if cache_first == "left":
+            hash(left)
+        elif cache_first == "right":
+            hash(right)
+        assert left == right and right == left
+        assert hash(left) == hash(right)
+        assert {left: 1}[right] == 1
+    assert QVector.basis(3, 0) != QVector.basis(3, 1)
