@@ -17,6 +17,7 @@ sampling is unbiased even for interval-valued probabilities.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -196,32 +197,51 @@ def _decision(spec: MachineSpec, state: str) -> Optional[str]:
     return None
 
 
+class _Memo(dict):
+    """A dict that keeps a value from its key's second sighting on.
+
+    A first sighting keeps only the key's hash, so a run whose keys never
+    recur keeps no old register alive.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self._seen: "set[int]" = set()
+
+    def offer(self, key, value) -> None:
+        digest = hash(key)
+        if digest in self._seen:
+            self[key] = value
+        else:
+            self._seen.add(digest)
+
+
+# The probability of every branch that is exactly certain. ``resolve``
+# marks such a branch by giving it this very object, so readers test
+# ``p is _UNIT`` instead of comparing Fractions on every square.
+_UNIT = Fraction(1)
+
+
 class _Kernel:
     """Square transitions of one machine at a fixed precision, memoized for one run.
 
     ``resolve(cstate, sym, reg)`` gives a ``(category, next_state, offset,
-    reg2, p)`` per nonzero branch, with ``category`` None for a live branch
-    and ``offset`` the head move. ``successors`` memoizes it from a key's
-    second sighting on; a first sighting keeps only the key's hash, so an
-    aperiodic run keeps no old register alive.
+    reg2, p)`` per nonzero branch, with ``category`` None for a live branch,
+    ``offset`` the head move and ``p`` the shared ``_UNIT`` when the branch
+    is certain. ``successors`` memoizes it in a ``_Memo``.
     """
 
     def __init__(self, spec: MachineSpec, precision_bits: int):
         self.spec = spec
         self.precision_bits = precision_bits
-        self._memo: dict = {}
-        self._seen: "set[int]" = set()
+        self._memo = _Memo()
 
     def successors(self, cstate: str, sym: str, reg: Register) -> tuple:
         key = (cstate, sym, reg)
         out = self._memo.get(key)
         if out is None:
             out = self.resolve(cstate, sym, reg)
-            digest = hash(key)
-            if digest in self._seen:
-                self._memo[key] = out
-            else:
-                self._seen.add(digest)
+            self._memo.offer(key, out)
         return out
 
     def resolve(self, cstate: str, sym: str, reg: Register) -> tuple:
@@ -232,7 +252,12 @@ class _Kernel:
             step = spec.classical_delta.get((cstate, sym, label))
             if step is None:
                 raise MachineError(f"no classical transition for ({cstate!r}, {sym!r}, {label!r})")
-            total += p if isinstance(p, Fraction) else p.as_interval().lo
+            if isinstance(p, Fraction):
+                total += p
+                if p == 1:
+                    p = _UNIT
+            else:
+                total += p.as_interval().lo
             out.append((_decision(spec, step.state), step.state, _MOVE_OFFSET[step.move], reg2, p))
         if total > 1:
             raise MachineError("measurement branches exceed total mass")
@@ -241,8 +266,7 @@ class _Kernel:
 
 def _is_deterministic(successors: tuple) -> bool:
     """True when a square has one branch, of probability exactly one."""
-    p = successors[0][4] if len(successors) == 1 else None
-    return isinstance(p, Fraction) and p == 1
+    return len(successors) == 1 and successors[0][4] is _UNIT
 
 
 def _moved(pos: int, offset: int, last: int) -> int:
@@ -253,17 +277,21 @@ def _moved(pos: int, offset: int, last: int) -> int:
 
 
 def _weighted(weight: Fraction, p: "Union[Fraction, ApproxProb]") -> ProbValue:
-    """weight * p as a decided mass; an exact p of one keeps the weight as is."""
+    """weight * p as a decided mass; a certain branch keeps the weight as is."""
+    if p is _UNIT:
+        return ExactProb(weight)
     if isinstance(p, Fraction):
-        return ExactProb(weight if p == 1 else weight * p)
+        return ExactProb(weight * p)
     return prob_scale(p, weight)
 
 
 def _live_share(weight: Fraction, p: "Union[Fraction, ApproxProb]") -> Fraction:
     """weight * p for a branch that stays live, which needs an exact p."""
+    if p is _UNIT:
+        return weight
     if not isinstance(p, Fraction):
         raise ExactnessError("interval-valued measurement outcome must halt or restart")
-    return weight if p == 1 else weight * p
+    return weight * p
 
 
 def tape_of(spec: MachineSpec, input_str: str) -> "list[str]":
@@ -276,7 +304,14 @@ def tape_of(spec: MachineSpec, input_str: str) -> "list[str]":
 def run_exact_realtime(
     spec: MachineSpec, input_str: str, precision_bits: int = 64
 ) -> OutcomeDistribution:
-    """One exact left-to-right pass; every branch tracked with rational weight."""
+    """One exact left-to-right pass; every branch tracked with rational weight.
+
+    An input that is a whole power block^reps with reps >= 3 is walked a
+    block at a time, and advanced by block transfer matrices once its
+    block-boundary configurations recur (see ``_advance_blocks``). Two
+    blocks are stepped square by square: a block row is kept from its
+    key's second sighting, so the first jump can come at the third block.
+    """
     if spec.model_class == MODEL_RTPFA:
         return _run_pfa(spec, input_str)
     if not spec.is_realtime():
@@ -287,21 +322,146 @@ def run_exact_realtime(
         (spec.initial_state, initial_register(spec)): Fraction(1)
     }
     masses = _empty_masses()
-    for sym in tape:
-        new_branches: "dict[tuple[str, Register], Fraction]" = {}
-        for (cstate, reg), weight in branches.items():
-            for category, state2, _, reg2, p in kernel.successors(cstate, sym, reg):
-                if category is not None:
-                    masses[category].append(_weighted(weight, p))
-                    continue
-                share = _live_share(weight, p)
-                key = (state2, reg2)
-                merged = new_branches.get(key)
-                new_branches[key] = share if merged is None else merged + share
-        branches = new_branches
+    # The shortest rotation that maps the input onto itself is its
+    # primitive root's length; it divides the length.
+    period = (input_str * 2).find(input_str, 1)
+    if 0 < period and len(input_str) // period >= 3:
+        branches = _step(kernel, branches, LEFT_MARKER, masses)
+        branches = _advance_blocks(
+            kernel, branches, input_str[:period], len(input_str) // period, masses
+        )
+        branches = _step(kernel, branches, RIGHT_MARKER, masses)
+    else:
+        for sym in tape:
+            branches = _step(kernel, branches, sym, masses)
     if branches:
         raise MachineError("live branches remain after the right end-marker")
     return _masses_to_distribution(masses)
+
+
+def _step(kernel: _Kernel, branches: dict, sym: str, masses: dict) -> dict:
+    """Push the live branches across one square; decided mass goes to ``masses``."""
+    new_branches: "dict[tuple[str, Register], Fraction]" = {}
+    for (cstate, reg), weight in branches.items():
+        for category, state2, _, reg2, p in kernel.successors(cstate, sym, reg):
+            if category is not None:
+                masses[category].append(_weighted(weight, p))
+                continue
+            share = _live_share(weight, p)
+            key = (state2, reg2)
+            merged = new_branches.get(key)
+            new_branches[key] = share if merged is None else merged + share
+    return new_branches
+
+
+def _block_row(kernel: _Kernel, key: tuple, block: str) -> tuple:
+    """One block from ``key`` at weight one: the live keys at the block's
+    end with their weights, and the decided mass by category."""
+    branches = {key: Fraction(1)}
+    masses = _empty_masses()
+    for sym in block:
+        branches = _step(kernel, branches, sym, masses)
+    return branches, {cat: prob_sum(values) for cat, values in masses.items() if values}
+
+
+def _advance_blocks(kernel: _Kernel, branches: dict, block: str, reps: int, masses: dict) -> dict:
+    """Advance the live branches over ``reps`` copies of ``block``.
+
+    The run walks block by block, combining the rows (``_block_row``) of
+    the live keys; a row is kept under the second-sighting rule. Once the
+    kept rows close over the keys the live ones reach, the remaining
+    blocks are taken in one step by ``_jump``; once every branch has
+    halted, the rest is skipped. Exact weights make the result equal to
+    the square-by-square run's, interval ends included.
+    """
+    rows = _Memo()
+    for done in range(reps):
+        if not branches:
+            break
+        keys = _closed_keys(rows, branches)
+        if keys is not None:
+            return _jump(rows, keys, branches, reps - done, masses)
+        new_branches: "dict[tuple[str, Register], Fraction]" = {}
+        for key, weight in branches.items():
+            row = rows.get(key)
+            if row is None:
+                row = _block_row(kernel, key, block)
+                rows.offer(key, row)
+            live, decided = row
+            for key2, w in live.items():
+                share = weight * w
+                merged = new_branches.get(key2)
+                new_branches[key2] = share if merged is None else merged + share
+            for category, mass in decided.items():
+                masses[category].append(prob_scale(mass, weight))
+        branches = new_branches
+    return branches
+
+
+def _closed_keys(rows: _Memo, branches: dict) -> "Optional[list]":
+    """The keys reachable from ``branches`` through kept rows, or None
+    while one of them has no kept row."""
+    keys: list = []
+    found = set()
+    stack = list(branches)
+    while stack:
+        key = stack.pop()
+        if key in found:
+            continue
+        row = rows.get(key)
+        if row is None:
+            return None
+        found.add(key)
+        keys.append(key)
+        stack.extend(row[0])
+    return keys
+
+
+def _jump(rows: _Memo, keys: list, branches: dict, blocks: int, masses: dict) -> dict:
+    """Advance ``branches`` over ``blocks`` blocks as v·M^blocks.
+
+    M = [[T, D], [0, I]]: T holds the live-to-live weights over ``keys``,
+    D the decided mass, one column per category and one more for the
+    upper end of each category whose mass is an interval, and I carries
+    the decided mass on unchanged.
+    """
+    index = {key: i for i, key in enumerate(keys)}
+    decided = [rows[key][1] for key in keys]
+    cats = [c for c in CATEGORIES if any(c in d for d in decided)]
+    wide = [c for c in cats if any(c in d and not d[c].is_exact() for d in decided)]
+    columns = [(c, "lo") for c in cats] + [(c, "hi") for c in wide]
+    n = len(keys)
+    width = n + len(columns)
+    matrix = []
+    for key, d in zip(keys, decided):
+        row = [0] * width
+        for key2, w in rows[key][0].items():
+            row[index[key2]] = w
+        for j, (c, end) in enumerate(columns, n):
+            if c in d:
+                row[j] = getattr(d[c].as_interval(), end)
+        matrix.append(tuple(row))
+    for i in range(n, width):
+        matrix.append(tuple(int(i == j) for j in range(width)))
+    start = tuple(branches.get(key, 0) for key in keys) + (0,) * len(columns)
+    # The power runs on integers: M = N/den and v = w/v_den, so that
+    # v·M^blocks = w·N^blocks / (v_den·den^blocks) needs no gcd until the end.
+    den = math.lcm(*(x.denominator for row in matrix for x in row))
+    v_den = math.lcm(*(x.denominator for x in start))
+    (scaled,) = _matrix_power(
+        [[x.numerator * (den // x.denominator) for x in row] for row in matrix],
+        blocks,
+        ([x.numerator * (v_den // x.denominator) for x in start],),
+    )
+    total_den = v_den * den**blocks
+    end = [Fraction(x, total_den) for x in scaled]
+    sums = dict(zip(columns, end[n:]))
+    for c in cats:
+        lo = sums[(c, "lo")]
+        hi = sums.get((c, "hi"), lo)
+        if hi:
+            masses[c].append(ExactProb(lo) if lo == hi else ApproxProb(RationalInterval(lo, hi)))
+    return {key: w for key, w in zip(keys, end) if w}
 
 
 def _run_pfa(spec: MachineSpec, input_str: str) -> OutcomeDistribution:
@@ -496,7 +656,7 @@ def analyze_sweeping(
                     raise ExactnessError("loop analysis requires exact branch masses")
                 if category == CATEGORY_CONTINUE:
                     raise MachineError("restart is not part of the sweeping model")
-                share = weight if p == 1 else weight * p
+                share = weight if p is _UNIT else weight * p
                 if category is not None:
                     decided.append((category, share, tick, sweeps))
                     continue
@@ -738,7 +898,7 @@ class _CompiledMachine:
 
 
 def _run_trials(
-    compiled: _CompiledMachine,
+    compiled: "Union[_CompiledMachine, _CompiledPfa]",
     rng_root: SplittableRng,
     indices: range,
     step_cap: Optional[int],
@@ -809,7 +969,7 @@ def run_monte_carlo(
     if trials <= 0:
         raise ValueError("trials must be positive")
     if spec.model_class == MODEL_RTPFA:
-        compiled = _compile_pfa(spec, input_str)
+        compiled = _CompiledPfa(spec, input_str)
     else:
         compiled = _CompiledMachine(spec, input_str, precision_bits)
     rng_root = SplittableRng(seed)
@@ -846,54 +1006,39 @@ def run_monte_carlo(
     )
 
 
-def _compile_pfa(spec: MachineSpec, input_str: str) -> _CompiledMachine:
-    """Present a realtime PFA as a compiled graph of stochastic nodes.
+class _CompiledPfa:
+    """A realtime PFA as a compiled graph of stochastic nodes.
 
     The classical state plays the register role; every square is a
     stochastic node over the rows of that symbol's matrix.
     """
-    compiled = _CompiledMachine.__new__(_CompiledMachine)
-    compiled.spec = spec
-    compiled.tape = tape_of(spec, input_str)
-    compiled.last = len(compiled.tape) - 1
-    compiled.precision_bits = 64
-    compiled.start = (0, spec.initial_state, None)
-    compiled._memo = {}
 
-    def resolve(node):
-        hit = compiled._memo.get(node)
-        if hit is not None:
-            return hit
-        pos, cstate, _ = node
-        category = _decision(spec, cstate)
-        if category is not None:
-            entry = ("halt", category, 0)
-            compiled._memo[node] = entry
-            return entry
-        if pos > compiled.last:
-            entry = ("halt", CATEGORY_CONTINUE, 0)
-            compiled._memo[node] = entry
-            return entry
-        sym = compiled.tape[pos]
-        matrix = spec.stochastic_delta[sym]
-        row = matrix.rows[matrix.order.index(cstate)]
-        targets = []
-        probs = []
-        for target_state, p in zip(matrix.order, row):
-            if p == 0:
-                continue
-            targets.append(("node", (pos + 1, target_state, None)))
-            probs.append(p)
+    def __init__(self, spec: MachineSpec, input_str: str):
+        self.tape = tape_of(spec, input_str)
+        self.last = len(self.tape) - 1
+        self.start = (0, spec.initial_state, None)
+        self._spec = spec
+        self._memo: dict = {}
 
-        def outcomes_at(_bits, probs=tuple(probs)):
-            return [(str(i), None, p) for i, p in enumerate(probs)]
-
-        entry = ("stoch", _StochNode(node, targets, outcomes_at), 0)
-        compiled._memo[node] = entry
+    def resolve(self, node):
+        entry = self._memo.get(node)
+        if entry is None:
+            entry = self._memo[node] = self._resolve(node)
         return entry
 
-    compiled.resolve = resolve
-    return compiled
+    def _resolve(self, node):
+        pos, cstate, _ = node
+        category = _decision(self._spec, cstate)
+        if category is not None:
+            return ("halt", category, 0)
+        if pos > self.last:
+            return ("halt", CATEGORY_CONTINUE, 0)
+        matrix = self._spec.stochastic_delta[self.tape[pos]]
+        row = matrix.rows[matrix.order.index(cstate)]
+        branches = [(state, p) for state, p in zip(matrix.order, row) if p != 0]
+        targets = [("node", (pos + 1, state, None)) for state, _ in branches]
+        outcomes = [(str(i), None, p) for i, (_, p) in enumerate(branches)]
+        return ("stoch", _StochNode(node, targets, lambda _bits: outcomes), 0)
 
 
 def run_unary_length(
@@ -987,10 +1132,7 @@ def _unary_pfa(spec: MachineSpec, length: int) -> OutcomeDistribution:
     dist = {spec.initial_state: Fraction(1)}
     dist = spec.stochastic_delta[LEFT_MARKER].push(dist)
     vector = tuple(dist.get(s, Fraction(0)) for s in order)
-    power = _matrix_power(spec.stochastic_delta[sym].rows, length)
-    vector = tuple(
-        sum(vector[i] * power[i][j] for i in range(len(order))) for j in range(len(order))
-    )
+    (vector,) = _matrix_power(spec.stochastic_delta[sym].rows, length, (vector,))
     dist = {s: v for s, v in zip(order, vector) if v}
     final = spec.stochastic_delta[RIGHT_MARKER]
     if final.order != order:
@@ -1003,22 +1145,27 @@ def _unary_pfa(spec: MachineSpec, length: int) -> OutcomeDistribution:
     return _masses_to_distribution(masses)
 
 
-def _matrix_power(rows, exponent: int):
-    n = len(rows)
-    result = tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n)) for i in range(n)
-    )
-    base = tuple(tuple(Fraction(x) for x in row) for row in rows)
+def _matrix_power(rows, exponent: int, start):
+    """start @ rows^exponent by repeated squaring, for row tuples."""
+    result, base = start, rows
     while exponent:
         if exponent & 1:
             result = _matmul_rows(result, base)
-        base = _matmul_rows(base, base)
         exponent >>= 1
+        if exponent:
+            base = _matmul_rows(base, base)
     return result
 
 
 def _matmul_rows(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n)
-    )
+    """a @ b for row tuples, skipping zero entries on both sides."""
+    sparse = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [0] * len(b[0])
+        for k, x in enumerate(row):
+            if x:
+                for j, y in sparse[k]:
+                    acc[j] += x * y
+        out.append(tuple(acc))
+    return tuple(out)

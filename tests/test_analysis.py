@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from exactqfa import analysis
 from exactqfa.analysis import (
+    CATEGORIES,
     MachineError,
     MonteCarloResult,
     NonterminatingError,
@@ -17,8 +19,20 @@ from exactqfa.analysis import (
     run_monte_carlo,
     run_unary_length,
 )
-from exactqfa.constructions import build_lv_exptwinpal
-from exactqfa.exactnum import ExactnessError, sqrt2_pi
+from exactqfa.constructions import (
+    build_aw_pal,
+    build_exact_eq_restarting,
+    build_exact_exptwinpal,
+    build_lv_exptwinpal,
+)
+from exactqfa.exactnum import (
+    ExactnessError,
+    ExactProb,
+    one_minus_inv_e_bracket,
+    prob_scale,
+    prob_sum,
+    sqrt2_pi,
+)
 from exactqfa.machines import (
     LEFT_MARKER,
     MODEL_RESTARTING,
@@ -464,3 +478,235 @@ def test_periodic_run_applies_each_configuration_a_bounded_number_of_times(monke
         run_exact_realtime(spec, "abcabcaacaac" * t)
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+def reference_realtime(spec: MachineSpec, word: str) -> OutcomeDistribution:
+    """Square-by-square exact run, the oracle for the block transfer path."""
+    kernel = analysis._Kernel(spec, 64)
+    branches = {(spec.initial_state, analysis.initial_register(spec)): Fraction(1)}
+    masses = {cat: [] for cat in CATEGORIES}
+    for sym in analysis.tape_of(spec, word):
+        new_branches = {}
+        for (state, reg), weight in branches.items():
+            for category, state2, _, reg2, p in kernel.successors(state, sym, reg):
+                exact = isinstance(p, Fraction)
+                if category is not None:
+                    masses[category].append(ExactProb(weight * p) if exact else prob_scale(p, weight))
+                    continue
+                assert exact
+                key = (state2, reg2)
+                new_branches[key] = new_branches.get(key, 0) + weight * p
+        branches = new_branches
+    assert not branches
+    return OutcomeDistribution(*(prob_sum(masses[cat]) for cat in CATEGORIES))
+
+
+def outcome(run, spec: MachineSpec, word: str):
+    """A run's distribution, or the type and message of the error it raised."""
+    try:
+        return run(spec, word)
+    except (MachineError, ExactnessError) as exc:
+        return type(exc), str(exc)
+
+
+def _twin_blocks(u: str, v: str, t: int) -> str:
+    return f"{u}c{u}c{v}c{v}c" * t
+
+
+def block_counter_machine() -> MachineSpec:
+    """Counts "ab" blocks up to two; an "a" in the third block is a table hole."""
+    classical = {("b0", LEFT_MARKER, "1"): ClassicalStep("b0", MOVE_RIGHT)}
+    for i in range(3):
+        classical[(f"m{i}", "b", "1")] = ClassicalStep(f"b{i + 1}", MOVE_RIGHT)
+        classical[(f"b{i}", RIGHT_MARKER, "1")] = ClassicalStep("s_a", MOVE_RIGHT)
+        if i < 2:
+            classical[(f"b{i}", "a", "1")] = ClassicalStep(f"m{i}", MOVE_RIGHT)
+    return MachineSpec(
+        name="block-counter",
+        model_class=MODEL_RTDFA,
+        register=REGISTER_CLASSICAL,
+        quantum_dim=1,
+        states=frozenset({"b0", "b1", "b2", "b3", "m0", "m1", "m2", "s_a", "s_r"}),
+        initial_state="b0",
+        accept_state="s_a",
+        reject_state="s_r",
+        dont_know_state=None,
+        alphabet=("a", "b"),
+        classical_delta=classical,
+    )
+
+
+def coin_turn_machine() -> MachineSpec:
+    """Each "ab" block tosses a coin; the 16/25 side turns by sqrt(2) pi
+    and halts at the next square on an interval-valued measurement, so
+    block rows that recur carry interval masses."""
+    return MachineSpec(
+        name="coin-turn",
+        model_class=MODEL_RTQCFA,
+        register=REGISTER_ROTATION,
+        quantum_dim=2,
+        states=frozenset({"s", "z", "s_a", "s_r"}),
+        initial_state="s",
+        accept_state="s_a",
+        reject_state="s_r",
+        dont_know_state=None,
+        alphabet=("a", "b"),
+        quantum_delta={
+            ("s", "a"): MeasureRotationAction(pre=ROT),
+            ("z", "b"): RotateAction(sqrt2_pi(1)),
+            ("z", "a"): MeasureRotationAction(),
+            ("z", RIGHT_MARKER): MeasureRotationAction(),
+        },
+        classical_delta={
+            ("s", LEFT_MARKER, "1"): ClassicalStep("s", MOVE_RIGHT),
+            ("s", "a", "1"): ClassicalStep("z", MOVE_RIGHT),
+            ("s", "a", "2"): ClassicalStep("s", MOVE_RIGHT),
+            ("s", "b", "1"): ClassicalStep("s", MOVE_RIGHT),
+            ("z", "b", "1"): ClassicalStep("z", MOVE_RIGHT),
+            ("s", RIGHT_MARKER, "1"): ClassicalStep("s_a", MOVE_RIGHT),
+            **{
+                ("z", sym, label): ClassicalStep(state, MOVE_RIGHT)
+                for sym in ("a", RIGHT_MARKER)
+                for label, state in (("1", "s_a"), ("2", "s_r"))
+            },
+        },
+    )
+
+
+def first_b_rejecter(halt_on_left: bool = False) -> MachineSpec:
+    """Rejects at its first "b" and accepts at the right end-marker; with
+    ``halt_on_left`` it rejects on the left end-marker already."""
+    return MachineSpec(
+        name="first-b-rejecter" + ("-left" if halt_on_left else ""),
+        model_class=MODEL_RTDFA,
+        register=REGISTER_CLASSICAL,
+        quantum_dim=1,
+        states=frozenset({"q", "s_a", "s_r"}),
+        initial_state="q",
+        accept_state="s_a",
+        reject_state="s_r",
+        dont_know_state=None,
+        alphabet=("a", "b"),
+        classical_delta={
+            ("q", LEFT_MARKER, "1"): ClassicalStep("s_r" if halt_on_left else "q", MOVE_RIGHT),
+            ("q", "a", "1"): ClassicalStep("q", MOVE_RIGHT),
+            ("q", "b", "1"): ClassicalStep("s_r", MOVE_RIGHT),
+            ("q", RIGHT_MARKER, "1"): ClassicalStep("s_a", MOVE_RIGHT),
+        },
+    )
+
+
+LV_PAIRS = (("aa", "ab"), ("ab", "aa"))
+EXACT_PAIRS = (("bb", "ba"), ("ba", "bb"))
+PERIODIC_CASES = (
+    [(build_lv_exptwinpal(), _twin_blocks(u, v, t)) for t in (2, 3, 25, 625) for u, v in LV_PAIRS]
+    + [(build_exact_exptwinpal(), _twin_blocks(u, v, t)) for t in (2, 25) for u, v in EXACT_PAIRS]
+    + [(build_exact_eq_restarting(), ("a" * m + "b") * 2) for m in (1, 2, 3)]
+    + [(build_exact_eq_restarting(), ("a" * m + "b" + "a" * m) * 2) for m in (1, 2, 3)]
+    + [(build_aw_pal(), "ab" * t) for t in (2, 9)]
+    + [(spin_machine(), "a" * t) for t in (2, 7, 40)]
+    + [(coin_turn_machine(), "ab" * t) for t in (2, 5, 64)]
+    + [(block_counter_machine(), "ab" * t) for t in (2, 5)]
+    # Every branch halts in the first block, or on the left end-marker.
+    + [(first_b_rejecter(), word) for word in ("b" * 3, "ab" * 4, "aab" * 9)]
+    + [(first_b_rejecter(halt_on_left=True), "ab" * 3)]
+)
+
+
+@pytest.mark.parametrize(
+    "spec, word",
+    PERIODIC_CASES,
+    ids=[f"{spec.name}-{word[:12]}-{len(word)}" for spec, word in PERIODIC_CASES],
+)
+def test_periodic_run_matches_square_by_square_reference(spec, word):
+    assert outcome(run_exact_realtime, spec, word) == outcome(reference_realtime, spec, word)
+
+
+def test_periodic_reference_cases_cover_continue_and_interval_masses():
+    results = [outcome(reference_realtime, spec, word) for spec, word in PERIODIC_CASES]
+    dists = [r for r in results if isinstance(r, OutcomeDistribution)]
+    values = [p for d in dists for p in d.by_category().values()]
+    assert any(not p.is_exact() for p in values)
+    assert any(d.p_continue != ExactProb(0) for d in dists)
+    # AW_PAL reads u c v, so (ab)^t runs through every block and then
+    # meets the table hole at the right end-marker; the block counter
+    # meets its hole in the third block of (ab)^5.
+    assert sum(not isinstance(r, OutcomeDistribution) for r in results) == 3
+
+
+def test_interval_block_rows_are_advanced_by_the_jump(monkeypatch):
+    jumps = []
+    jump = analysis._jump
+    monkeypatch.setattr(analysis, "_jump", lambda *a: jumps.append(a[3]) or jump(*a))
+    word = "ab" * 64
+    dist = run_exact_realtime(coin_turn_machine(), word)
+    assert jumps and jumps[0] < 64
+    assert not dist.p_accept.is_exact() and not dist.p_reject.is_exact()
+    assert dist == reference_realtime(coin_turn_machine(), word)
+
+
+def test_table_hole_in_third_block_raises_like_the_reference():
+    spec = block_counter_machine()
+    assert run_exact_realtime(spec, "abab") == reference_realtime(spec, "abab")
+    message = "no classical transition for ('b2', 'a', '1')"
+    for run in (run_exact_realtime, reference_realtime):
+        with pytest.raises(MachineError) as exc:
+            run(spec, "ab" * 3)
+        assert str(exc.value) == message
+
+
+def test_never_recurring_register_walks_every_block(monkeypatch):
+    # ROT has infinite order, so no block row is ever kept and the run
+    # applies the rotation once per block.
+    calls = []
+    apply = QMatrix.apply
+    monkeypatch.setattr(QMatrix, "apply", lambda m, v: calls.append(1) or apply(m, v))
+    counts = []
+    for t in (20, 40):
+        calls.clear()
+        run_exact_realtime(spin_machine(), "a" * t)
+        counts.append(len(calls))
+    assert counts == [20, 40]
+
+
+def test_periodic_run_resolves_a_bounded_number_of_squares(monkeypatch):
+    calls = []
+    successors = analysis._Kernel.successors
+    monkeypatch.setattr(
+        analysis._Kernel, "successors", lambda k, *a: calls.append(1) or successors(k, *a)
+    )
+    spec = build_lv_exptwinpal()
+    counts = []
+    for t in (25, 625):
+        calls.clear()
+        run_exact_realtime(spec, _twin_blocks("ab", "aa", t))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
+@pytest.mark.parametrize("u, v", [("aba", "abb"), ("abb", "aba")])
+def test_lv_size_three_meets_the_lasvegas_floors(u, v):
+    dist = run_exact_realtime(build_lv_exptwinpal(), _twin_blocks(u, v, 25 ** 3))
+    lower = one_minus_inv_e_bracket().lo
+    if u == u[::-1]:
+        assert dist.p_accept.value >= Fraction(16, 25) * lower
+        assert dist.p_reject == ExactProb(0)
+    else:
+        assert dist.p_reject.value >= Fraction(9, 25) * lower
+        assert dist.p_accept == ExactProb(0)
+
+
+def test_monte_carlo_on_pfa_matches_recorded_results():
+    # Recorded oracle: the counts pin the PFA graph's node order and draws.
+    assert run_monte_carlo(fair_coin_pfa(), "aaa", trials=1000, seed=13) == MonteCarloResult(
+        trials=1000,
+        counts={"accept": 511, "reject": 489, "dont_know": 0, "continue": 0, "capped": 0},
+        mean_steps=Fraction(5),
+        mean_rounds=Fraction(1),
+    )
+    assert run_monte_carlo(fair_coin_pfa(), "aa", trials=500, seed=13, step_cap=3) == MonteCarloResult(
+        trials=500,
+        counts={"accept": 0, "reject": 0, "dont_know": 0, "continue": 0, "capped": 500},
+        mean_steps=None,
+        mean_rounds=None,
+    )

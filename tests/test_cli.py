@@ -3,13 +3,14 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from exactqfa import cli
 from exactqfa.analysis import MAX_PRECISION_BITS
-from exactqfa.exactnum import MIN_PRECISION_BITS
+from exactqfa.exactnum import MIN_PRECISION_BITS, one_minus_inv_e_bracket
 from exactqfa.machines import parse_spec, validate
 
 
@@ -308,6 +309,101 @@ class TestAnalyze:
         assert code == 2
         assert "cannot parse" in err
 
+    @pytest.mark.parametrize(
+        "argv, length",
+        [
+            (("AW_PAL", "--input", "a1000000000000"), 10**12),
+            (
+                (
+                    "LV_EXPTWINPAL",
+                    "--problem",
+                    "EXPPromiseTWINPAL",
+                    "--u",
+                    "aa",
+                    "--v",
+                    "ab",
+                    "--t",
+                    "1000000000000",
+                ),
+                12 * 10**12,
+            ),
+            (("EVENODD_MCQFA", "--problem", "EVENODD", "--k", "20", "--i", "100"), 100 * 2**20),
+            (("EVENODD_MCQFA", "--problem", "EVENODD", "--k", "40", "--i", "3"), "3*2^40"),
+            (("AW_PAL", "--problem", "EVENODD^1000000000000", "--i", "3"), "3*2^1000000000000"),
+            (("AW_EQ_PHASE", "--problem", "PromiseEQ", "--blocks", "1000000000000,1,1"), 10**12 + 4),
+        ],
+    )
+    def test_huge_input_fails_before_allocating(self, capsys, argv, length):
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "analyze", *argv, "--mode", "exact")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == ""
+        assert f"input length {length} exceeds the cap of {cli.MAX_INPUT_LENGTH}" in err
+        assert peak < cli.MAX_INPUT_LENGTH // 8
+
+    def test_negative_block_count_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "analyze",
+            "LV_EXPTWINPAL",
+            "--problem",
+            "EXPPromiseTWINPAL",
+            "--u",
+            "aa",
+            "--v",
+            "ab",
+            "--t",
+            "-3",
+            "--mode",
+            "exact",
+            "--allow-unpromised",
+        )
+        assert code == 2 and out == ""
+        assert "--t must be nonnegative, got -3" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ("AW_EQ_PHASE", "--problem", "PromiseEQ", "--blocks", "1000000000000,-1000000000000,1"),
+                "--blocks must be nonnegative",
+            ),
+            (
+                ("EVENODD_MCQFA", "--problem", "EVENODD", "--k", "2", "--i", "-1"),
+                "EVENODD instances need i >= 0 and k >= 0, got i=-1, k=2",
+            ),
+        ],
+    )
+    def test_negative_instance_parts_are_usage_errors(self, capsys, argv, message):
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "analyze", *argv, "--mode", "exact")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == ""
+        assert message in err
+        assert peak < cli.MAX_INPUT_LENGTH // 8
+
+    def test_unary_input_over_the_cap_runs_by_closed_form(self, capsys):
+        # run_unary_length needs only the length, so the string is not built.
+        tracemalloc.start()
+        try:
+            code, out, _ = run_cli(
+                capsys, "analyze", "EVENODD_MCQFA", "--k", "3", "--input", "a1000000000", "--mode", "exact"
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["input_length"] == 10**9 and "input" not in doc
+        assert doc["result"]["p_accept"] == "1/1"
+        assert peak < cli.MAX_INPUT_LENGTH // 8
+
 
 class TestGenerate:
     def test_jsonl_output(self, capsys):
@@ -377,6 +473,14 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "contextuality", "--seed", "5")
         assert code == 0
         assert "quantum strategy won 10000/10000" in out
+
+    def test_lasvegas_floor_is_one_minus_inv_e(self, capsys):
+        # The floor is the certified lower end of 1 - 1/e, which sits
+        # above the decimal 0.632.
+        assert one_minus_inv_e_bracket().lo > Fraction(632, 1000)
+        code, out, _ = run_cli(capsys, "verify", "lasvegas")
+        assert code == 0
+        assert "(16/25)*(1-1/e) resp. (9/25)*(1-1/e)" in out
 
     def test_unknown_suite_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
