@@ -64,6 +64,7 @@ from .exactnum import (
     MIN_PRECISION_BITS,
     ExactnessError,
     angle_probability,
+    format_rational,
     one_minus_inv_e_bracket,
     prob_exact,
     sqrt2_pi,
@@ -143,10 +144,6 @@ def _unary_input_length(args, spec: MachineSpec) -> Optional[int]:
     if any(letter != spec.alphabet[0] for letter, _ in runs):
         return None
     return sum(n for _, n in runs)
-
-
-def _format_fraction(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
 
 
 def _decimal_of_json_value(value) -> str:
@@ -375,8 +372,30 @@ def cmd_analyze(args) -> int:
 # generate
 
 
+def _check_generated_length(args, statuses: "Tuple[str, ...]") -> None:
+    """Refuse a request whose longest generated string would be over the
+    cap, before any string is built."""
+    base, _, suffix = args.problem.partition("^")
+    if base == "EXPPromiseTWINPAL" and args.t is not None:
+        _check_length((4 * args.size + 4) * args.t)
+    elif base == PROBLEM_EVENODD:
+        k = int(suffix) if suffix.isdigit() else args.k
+        # Yes/No strings are a^(i*2^k) with i <= size; OutsidePromise
+        # strings are shorter than max(size, 1) * 2^(k+1).
+        factor = max(2 * max(args.size, 1) if s == STATUS_OUTSIDE else args.size for s in statuses)
+        if k is None or k < 0 or factor <= 0:
+            return  # generate reports a bad k; every string is empty otherwise
+        if k > MAX_INPUT_LENGTH.bit_length():
+            # Over the cap whatever the factor; 2**k is never built.
+            raise UsageError(
+                f"input length {factor}*2^{k} exceeds the cap of {MAX_INPUT_LENGTH} symbols"
+            )
+        _check_length(factor * 2**k)
+
+
 def cmd_generate(args) -> int:
     statuses = tuple(args.statuses.split(",")) if args.statuses else (STATUS_YES, STATUS_NO)
+    _check_generated_length(args, statuses)
     try:
         instances = generate(
             args.problem,
@@ -592,7 +611,7 @@ def suite_eq() -> List[CheckResult]:
             "eq.expected_rounds_quadratic",
             not failures,
             f"expected rounds for |m-n|=1..8 fit C*(m-n)^2 with"
-            f" C = {_format_fraction(worst)} (~{float(worst):.6f}), below 25/8"
+            f" C = {format_rational(worst)} (~{float(worst):.6f}), below 25/8"
             + (f"; failures at d={failures}" if failures else ""),
         )
     )
@@ -752,7 +771,7 @@ def suite_contextuality(seed) -> List[CheckResult]:
         CheckResult(
             "contextuality.quantum_chi",
             chi == Fraction(6),
-            f"exact Bell-pair evaluation = {_format_fraction(chi)}",
+            f"exact Bell-pair evaluation = {format_rational(chi)}",
         )
     )
 
@@ -771,7 +790,7 @@ def suite_contextuality(seed) -> List[CheckResult]:
             "contextuality.classical_game_max",
             value == Fraction(8, 9),
             f"exhaustive maximum over 4096 constrained table pairs"
-            f" = {_format_fraction(value)}",
+            f" = {format_rational(value)}",
         )
     )
 
@@ -857,7 +876,7 @@ def cmd_game_magic(args) -> int:
     transcript = play_magic_square(strategy, args.rounds, args.seed)
     if args.format == "csv":
         wins = transcript.wins
-        value = _format_fraction(transcript.value)
+        value = format_rational(transcript.value)
         decimal = format(float(transcript.value), ".15g")
         text = (
             "strategy,rounds,wins,value,value_decimal\n"

@@ -274,153 +274,69 @@ def build_exact_pal_sweeping() -> MachineSpec:
     )
 
 
-def _twin_branch_tables(decide_state: str, suffix: str, scan_segments, end_target):
-    """Shared wiring for the doubled-word family.
+def _twin_machine(name: str, model_class: str, block_end: str, undecided_target: str) -> MachineSpec:
+    """Shared body of the doubled-word machines.
 
-    Inputs have the shape u c u c v c v: four letter segments separated
-    by "c".  ``scan_segments`` maps a segment index to "step", "inv",
-    or None (idle); the register is measured at the right end-marker
-    with outcome "23" deciding into ``decide_state`` and outcome "1"
-    going to ``end_target``.  State names are prefixed with ``suffix``.
+    Inputs are built from four letter segments u c u c v c v separated by
+    "c".  The branch coin is tossed once at the left end-marker: with
+    16/25 the run double-scans the v segments and accepts when the scan
+    leaks, with 9/25 it double-scans the u segments (axis swap folded
+    into the first step) and rejects when the scan leaks.  The register
+    is measured on ``block_end`` after the fourth segment.  On the right
+    end-marker (one block) the clean outcome goes to
+    ``undecided_target``.  On "c" (blocks (u c u c v c v c)^t) the clean
+    outcome leaves the register back at the start axis and begins the
+    next block, and the right end-marker sends the undecided run to
+    ``undecided_target``.
     """
-    quantum: Dict[Tuple[str, str], QuantumAction] = {}
-    classical: Dict[Tuple[str, str, str], ClassicalStep] = {}
-    seg_state = [f"{suffix}_seg{i}" for i in range(4)]
-    for i, mode in enumerate(scan_segments):
-        state = seg_state[i]
-        if mode == "step":
-            quantum[(state, "a")] = UnitaryAction(PAL_STEP["a"])
-            quantum[(state, "b")] = UnitaryAction(PAL_STEP["b"])
-        elif mode == "inv":
-            quantum[(state, "a")] = UnitaryAction(PAL_STEP_INV["a"])
-            quantum[(state, "b")] = UnitaryAction(PAL_STEP_INV["b"])
-        classical[(state, "a", "1")] = ClassicalStep(state, MOVE_RIGHT)
-        classical[(state, "b", "1")] = ClassicalStep(state, MOVE_RIGHT)
-        if i < 3:
-            classical[(state, "c", "1")] = ClassicalStep(seg_state[i + 1], MOVE_RIGHT)
-    last = seg_state[3]
-    quantum[(last, RIGHT_MARKER)] = MeasureAction(FIRST_VS_REST)
-    classical[(last, RIGHT_MARKER, "23")] = ClassicalStep(decide_state, MOVE_RIGHT)
-    classical[(last, RIGHT_MARKER, "1")] = ClassicalStep(end_target, MOVE_RIGHT)
-    return quantum, classical, seg_state
-
-
-def build_exact_twinpal() -> MachineSpec:
-    """Restarting checker for doubled-word promise inputs u c u c v c v.
-
-    The left end-marker measurement splits the run: with 16/25 the
-    machine double-scans the v segments and accepts when the scan
-    leaks; with 9/25 it double-scans the u segments (axis swap folded
-    into the first step) and rejects when the scan leaks.  All
-    undecided mass restarts, so on promise inputs the machine never
-    emits the wrong decision and the conditioned verdict is exact.
-    """
-    q_acc, c_acc, _ = _twin_branch_tables(
-        "s_a", "acc", [None, None, "step", "inv"], RESTART_TARGET
-    )
-    q_rej, c_rej, rej_states = _twin_branch_tables(
-        "s_r", "rej", ["step", "inv", None, None], RESTART_TARGET
-    )
-    # The rejecting branch enters at the second register axis; its
-    # first letter folds the swap back onto the start axis.
     first = "rej_first"
-    q_rej[(first, "a")] = UnitaryAction(PAL_STEP["a"] @ AXIS_SWAP_12)
-    q_rej[(first, "b")] = UnitaryAction(PAL_STEP["b"] @ AXIS_SWAP_12)
-    c_rej[(first, "a", "1")] = ClassicalStep("rej_seg0", MOVE_RIGHT)
-    c_rej[(first, "b", "1")] = ClassicalStep("rej_seg0", MOVE_RIGHT)
-    c_rej[(first, "c", "1")] = ClassicalStep("rej_seg1", MOVE_RIGHT)
-    quantum = {("toss", LEFT_MARKER): MeasureAction(SINGLETONS_3, pre=PAL_STEP_A)}
-    quantum.update(q_acc)
-    quantum.update(q_rej)
-    classical = {
+    quantum: Dict[Tuple[str, str], QuantumAction] = {
+        ("toss", LEFT_MARKER): MeasureAction(SINGLETONS_3, pre=PAL_STEP_A)
+    }
+    classical: Dict[Tuple[str, str, str], ClassicalStep] = {
         ("toss", LEFT_MARKER, "1"): ClassicalStep("acc_seg0", MOVE_RIGHT),
         ("toss", LEFT_MARKER, "2"): ClassicalStep(first, MOVE_RIGHT),
         ("toss", LEFT_MARKER, "3"): ClassicalStep(first, MOVE_RIGHT),
     }
-    classical.update(c_acc)
-    classical.update(c_rej)
     states = {"toss", first, "s_a", "s_r"}
-    states.update(f"acc_seg{i}" for i in range(4))
-    states.update(rej_states)
-    return MachineSpec(
-        name="EXACT_TWINPAL",
-        model_class=MODEL_RESTARTING,
-        register=REGISTER_MATRIX,
-        quantum_dim=3,
-        states=frozenset(states),
-        initial_state="toss",
-        accept_state="s_a",
-        reject_state="s_r",
-        dont_know_state=None,
-        alphabet=("a", "b", "c"),
-        quantum_delta=quantum,
-        classical_delta=classical,
-    )
-
-
-def _block_machine(name: str, model_class: str, undecided_target: str) -> MachineSpec:
-    """Shared body of the block-repeated doubled-word machines.
-
-    Inputs have the shape (u c u c v c v c)^t: t blocks, each with four
-    letter segments and four "c" separators.  The branch coin is tossed
-    once at the left end-marker; inside each block the chosen branch
-    double-scans its segments and measures at the block's trailing
-    separator.  A leak decides immediately; otherwise the register is
-    back at the start axis and the next block begins.  At the right
-    end-marker the undecided run moves to ``undecided_target``.
-    """
-    def branch(suffix: str, scan_segments, decide_state: str):
-        quantum: Dict[Tuple[str, str], QuantumAction] = {}
-        classical: Dict[Tuple[str, str, str], ClassicalStep] = {}
+    for suffix, scan_segments, decide_state in (
+        ("acc", (None, None, "step", "inv"), "s_a"),
+        ("rej", ("step", "inv", None, None), "s_r"),
+    ):
         seg_state = [f"{suffix}_seg{i}" for i in range(4)]
+        states.update(seg_state)
         for i, mode in enumerate(scan_segments):
             state = seg_state[i]
-            if mode == "step":
-                quantum[(state, "a")] = UnitaryAction(PAL_STEP["a"])
-                quantum[(state, "b")] = UnitaryAction(PAL_STEP["b"])
-            elif mode == "inv":
-                quantum[(state, "a")] = UnitaryAction(PAL_STEP_INV["a"])
-                quantum[(state, "b")] = UnitaryAction(PAL_STEP_INV["b"])
+            if mode is not None:
+                table = PAL_STEP if mode == "step" else PAL_STEP_INV
+                quantum[(state, "a")] = UnitaryAction(table["a"])
+                quantum[(state, "b")] = UnitaryAction(table["b"])
             classical[(state, "a", "1")] = ClassicalStep(state, MOVE_RIGHT)
             classical[(state, "b", "1")] = ClassicalStep(state, MOVE_RIGHT)
             if i < 3:
                 classical[(state, "c", "1")] = ClassicalStep(seg_state[i + 1], MOVE_RIGHT)
-        # The fourth separator closes the block: measure, decide on a
-        # leak, or start the next block on the clean outcome.
         last = seg_state[3]
-        quantum[(last, "c")] = MeasureAction(FIRST_VS_REST)
-        classical[(last, "c", "23")] = ClassicalStep(decide_state, MOVE_RIGHT)
-        classical[(last, "c", "1")] = ClassicalStep(seg_state[0], MOVE_RIGHT)
-        classical[(seg_state[0], RIGHT_MARKER, "1")] = ClassicalStep(
-            undecided_target, MOVE_RIGHT
-        )
-        return quantum, classical, seg_state
-
-    q_acc, c_acc, acc_states = branch("acc", [None, None, "step", "inv"], "s_a")
-    q_rej, c_rej, rej_states = branch("rej", ["step", "inv", None, None], "s_r")
-    first = "rej_first"
-    q_rej[(first, "a")] = UnitaryAction(PAL_STEP["a"] @ AXIS_SWAP_12)
-    q_rej[(first, "b")] = UnitaryAction(PAL_STEP["b"] @ AXIS_SWAP_12)
-    c_rej[(first, "a", "1")] = ClassicalStep("rej_seg0", MOVE_RIGHT)
-    c_rej[(first, "b", "1")] = ClassicalStep("rej_seg0", MOVE_RIGHT)
-    c_rej[(first, "c", "1")] = ClassicalStep("rej_seg1", MOVE_RIGHT)
-    c_rej[(first, RIGHT_MARKER, "1")] = ClassicalStep(undecided_target, MOVE_RIGHT)
-    quantum = {("toss", LEFT_MARKER): MeasureAction(SINGLETONS_3, pre=PAL_STEP_A)}
-    quantum.update(q_acc)
-    quantum.update(q_rej)
-    classical = {
-        ("toss", LEFT_MARKER, "1"): ClassicalStep("acc_seg0", MOVE_RIGHT),
-        ("toss", LEFT_MARKER, "2"): ClassicalStep(first, MOVE_RIGHT),
-        ("toss", LEFT_MARKER, "3"): ClassicalStep(first, MOVE_RIGHT),
-    }
-    classical.update(c_acc)
-    classical.update(c_rej)
+        quantum[(last, block_end)] = MeasureAction(FIRST_VS_REST)
+        classical[(last, block_end, "23")] = ClassicalStep(decide_state, MOVE_RIGHT)
+        if block_end == RIGHT_MARKER:
+            classical[(last, block_end, "1")] = ClassicalStep(undecided_target, MOVE_RIGHT)
+        else:
+            classical[(last, block_end, "1")] = ClassicalStep(seg_state[0], MOVE_RIGHT)
+            classical[(seg_state[0], RIGHT_MARKER, "1")] = ClassicalStep(
+                undecided_target, MOVE_RIGHT
+            )
+    # The rejecting branch enters at the second register axis; its
+    # first letter folds the swap back onto the start axis.
+    quantum[(first, "a")] = UnitaryAction(PAL_STEP["a"] @ AXIS_SWAP_12)
+    quantum[(first, "b")] = UnitaryAction(PAL_STEP["b"] @ AXIS_SWAP_12)
+    classical[(first, "a", "1")] = ClassicalStep("rej_seg0", MOVE_RIGHT)
+    classical[(first, "b", "1")] = ClassicalStep("rej_seg0", MOVE_RIGHT)
+    classical[(first, "c", "1")] = ClassicalStep("rej_seg1", MOVE_RIGHT)
+    if block_end != RIGHT_MARKER:
+        classical[(first, RIGHT_MARKER, "1")] = ClassicalStep(undecided_target, MOVE_RIGHT)
     dont_know = "s_d" if undecided_target == "s_d" else None
-    states = {"toss", first, "s_a", "s_r"}
     if dont_know:
-        states.add("s_d")
-    states.update(acc_states)
-    states.update(rej_states)
+        states.add(dont_know)
     return MachineSpec(
         name=name,
         model_class=model_class,
@@ -437,6 +353,17 @@ def _block_machine(name: str, model_class: str, undecided_target: str) -> Machin
     )
 
 
+def build_exact_twinpal() -> MachineSpec:
+    """Restarting checker for doubled-word promise inputs u c u c v c v.
+
+    The branch that double-scans the v segments accepts on a leak, the
+    one that double-scans the u segments rejects on a leak, and all
+    undecided mass restarts, so on promise inputs the machine never
+    emits the wrong decision and the conditioned verdict is exact.
+    """
+    return _twin_machine("EXACT_TWINPAL", MODEL_RESTARTING, RIGHT_MARKER, RESTART_TARGET)
+
+
 def build_lv_exptwinpal() -> MachineSpec:
     """One-shot checker for block-repeated inputs (u c u c v c v c)^t.
 
@@ -447,14 +374,14 @@ def build_lv_exptwinpal() -> MachineSpec:
     probability at least (16/25)(1 - 1/e) on the accepting side and
     (9/25)(1 - 1/e) on the rejecting side.
     """
-    return _block_machine("LV_EXPTWINPAL", MODEL_RTQCFA, "s_d")
+    return _twin_machine("LV_EXPTWINPAL", MODEL_RTQCFA, "c", "s_d")
 
 
 def build_exact_exptwinpal() -> MachineSpec:
     """Restarting wrapper of the block-repeated checker: undecided runs
     restart instead of admitting "don't know", so the conditioned
     verdict is exact and the expected number of rounds is constant."""
-    return _block_machine("EXACT_EXPTWINPAL", MODEL_RESTARTING, RESTART_TARGET)
+    return _twin_machine("EXACT_EXPTWINPAL", MODEL_RESTARTING, "c", RESTART_TARGET)
 
 
 def build_aw_eq_phase() -> MachineSpec:

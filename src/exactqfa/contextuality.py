@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .analysis import run_unary_length
 from .constructions import build_evenodd_mcqfa
-from .exactnum import GaussianRational, prob_exact
+from .exactnum import GaussianRational, format_rational, prob_exact
 from .qstate import QMatrix, QVector
 
 _HALF = Fraction(1, 2)
@@ -290,7 +290,7 @@ class GameTranscript:
                 for r in self.rounds
             ],
             "rounds_played": len(self.rounds),
-            "value": f"{self.value.numerator}/{self.value.denominator}",
+            "value": format_rational(self.value),
             "wins": self.wins,
         }
 
@@ -458,17 +458,17 @@ class InequalityReport:
 
     def to_json(self) -> dict:
         return {
-            "expected_value": _fraction_str(self.expected_value),
+            "expected_value": format_rational(self.expected_value),
             "memory_states": self.memory_states,
             "responder": self.responder,
             "rounds": [
                 {
-                    "expected_term": _fraction_str(r.expected_term),
+                    "expected_term": format_rational(r.expected_term),
                     "k": r.k,
                     "no_answer": r.no_answer,
                     "no_multiplier": r.no_multiplier,
                     "round": r.round_index,
-                    "term": _fraction_str(r.term),
+                    "term": format_rational(r.term),
                     "yes_answer": r.yes_answer,
                     "yes_multiplier": r.yes_multiplier,
                 }
@@ -476,12 +476,8 @@ class InequalityReport:
             ],
             "rounds_played": self.rounds_played,
             "schedule": list(self.schedule),
-            "value": _fraction_str(self.value),
+            "value": format_rational(self.value),
         }
-
-
-def _fraction_str(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
 
 
 _MULTIPLIER_RANGE = 16
@@ -586,7 +582,7 @@ def memory_game_summary_csv(reports: Sequence[InequalityReport]) -> str:
         decimal = format(float(report.value), ".15g")
         lines.append(
             f"parity-of-multiples,{report.responder},{memory},"
-            f"{_fraction_str(report.value)},{decimal}"
+            f"{format_rational(report.value)},{decimal}"
         )
     return "\n".join(lines) + "\n"
 

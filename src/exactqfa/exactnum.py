@@ -13,15 +13,9 @@ certified bound check, never a sampled float comparison.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
-
-import mpmath
-
-# Canonical exact rational scalar used across the package.
-Rational = Fraction
 
 DYADIC_PI = "DyadicPi"
 SQRT2_PI = "Sqrt2Pi"
@@ -31,25 +25,6 @@ MIN_PRECISION_BITS = 16
 
 class ExactnessError(ValueError):
     """Raised when an exact rational value is required but unavailable."""
-
-
-def rational(numerator: int, denominator: int = 1) -> Fraction:
-    """Build a canonical rational; denominator 0 raises ZeroDivisionError."""
-    return Fraction(numerator, denominator)
-
-
-def compare(a: Fraction, b: Fraction) -> int:
-    """Three-way exact comparison: -1 if a < b, 0 if equal, 1 if a > b."""
-    if a < b:
-        return -1
-    if a > b:
-        return 1
-    return 0
-
-
-def pow_int(a: Fraction, exponent: int) -> Fraction:
-    """Exact integer power; negative exponents of 0 raise ZeroDivisionError."""
-    return a ** exponent
 
 
 def format_rational(value: Fraction) -> str:
@@ -67,21 +42,6 @@ def parse_rational(text: str) -> Fraction:
             raise ValueError(f"rational with denominator 0: {text!r}")
         return Fraction(int(num_text), den)
     return Fraction(int(body))
-
-
-def is_perfect_square(value: Fraction) -> bool:
-    """True when value is the square of a rational."""
-    if value < 0:
-        return False
-    num, den = value.numerator, value.denominator
-    return math.isqrt(num) ** 2 == num and math.isqrt(den) ** 2 == den
-
-
-def sqrt_exact(value: Fraction) -> Fraction:
-    """Exact nonnegative square root; raises ExactnessError if irrational."""
-    if not is_perfect_square(value):
-        raise ExactnessError(f"{value} has no rational square root")
-    return Fraction(math.isqrt(value.numerator), math.isqrt(value.denominator))
 
 
 @dataclass(frozen=True)
@@ -253,9 +213,6 @@ class RationalInterval:
     def contains_interval(self, other: "RationalInterval") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
 
-    def intersects(self, other: "RationalInterval") -> bool:
-        return max(self.lo, other.lo) <= min(self.hi, other.hi)
-
     def is_point(self) -> bool:
         return self.lo == self.hi
 
@@ -392,16 +349,6 @@ def prob_reciprocal(p: ProbValue) -> ProbValue:
     return _tighten(p.as_interval().reciprocal())
 
 
-def prob_div(a: ProbValue, b: ProbValue) -> ProbValue:
-    if a.is_exact() and a.value == 0:
-        # 0 divided by anything nonzero is exactly 0; still insist the
-        # denominator cannot be zero.
-        if b.is_exact() and b.value == 0:
-            raise ZeroDivisionError("0/0 probability ratio")
-        return PROB_ZERO
-    return prob_mul(a, prob_reciprocal(b))
-
-
 def _mpf_tuple_to_fraction(t) -> Fraction:
     sign, man, exp, _ = t
     man = int(man)
@@ -419,6 +366,10 @@ def _interval_sin_squared(angle: SymbolicAngle, precision_bits: int) -> Rational
     result is intersected with [0, 1], which preserves containment because
     the true value always lies in [0, 1].
     """
+    # Imported here: only irrational-angle enclosures need mpmath, and the
+    # import costs more than most runs that never reach this point.
+    import mpmath
+
     coeff = angle.coeff
     if angle.kind == DYADIC_PI:
         # sin^2(c*pi) has period 1 in c; exact reduction keeps arguments small.

@@ -47,7 +47,6 @@ MODEL_MCQFA = "MCQFA"
 MODEL_RTQCFA = "rtQCFA"
 MODEL_RESTARTING = "RestartingRtQCFA"
 MODEL_SWEEPING = "Sweeping2QCFA"
-MODEL_GENERAL = "General2QCFA"
 MODEL_RTPFA = "rtPFA"
 MODEL_RTDFA = "rtDFA"
 MODEL_CLASSES = (
@@ -55,7 +54,6 @@ MODEL_CLASSES = (
     MODEL_RTQCFA,
     MODEL_RESTARTING,
     MODEL_SWEEPING,
-    MODEL_GENERAL,
     MODEL_RTPFA,
     MODEL_RTDFA,
 )

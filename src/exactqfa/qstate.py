@@ -1,18 +1,25 @@
 """Exact finite-dimensional quantum states, operators, and measurements.
 
-Vectors and matrices hold GaussianRational entries, so unitarity checks,
-inner products, and measurement probabilities are all big-integer exact.
-Projective measurement returns one branch per outcome with a probability
-that is relative to the squared norm of the measured vector; this keeps
-the semantics correct for unnormalized vectors, which arise whenever a
-post-measurement state has an irrational norm and cannot be rescaled
-inside the Gaussian rational field.
+A vector is stored fraction-free: one integer (re, im) pair per
+coordinate over a single positive common denominator, reduced so that
+equal vectors have equal representations. Matrices hold GaussianRational
+entries and cache their integer rows over one common denominator, so
+applying a matrix or measuring a vector is integer arithmetic with one
+gcd per result, and unitarity checks, inner products, and measurement
+probabilities are all big-integer exact. Projective measurement returns
+one branch per outcome with a probability that is relative to the
+squared norm of the measured vector; this keeps the semantics correct
+for unnormalized vectors, which arise whenever a post-measurement state
+has an irrational norm and cannot be rescaled inside the Gaussian
+rational field.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Sequence, Union
 
 from .exactnum import (
@@ -26,10 +33,8 @@ from .exactnum import (
     cos_sin_exact,
     dyadic_pi,
     format_gaussian,
-    is_perfect_square,
     parse_gaussian,
     prob_complement,
-    sqrt_exact,
 )
 
 EntryLike = Union[GaussianRational, Fraction, int]
@@ -41,78 +46,154 @@ def _as_gaussian(value: EntryLike) -> GaussianRational:
     return GaussianRational(Fraction(value), Fraction(0))
 
 
-@dataclass(frozen=True)
-class QVector:
-    """Column vector over the Gaussian rationals."""
+def _common_den(values: "Sequence[GaussianRational]") -> int:
+    return math.lcm(*(x.denominator for v in values for x in (v.re, v.im)))
 
-    amplitudes: "tuple[GaussianRational, ...]"
+
+def _pair(value: GaussianRational, den: int) -> "tuple[int, int]":
+    """(re, im) of value * den as integers; den must be a common denominator."""
+    re, im = value.re, value.im
+    return re.numerator * (den // re.denominator), im.numerator * (den // im.denominator)
+
+
+class QVector:
+    """Column vector over the Gaussian rationals, stored fraction-free.
+
+    ``nums`` holds one integer (re, im) pair per coordinate and ``den`` a
+    positive common denominator, with no prime dividing ``den`` and every
+    numerator. That form is unique, so equality and hashing compare
+    integers only.
+    """
+
+    __slots__ = ("den", "nums", "_hash", "_amplitudes")
+
+    def __init__(self, amplitudes: Iterable[EntryLike]) -> None:
+        amps = tuple(_as_gaussian(a) for a in amplitudes)
+        # The least common denominator of reduced entries is already in
+        # lowest terms with their scaled numerators.
+        den = _common_den(amps)
+        self.den = den
+        self.nums = tuple(_pair(a, den) for a in amps)
+        self._hash = None
+        self._amplitudes = amps
+
+    @classmethod
+    def _make(cls, den: int, nums: "tuple[tuple[int, int], ...]") -> "QVector":
+        """Wrap an already reduced representation."""
+        vec = object.__new__(cls)
+        vec.den = den
+        vec.nums = nums
+        vec._hash = None
+        vec._amplitudes = None
+        return vec
+
+    @property
+    def amplitudes(self) -> "tuple[GaussianRational, ...]":
+        """The entries as GaussianRationals, built on first use and kept."""
+        amps = self._amplitudes
+        if amps is None:
+            den = self.den
+            amps = self._amplitudes = tuple(
+                GaussianRational(Fraction(re, den), Fraction(im, den)) for re, im in self.nums
+            )
+        return amps
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, QVector):
+            return NotImplemented
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self) -> int:
-        # Runners look registers up in dicts on every square; amplitudes
-        # never change, so the dataclass hash is computed once and kept.
-        cached = self.__dict__.get("_hash")
+        # Runners look registers up in dicts on every square, so the hash
+        # is computed once and kept.
+        cached = self._hash
         if cached is None:
-            cached = self.__dict__["_hash"] = hash((self.amplitudes,))
+            cached = self._hash = hash((self.den, self.nums))
         return cached
+
+    def __repr__(self) -> str:
+        return f"QVector(den={self.den}, nums={self.nums})"
 
     @staticmethod
     def from_entries(entries: Iterable[EntryLike]) -> "QVector":
-        return QVector(tuple(_as_gaussian(e) for e in entries))
+        return QVector(entries)
 
     @staticmethod
     def basis(dim: int, index: int) -> "QVector":
         if not 0 <= index < dim:
             raise ValueError(f"basis index {index} out of range for dimension {dim}")
-        return QVector(tuple(GR_ONE if i == index else GR_ZERO for i in range(dim)))
+        return QVector._make(1, tuple((1, 0) if i == index else (0, 0) for i in range(dim)))
 
     @staticmethod
     def zero(dim: int) -> "QVector":
-        return QVector((GR_ZERO,) * dim)
+        return QVector._make(1, ((0, 0),) * dim)
 
     @property
     def dim(self) -> int:
-        return len(self.amplitudes)
+        return len(self.nums)
 
     def __add__(self, other: "QVector") -> "QVector":
-        self._check_dim(other)
-        return QVector(tuple(a + b for a, b in zip(self.amplitudes, other.amplitudes)))
+        return self._combine(other, 1)
 
     def __sub__(self, other: "QVector") -> "QVector":
+        return self._combine(other, -1)
+
+    def _combine(self, other: "QVector", sign: int) -> "QVector":
         self._check_dim(other)
-        return QVector(tuple(a - b for a, b in zip(self.amplitudes, other.amplitudes)))
+        d1, d2 = self.den, other.den
+        e1, e2 = d2, sign * d1
+        return _reduced(
+            d1 * d2,
+            [(a * e1 + c * e2, b * e1 + d * e2) for (a, b), (c, d) in zip(self.nums, other.nums)],
+        )
 
     def scale(self, factor: EntryLike) -> "QVector":
         g = _as_gaussian(factor)
-        return QVector(tuple(a * g for a in self.amplitudes))
+        fden = _common_den((g,))
+        c, d = _pair(g, fden)
+        return _reduced(self.den * fden, [(a * c - b * d, a * d + b * c) for a, b in self.nums])
 
     def inner(self, other: "QVector") -> GaussianRational:
         """Hermitian inner product, conjugate-linear in self."""
         self._check_dim(other)
-        total = GR_ZERO
-        for a, b in zip(self.amplitudes, other.amplitudes):
-            total = total + a.conjugate() * b
-        return total
+        re = im = 0
+        for (a, b), (c, d) in zip(self.nums, other.nums):
+            re += a * c + b * d
+            im += a * d - b * c
+        den = self.den * other.den
+        return GaussianRational(Fraction(re, den), Fraction(im, den))
 
     def norm2(self) -> Fraction:
         """Exact squared Euclidean norm."""
-        return sum((a.abs2() for a in self.amplitudes), Fraction(0))
+        return Fraction(sum(a * a + b * b for a, b in self.nums), self.den * self.den)
 
     def is_zero(self) -> bool:
-        return all(a.is_zero() for a in self.amplitudes)
+        return not any(a or b for a, b in self.nums)
 
     def kron(self, other: "QVector") -> "QVector":
-        return QVector(tuple(a * b for a in self.amplitudes for b in other.amplitudes))
+        return _reduced(
+            self.den * other.den,
+            [(a * c - b * d, a * d + b * c) for a, b in self.nums for c, d in other.nums],
+        )
 
     def to_json(self) -> "list[str]":
         return [format_gaussian(a) for a in self.amplitudes]
 
     @staticmethod
     def from_json(doc: "list[str]") -> "QVector":
-        return QVector(tuple(parse_gaussian(t) for t in doc))
+        return QVector(parse_gaussian(t) for t in doc)
 
     def _check_dim(self, other: "QVector") -> None:
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
+
+
+def _reduced(den: int, nums: "Sequence[tuple[int, int]]") -> QVector:
+    """The vector nums / den in lowest terms; den must be positive."""
+    g = math.gcd(den, *chain.from_iterable(nums))
+    if g == 1:
+        return QVector._make(den, tuple(nums))
+    return QVector._make(den // g, tuple((a // g, b // g) for a, b in nums))
 
 
 def canonical_phase(vector: QVector) -> QVector:
@@ -121,36 +202,19 @@ def canonical_phase(vector: QVector) -> QVector:
     and positive imaginary part). States differing only by such a phase
     are physically identical, so simulation branches in canonical phase
     merge instead of proliferating."""
-    for amp in vector.amplitudes:
-        if amp.is_zero():
-            continue
-        if amp.re > 0:
+    for re, im in vector.nums:
+        if re > 0:
             return vector
-        if amp.re < 0:
-            return vector.scale(GaussianRational(Fraction(-1)))
-        unit = GaussianRational(Fraction(0), Fraction(-1 if amp.im > 0 else 1))
-        return QVector(tuple(a * unit for a in vector.amplitudes))
+        if re < 0:
+            nums = tuple((-a, -b) for a, b in vector.nums)
+        elif im > 0:
+            nums = tuple((b, -a) for a, b in vector.nums)  # times -i
+        elif im < 0:
+            nums = tuple((-b, a) for a, b in vector.nums)  # times i
+        else:
+            continue
+        return QVector._make(vector.den, nums)
     return vector
-
-
-def renormalize_exact(vector: QVector) -> "tuple[QVector, bool]":
-    """Rescale to unit norm when the squared norm is a rational square.
-
-    Returns (vector, True) on success and (vector unchanged, False) when
-    the norm is irrational or zero; callers then carry the raw projection
-    and later probabilities stay correct because measurement divides by
-    the current squared norm. Either way the result is phase-canonical
-    (see canonical_phase).
-    """
-    n2 = vector.norm2()
-    if n2 == 0:
-        return vector, False
-    if n2 == 1:
-        return canonical_phase(vector), True
-    if not is_perfect_square(n2):
-        return canonical_phase(vector), False
-    inv = 1 / sqrt_exact(n2)
-    return canonical_phase(vector.scale(inv)), True
 
 
 @dataclass(frozen=True)
@@ -183,17 +247,34 @@ class QMatrix:
     def ncols(self) -> int:
         return len(self.rows[0]) if self.rows else 0
 
+    def _integer_rows(self) -> "tuple[int, tuple[tuple[tuple[int, int, int], ...], ...]]":
+        """(den, rows): each row lists (column, re, im) of its nonzero
+        entries times den, one common denominator for the whole matrix.
+        Built on first use and kept, as the entries never change."""
+        cached = self.__dict__.get("_int_rows")
+        if cached is None:
+            den = _common_den([e for row in self.rows for e in row])
+            rows = tuple(
+                tuple((j, *_pair(e, den)) for j, e in enumerate(row) if not e.is_zero())
+                for row in self.rows
+            )
+            cached = self.__dict__["_int_rows"] = (den, rows)
+        return cached
+
     def apply(self, vector: QVector) -> QVector:
         if self.ncols != vector.dim:
             raise ValueError(f"shape mismatch: {self.nrows}x{self.ncols} on dim {vector.dim}")
+        den, rows = self._integer_rows()
+        nums = vector.nums
         out = []
-        for row in self.rows:
-            acc = GR_ZERO
-            for entry, amp in zip(row, vector.amplitudes):
-                if not entry.is_zero():
-                    acc = acc + entry * amp
-            out.append(acc)
-        return QVector(tuple(out))
+        for row in rows:
+            re = im = 0
+            for j, a, b in row:
+                c, d = nums[j]
+                re += a * c - b * d
+                im += a * d + b * c
+            out.append((re, im))
+        return _reduced(den * vector.den, out)
 
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         if self.ncols != other.nrows:
@@ -298,22 +379,25 @@ class ProjectiveMeasurement:
     def measure(self, vector: QVector) -> "list[MeasurementBranch]":
         if vector.dim != self.dim:
             raise ValueError(f"vector dim {vector.dim} != measurement dim {self.dim}")
-        total = vector.norm2()
+        nums = vector.nums
+        # Masses are squared norms in units of 1/den^2.
+        total = sum(a * a + b * b for a, b in nums)
         if total == 0:
             raise ValueError("cannot measure the zero vector")
         branches = []
         for label, indices in self.outcomes:
-            projected = QVector(
-                tuple(
-                    amp if i in indices else GR_ZERO
-                    for i, amp in enumerate(vector.amplitudes)
-                )
-            )
-            mass = projected.norm2()
+            mass = sum(nums[i][0] ** 2 + nums[i][1] ** 2 for i in indices)
             if mass == 0:
                 continue
-            scaled, ok = renormalize_exact(projected)
-            branches.append(MeasurementBranch(label, scaled, mass / total, ok))
+            projected = [pair if i in indices else (0, 0) for i, pair in enumerate(nums)]
+            # The projection has squared norm mass / den^2, a rational
+            # square exactly when mass is an integer square; rescaled to
+            # unit norm its denominator is then the root. Otherwise the
+            # raw projection is kept.
+            root = math.isqrt(mass)
+            renormalized = root * root == mass
+            post = canonical_phase(_reduced(root if renormalized else vector.den, projected))
+            branches.append(MeasurementBranch(label, post, Fraction(mass, total), renormalized))
         return branches
 
     def to_json(self) -> dict:

@@ -451,6 +451,60 @@ class TestGenerate:
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
 
+    @pytest.mark.parametrize(
+        "argv, length",
+        [
+            (("--problem", "EXPPromiseTWINPAL", "--t", "1000000000000"), 12 * 10**12),
+            (("--problem", "EVENODD", "--k", "1000000000000"), "2*2^1000000000000"),
+            (("--problem", "EVENODD^100", "--statuses", "No,OutsidePromise"), "4*2^100"),
+            (("--problem", "EVENODD^26", "--size", "3"), 3 * 2**26),
+            (
+                ("--problem", "EVENODD", "--k", "25", "--statuses", "OutsidePromise"),
+                2**27,
+            ),
+        ],
+    )
+    def test_huge_strings_fail_before_allocating(self, capsys, argv, length):
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "generate", *argv, "--count", "2", "--seed", "1")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == ""
+        assert f"input length {length} exceeds the cap of {cli.MAX_INPUT_LENGTH}" in err
+        assert peak < cli.MAX_INPUT_LENGTH // 8
+
+    @pytest.mark.parametrize(
+        "size, statuses, length",
+        [(1, "OutsidePromise", 2**10 - 1), (2, "Yes,No", 2**10), (2, "OutsidePromise", None)],
+    )
+    def test_longest_string_is_checked_against_the_cap(
+        self, capsys, monkeypatch, size, statuses, length
+    ):
+        # OutsidePromise strings are shorter than max(size, 1) * 2^(k+1),
+        # Yes/No strings are at most size * 2^k long.
+        monkeypatch.setattr(cli, "MAX_INPUT_LENGTH", 1 << 10)
+        code, out, err = run_cli(
+            capsys,
+            "generate",
+            "--problem",
+            "EVENODD^9",
+            "--size",
+            str(size),
+            "--statuses",
+            statuses,
+            "--count",
+            "4",
+            "--seed",
+            "1",
+        )
+        if length is None:
+            assert code == 2 and "input length 2048 exceeds the cap of 1024" in err
+        else:
+            assert code == 0
+            assert max(len(json.loads(line)["string"]) for line in out.splitlines()) <= length
+
 
 class TestVerify:
     def test_witnesses_suite_passes(self, capsys):

@@ -8,6 +8,9 @@ produce its own expected values.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -22,29 +25,19 @@ from exactqfa.exactnum import (
     RationalInterval,
     SymbolicAngle,
     angle_probability,
-    compare,
     cos_sin_exact,
     dyadic_pi,
     format_gaussian,
     format_rational,
-    is_perfect_square,
     one_minus_inv_e_bracket,
     parse_gaussian,
     parse_rational,
     sqrt2_pi,
-    sqrt_exact,
 )
 
 rationals = st.fractions(
     min_value=Fraction(-1000), max_value=Fraction(1000), max_denominator=10 ** 6
 )
-
-
-def test_compare_three_way() -> None:
-    assert compare(Fraction(1, 3), Fraction(1, 2)) == -1
-    assert compare(Fraction(2, 4), Fraction(1, 2)) == 0
-    # Oracle: 1 - (24/25)^25 = 0.63960... which exceeds 158/250 = 0.632.
-    assert compare(1 - Fraction(24, 25) ** 25, Fraction(158, 250)) == 1
 
 
 def test_format_rational_canonical() -> None:
@@ -94,20 +87,6 @@ def test_gaussian_format_examples() -> None:
     assert format_gaussian(GaussianRational(Fraction(0), Fraction(1))) == "0/1+1/1 i"
     assert parse_gaussian("-2/5+7/3 i") == GaussianRational(Fraction(-2, 5), Fraction(7, 3))
     assert parse_gaussian("4/9") == GaussianRational(Fraction(4, 9), Fraction(0))
-
-
-def test_perfect_square_detection() -> None:
-    assert is_perfect_square(Fraction(9, 16))
-    assert not is_perfect_square(Fraction(2))
-    assert not is_perfect_square(Fraction(-1))
-    assert sqrt_exact(Fraction(9, 16)) == Fraction(3, 4)
-    with pytest.raises(ExactnessError):
-        sqrt_exact(Fraction(1, 2))
-
-
-@given(rationals)
-def test_sqrt_exact_inverts_square(x: Fraction) -> None:
-    assert sqrt_exact(x * x) == abs(x)
 
 
 def test_angle_kind_rules() -> None:
@@ -161,6 +140,36 @@ def test_angle_probability_sqrt2_oracles() -> None:
     p2 = angle_probability(sqrt2_pi(2), precision_bits=64)
     assert p2.as_interval().entirely_gt(Fraction(2634, 10000))
     assert p2.as_interval().entirely_lt(Fraction(2635, 10000))
+
+
+MPMATH_PROBE = """
+import sys
+from exactqfa import cli
+from exactqfa.analysis import run_exact_realtime
+from exactqfa.constructions import build
+from exactqfa.exactnum import angle_probability, format_rational, sqrt2_pi
+
+run_exact_realtime(build("AW_PAL"), "abbcbba")
+print("mpmath" in sys.modules)
+interval = angle_probability(sqrt2_pi(1), 64).interval
+print(format_rational(interval.lo), format_rational(interval.hi))
+print("mpmath" in sys.modules)
+"""
+
+
+def test_mpmath_is_imported_only_for_an_enclosure() -> None:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-c", MPMATH_PROBE], capture_output=True, text=True, env=env, check=True
+    )
+    before, interval, after = done.stdout.splitlines()
+    assert (before, after) == ("False", "True")
+    # The enclosure of sin^2(sqrt(2) pi) recorded while mpmath was imported
+    # at module load.
+    assert interval == (
+        "17971564202246762970218641/19342813113834066795298816"
+        " 2246445525280845371277331/2417851639229258349412352"
+    )
 
 
 @given(st.fractions(min_value=Fraction(-50), max_value=Fraction(50), max_denominator=997))

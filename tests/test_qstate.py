@@ -7,18 +7,19 @@ to a basis vector just reads off a column divided by 5.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exactqfa.exactnum import GaussianRational
+from exactqfa.exactnum import GR_ZERO, GaussianRational
 from exactqfa.qstate import (
     ProjectiveMeasurement,
     QMatrix,
     QVector,
-    renormalize_exact,
+    canonical_phase,
 )
 
 ROT_A = QMatrix.from_rows(
@@ -102,16 +103,16 @@ def test_measurement_drops_impossible_outcomes() -> None:
     assert branches[0].probability == 1
 
 
-def test_renormalize_exact_cases() -> None:
-    vec = QVector.from_entries([Fraction(4, 5), 0, 0])
-    unit, ok = renormalize_exact(vec)
-    assert ok and unit == QVector.basis(3, 0)
+def test_measure_renormalizes_exactly_when_the_norm_is_rational() -> None:
+    whole = ProjectiveMeasurement.from_partition(3, {"all": [0, 1, 2]})
+    [unit] = whole.measure(QVector.from_entries([Fraction(4, 5), 0, 0]))
+    assert unit.renormalized and unit.vector == QVector.basis(3, 0)
     # Squared norm 1/2 is not a rational square: the raw projection stays.
     raw = QVector.from_entries([Fraction(1, 2), Fraction(1, 2), 0])
-    kept, ok = renormalize_exact(raw)
-    assert not ok and kept == raw
-    zero, ok = renormalize_exact(QVector.zero(2))
-    assert not ok and zero == QVector.zero(2)
+    [kept] = whole.measure(raw)
+    assert not kept.renormalized and kept.vector == raw and kept.probability == 1
+    with pytest.raises(ValueError):
+        whole.measure(QVector.zero(3))
 
 
 def test_unnormalized_measurement_probabilities() -> None:
@@ -178,3 +179,147 @@ def test_equal_vectors_from_different_routes_hash_equal() -> None:
         assert hash(left) == hash(right)
         assert {left: 1}[right] == 1
     assert QVector.basis(3, 0) != QVector.basis(3, 1)
+    # Integer routes: a matrix product and a measurement branch.
+    applied = ROT_A.apply(QVector.basis(3, 0))
+    built = QVector.from_entries([Fraction(4, 5), Fraction(-3, 5), 0])
+    meas = ProjectiveMeasurement.from_partition(3, {"first": [0], "rest": [1, 2]})
+    branches = {b.outcome: b.vector for b in meas.measure(applied)}
+    unnormalized = meas.measure(QVector.from_entries([1, 1, 1]))[1].vector
+    for routed, direct in (
+        (applied, built),
+        (branches["rest"], QVector.basis(3, 1)),
+        (unnormalized, QVector.from_entries([0, 1, 1])),
+    ):
+        assert routed == direct and hash(routed) == hash(direct)
+        assert {direct: 1}[routed] == 1
+        assert QVector.from_json(routed.to_json()) == routed
+
+
+# Reference register: the GaussianRational loops that QMatrix.apply and
+# ProjectiveMeasurement.measure replaced with integer arithmetic. The
+# integer register must give equal vectors, probabilities and flags.
+
+
+def reference_apply(matrix: QMatrix, amps):
+    out = []
+    for row in matrix.rows:
+        acc = GR_ZERO
+        for entry, amp in zip(row, amps):
+            if not entry.is_zero():
+                acc = acc + entry * amp
+        out.append(acc)
+    return tuple(out)
+
+
+def reference_canonical_phase(amps):
+    for amp in amps:
+        if amp.is_zero():
+            continue
+        if amp.re > 0:
+            return amps
+        if amp.re < 0:
+            unit = GaussianRational(Fraction(-1), Fraction(0))
+        else:
+            unit = GaussianRational(Fraction(0), Fraction(-1 if amp.im > 0 else 1))
+        return tuple(a * unit for a in amps)
+    return amps
+
+
+def reference_measure(meas: ProjectiveMeasurement, amps):
+    total = sum((a.abs2() for a in amps), Fraction(0))
+    branches = []
+    for label, indices in meas.outcomes:
+        projected = tuple(a if i in indices else GR_ZERO for i, a in enumerate(amps))
+        mass = sum((a.abs2() for a in projected), Fraction(0))
+        if mass == 0:
+            continue
+        num, den = mass.numerator, mass.denominator
+        ok = math.isqrt(num) ** 2 == num and math.isqrt(den) ** 2 == den
+        if ok:
+            inv = GaussianRational(Fraction(math.isqrt(den), math.isqrt(num)), Fraction(0))
+            projected = tuple(a * inv for a in projected)
+        branches.append((label, reference_canonical_phase(projected), mass / total, ok))
+    return branches
+
+
+def assert_measure_matches_reference(meas: ProjectiveMeasurement, vec: QVector) -> None:
+    got = [(b.outcome, b.vector, b.probability, b.renormalized) for b in meas.measure(vec)]
+    want = reference_measure(meas, vec.amplitudes)
+    assert [(o, v.amplitudes, p, ok) for o, v, p, ok in got] == want
+    assert [v for _, v, _, _ in got] == [QVector(amps) for _, amps, _, _ in want]
+
+
+matrices3 = st.builds(
+    lambda rows: QMatrix.from_rows(rows),
+    st.lists(st.lists(gaussians, min_size=3, max_size=3), min_size=3, max_size=3),
+)
+small_ints = st.integers(min_value=-30, max_value=30)
+units = st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1)])
+
+
+@st.composite
+def square_mass_vectors(draw):
+    """r * (m^2 - n^2, 2mn, c) times units of {1, -1, i, -i}: the first
+    two coordinates carry the squared mass r^2 (m^2 + n^2)^2, and a
+    coordinate with a real or imaginary entry always has a square mass."""
+    m, n, c = draw(small_ints), draw(small_ints), draw(small_ints)
+    r = draw(rationals)
+    entries = []
+    for value in (m * m - n * n, 2 * m * n, c):
+        re, im = draw(units)
+        entries.append(GaussianRational(r * value * re, r * value * im))
+    return QVector(entries)
+
+
+MEASUREMENTS3 = (
+    ProjectiveMeasurement.from_partition(3, {"a": [0, 1], "b": [2]}),
+    ProjectiveMeasurement.from_partition(3, {"a": [0], "b": [1], "c": [2]}),
+    ProjectiveMeasurement.from_partition(3, {"all": [0, 1, 2]}),
+)
+
+
+@given(matrices3, vectors3)
+@settings(max_examples=40)
+def test_apply_matches_reference(matrix: QMatrix, v: QVector) -> None:
+    got = matrix.apply(v)
+    want = reference_apply(matrix, v.amplitudes)
+    assert got.amplitudes == want and got == QVector(want)
+
+
+@given(st.one_of(vectors3, square_mass_vectors()), st.sampled_from(MEASUREMENTS3))
+@settings(max_examples=120)
+def test_measure_matches_reference(v: QVector, meas: ProjectiveMeasurement) -> None:
+    if v.is_zero():
+        return
+    assert_measure_matches_reference(meas, v)
+
+
+@given(st.one_of(vectors3, square_mass_vectors()))
+@settings(max_examples=80)
+def test_canonical_phase_matches_reference(v: QVector) -> None:
+    assert canonical_phase(v).amplitudes == reference_canonical_phase(v.amplitudes)
+
+
+def test_reference_cases_cover_every_branch_kind() -> None:
+    i = GaussianRational(Fraction(0), Fraction(1))
+    # One vector per canonical_phase case: the first nonzero entry has a
+    # positive, a negative or a zero real part with either imaginary sign.
+    leading = (
+        GaussianRational(Fraction(3, 5), Fraction(1)),
+        GaussianRational(Fraction(-3, 5), Fraction(1)),
+        GaussianRational(Fraction(0), Fraction(2, 7)),
+        GaussianRational(Fraction(0), Fraction(-2, 7)),
+    )
+    seen_flags = set()
+    for lead in leading:
+        vec = QVector([GR_ZERO, lead, GaussianRational(Fraction(4, 5), Fraction(-1, 3))])
+        want = reference_canonical_phase(vec.amplitudes)
+        assert canonical_phase(vec).amplitudes == want
+        for meas in MEASUREMENTS3:
+            assert_measure_matches_reference(meas, vec)
+            seen_flags.update(b.renormalized for b in meas.measure(vec))
+    assert seen_flags == {True, False}
+    # A matrix with imaginary entries on a complex, unnormalized vector.
+    phase = QMatrix.from_rows([[i, 0, 0], [0, Fraction(3, 5), GaussianRational(Fraction(0), Fraction(4, 5))], [0, 1, 1]])
+    vec = QVector([lead, GaussianRational(Fraction(1, 3)), i])
+    assert phase.apply(vec).amplitudes == reference_apply(phase, vec.amplitudes)
