@@ -712,9 +712,9 @@ class SplittableRng:
 
     Child generators are derived by hashing the parent's seed material
     with a text label, so any tree of children is fully determined by
-    the root seed and the labels, independent of evaluation order or of
-    how work is distributed across workers. Draws come from the stdlib
-    Mersenne Twister seeded with the hashed material.
+    the root seed and the labels, independent of evaluation order.
+    Draws come from the stdlib Mersenne Twister seeded with the hashed
+    material.
     """
 
     def __init__(self, seed, _material: Optional[bytes] = None):
@@ -739,9 +739,6 @@ class MonteCarloResult:
     counts: "dict[str, int]"
     mean_steps: Optional[Fraction]
     mean_rounds: Optional[Fraction]
-
-    def empirical(self, category: str) -> Fraction:
-        return Fraction(self.counts.get(category, 0), self.trials)
 
     def to_json(self) -> dict:
         return {
@@ -897,57 +894,31 @@ class _CompiledMachine:
         return kind, payload, steps
 
 
-def _run_trials(
+def _sample_trial(
     compiled: "Union[_CompiledMachine, _CompiledPfa]",
-    rng_root: SplittableRng,
-    indices: range,
+    rng: SplittableRng,
     step_cap: Optional[int],
     precision_bits: int,
-):
-    counts = {cat: 0 for cat in _TRIAL_CATEGORIES}
-    step_total = 0
-    round_total = 0
-    decided = 0
-    for index in indices:
-        rng = rng_root.child(f"trial:{index}")
-        node = compiled.start
-        steps = 0
-        rounds = 1
-        verdict = None
-        while True:
-            kind, payload, consumed = compiled.resolve(node)
-            steps += consumed
-            if step_cap is not None and steps > step_cap:
-                verdict = CATEGORY_CAPPED
-                break
-            if kind == "halt":
-                verdict = payload
-                break
-            if kind == "restart":
-                rounds += 1
-                node = compiled.start
-                continue
-            stoch: _StochNode = payload
+) -> "tuple[str, int, int]":
+    """One sampled execution: its verdict, squares and rounds."""
+    node = compiled.start
+    steps = 0
+    rounds = 1
+    while True:
+        kind, payload, consumed = compiled.resolve(node)
+        steps += consumed
+        if kind == "stoch":
             steps += 1
-            if step_cap is not None and steps > step_cap:
-                verdict = CATEGORY_CAPPED
-                break
-            choice = _sample_outcome(stoch, rng, precision_bits)
-            target_kind, target = stoch.targets[choice]
-            if target_kind == "halt":
-                verdict = target
-                break
-            if target_kind == "restart":
-                rounds += 1
-                node = compiled.start
-                continue
-            node = target
-        counts[verdict] += 1
-        if verdict != CATEGORY_CAPPED:
-            step_total += steps
-            round_total += rounds
-            decided += 1
-    return counts, step_total, round_total, decided
+            kind, payload = payload.targets[_sample_outcome(payload, rng, precision_bits)]
+        if step_cap is not None and steps > step_cap:
+            return CATEGORY_CAPPED, steps, rounds
+        if kind == "halt":
+            return payload, steps, rounds
+        if kind == "restart":
+            rounds += 1
+            node = compiled.start
+        else:
+            node = payload
 
 
 def run_monte_carlo(
@@ -957,14 +928,13 @@ def run_monte_carlo(
     seed,
     step_cap: Optional[int] = None,
     precision_bits: int = 64,
-    workers: int = 1,
 ) -> MonteCarloResult:
     """Sample full executions; restarts run until a halting decision.
 
-    Results are reproducible from the seed and independent of the worker
-    count: every trial owns a child generator derived from the seed and
-    the trial index. Trials that exceed ``step_cap`` squares are counted
-    as capped and excluded from the step and round means.
+    Results are reproducible from the seed: every trial owns a child
+    generator derived from the seed and the trial index. Trials that
+    exceed ``step_cap`` squares are counted as capped and excluded from
+    the step and round means.
     """
     if trials <= 0:
         raise ValueError("trials must be positive")
@@ -973,31 +943,17 @@ def run_monte_carlo(
     else:
         compiled = _CompiledMachine(spec, input_str, precision_bits)
     rng_root = SplittableRng(seed)
-    chunk = 4096
-    blocks = [range(i, min(i + chunk, trials)) for i in range(0, trials, chunk)]
-    results = []
-    if workers > 1 and len(blocks) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(
-                    lambda block: _run_trials(compiled, rng_root, block, step_cap, precision_bits),
-                    blocks,
-                )
-            )
-    else:
-        results = [_run_trials(compiled, rng_root, block, step_cap, precision_bits) for block in blocks]
     counts = {cat: 0 for cat in _TRIAL_CATEGORIES}
     step_total = 0
     round_total = 0
-    decided = 0
-    for block_counts, block_steps, block_rounds, block_decided in results:
-        for cat, n in block_counts.items():
-            counts[cat] += n
-        step_total += block_steps
-        round_total += block_rounds
-        decided += block_decided
+    for index in range(trials):
+        rng = rng_root.child(f"trial:{index}")
+        verdict, steps, rounds = _sample_trial(compiled, rng, step_cap, precision_bits)
+        counts[verdict] += 1
+        if verdict != CATEGORY_CAPPED:
+            step_total += steps
+            round_total += rounds
+    decided = trials - counts[CATEGORY_CAPPED]
     return MonteCarloResult(
         trials=trials,
         counts=counts,

@@ -18,9 +18,8 @@ import json
 import re
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .analysis import (
     MAX_PRECISION_BITS,
@@ -33,71 +32,36 @@ from .analysis import (
     run_monte_carlo,
     run_unary_length,
 )
-from .constructions import (
-    CONSTRUCTION_IDS,
-    PARAMETRIC_BUILDERS,
-    build,
-    build_aw_pal,
-    build_evenodd_dfa,
-    build_evenodd_mcqfa,
-    build_exact_eq_restarting,
-    build_exact_twinpal,
-    build_lv_exptwinpal,
-    pal_double_scan_state,
-)
+from .constructions import CONSTRUCTION_IDS, PARAMETRIC_BUILDERS, build
 from .contextuality import (
     ClassicalBounded,
-    ClassicalDeterministic,
     QuantumBell,
     QuantumQubit,
-    best_classical_chi,
     best_classical_strategy,
-    classical_round_cutoff,
     memory_game,
     memory_game_summary_csv,
     play_magic_square,
-    quantum_chi,
     report_to_json_text,
     transcript_to_json_text,
 )
-from .exactnum import (
-    MIN_PRECISION_BITS,
-    ExactnessError,
-    angle_probability,
-    format_rational,
-    one_minus_inv_e_bracket,
-    prob_exact,
-    sqrt2_pi,
-)
-from .machines import (
-    LEFT_MARKER,
-    MODEL_RESTARTING,
-    MODEL_RTDFA,
-    MODEL_SWEEPING,
-    MOVE_RIGHT,
-    REGISTER_CLASSICAL,
-    RIGHT_MARKER,
-    ClassicalStep,
-    MachineSpec,
-    emit_spec,
-    parse_spec,
-    validate,
-)
+from .exactnum import MIN_PRECISION_BITS, ExactnessError, format_rational
+from .machines import MODEL_RESTARTING, MODEL_SWEEPING, MachineSpec, emit_spec, parse_spec, validate
 from .problems import (
+    PROBLEM_EQ,
     PROBLEM_EVENODD,
+    PROBLEM_EXP_TWINPAL,
+    PROBLEM_PAL,
+    PROBLEM_TWINPAL,
     STATUS_NO,
     STATUS_OUTSIDE,
     STATUS_YES,
     InfeasibleParameters,
-    build_dissimilarity_witness,
+    _parse_problem,
     generate,
     instances_to_jsonl,
     membership,
-    twin_expand,
-    unary_cycle_check,
-    verify_dissimilarity,
 )
-from .qstate import QVector
+from .verify import STOCHASTIC_SUITES, SUITES, run_suites
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
@@ -232,20 +196,29 @@ def _build_machine(args):
         raise UsageError(str(exc))
 
 
-def _instance_word(args) -> str:
+def _problem_of(args) -> Tuple[str, Optional[int]]:
+    """The problem id and EVENODD's k. ``--k`` also sets the machine
+    parameter, so it counts for the problem only on the bare EVENODD id."""
+    try:
+        return _parse_problem(args.problem, args.k if args.problem == PROBLEM_EVENODD else None)
+    except ValueError as exc:
+        raise UsageError(str(exc))
+
+
+def _instance_word(args, problem: Optional[Tuple[str, Optional[int]]]) -> str:
     """The input string: literal (with run-length shorthand) or built
     from problem parameters."""
     if args.input is not None:
         return _expand_input(args.input)
-    if args.problem is None:
+    if problem is None:
         raise UsageError("provide --input or --problem with instance parameters")
-    base = args.problem.split("^")[0]
-    if base in ("PromisePAL", "PromiseTWINPAL", "EXPPromiseTWINPAL"):
+    base, k = problem
+    if base in (PROBLEM_PAL, PROBLEM_TWINPAL, PROBLEM_EXP_TWINPAL):
         if args.u is None or args.v is None:
             raise UsageError(f"{args.problem} instances need --u and --v")
-        if base == "PromisePAL":
+        if base == PROBLEM_PAL:
             return f"{args.u}c{args.v}"
-        if base == "PromiseTWINPAL":
+        if base == PROBLEM_TWINPAL:
             return f"{args.u}c{args.u}c{args.v}c{args.v}"
         reps = args.t if args.t is not None else 25 ** len(args.u)
         if reps < 0:
@@ -253,7 +226,7 @@ def _instance_word(args) -> str:
         block = f"{args.u}c{args.u}c{args.v}c{args.v}c"
         _check_length(len(block) * reps)
         return block * reps
-    if base == "PromiseEQ":
+    if base == PROBLEM_EQ:
         if args.blocks is None:
             raise UsageError("PromiseEQ instances need --blocks x,y,z")
         try:
@@ -264,34 +237,26 @@ def _instance_word(args) -> str:
             raise UsageError(f"--blocks must be nonnegative, got {args.blocks}")
         _check_length(x + y + z + 2)
         return "a" * x + "b" + "a" * y + "b" + "a" * z
-    if base == PROBLEM_EVENODD:
-        if args.i is None:
-            raise UsageError("EVENODD instances need --i (the multiplier)")
-        k = args.k if "^" not in args.problem else int(args.problem.split("^")[1])
-        if k is None:
-            raise UsageError("EVENODD instances need --k or the EVENODD^k spelling")
-        if args.i < 0 or k < 0:
-            raise UsageError(f"EVENODD instances need i >= 0 and k >= 0, got i={args.i}, k={k}")
-        if k > MAX_INPUT_LENGTH.bit_length():
-            # a^(i*2^k) is over the cap for every i >= 1; 2**k is never built.
-            raise UsageError(
-                f"input length {args.i}*2^{k} exceeds the cap of {MAX_INPUT_LENGTH} symbols"
-            )
-        length = args.i * 2**k
-        _check_length(length)
-        return "a" * length
-    raise UsageError(f"unknown problem {args.problem!r}")
+    if args.i is None:
+        raise UsageError("EVENODD instances need --i (the multiplier)")
+    if args.i < 0:
+        raise UsageError(f"EVENODD instances need i >= 0 and k >= 0, got i={args.i}, k={k}")
+    if k > MAX_INPUT_LENGTH.bit_length():
+        # a^(i*2^k) is over the cap for every i >= 1; 2**k is never built.
+        raise UsageError(f"input length {args.i}*2^{k} exceeds the cap of {MAX_INPUT_LENGTH} symbols")
+    length = args.i * 2**k
+    _check_length(length)
+    return "a" * length
 
 
-def _check_promise(args, word: Optional[str]) -> Optional[str]:
-    if args.problem is None:
+def _check_promise(args, problem: Optional[Tuple[str, Optional[int]]], word: Optional[str]) -> Optional[str]:
+    if problem is None:
         return None
-    problem = args.problem
-    k = args.k if problem == PROBLEM_EVENODD else None
-    status = membership(problem, word, k=k)
+    base, k = problem
+    status = membership(base, word, k=k)
     if status == STATUS_OUTSIDE and not args.allow_unpromised:
         raise UsageError(
-            f"input is outside the {problem} promise; pass --allow-unpromised to analyze anyway"
+            f"input is outside the {args.problem} promise; pass --allow-unpromised to analyze anyway"
         )
     return status
 
@@ -306,13 +271,14 @@ def cmd_analyze(args) -> int:
             f"{MAX_PRECISION_BITS}, got {args.precision_bits}"
         )
     spec = _build_machine(args)
+    problem = None if args.problem is None else _problem_of(args)
     # A unary input over the cap can still run by the closed forms of
     # run_unary_length, which need only its length.
     length = _unary_input_length(args, spec) if mode == "exact" else None
-    word = None if length is not None and length > MAX_INPUT_LENGTH else _instance_word(args)
+    word = None if length is not None and length > MAX_INPUT_LENGTH else _instance_word(args, problem)
     if word is not None:
         length = len(word)
-    status = _check_promise(args, word)
+    status = _check_promise(args, problem, word)
     if mode == "exact":
         if not spec.is_realtime():
             raise UsageError(f"mode exact needs a realtime machine, not {spec.model_class}")
@@ -348,7 +314,6 @@ def cmd_analyze(args) -> int:
             seed=args.seed,
             step_cap=args.step_cap,
             precision_bits=args.precision_bits,
-            workers=args.workers,
         )
     doc = {
         "input_length": length,
@@ -372,19 +337,25 @@ def cmd_analyze(args) -> int:
 # generate
 
 
-def _check_generated_length(args, statuses: "Tuple[str, ...]") -> None:
+def _check_generated_length(
+    base: str, k: Optional[int], size: int, t: Optional[int], statuses: "Tuple[str, ...]"
+) -> None:
     """Refuse a request whose longest generated string would be over the
     cap, before any string is built."""
-    base, _, suffix = args.problem.partition("^")
-    if base == "EXPPromiseTWINPAL" and args.t is not None:
-        _check_length((4 * args.size + 4) * args.t)
+    if base == PROBLEM_PAL:
+        _check_length(2 * size + 1)
+    elif base == PROBLEM_TWINPAL:
+        _check_length(4 * size + 3)
+    elif base == PROBLEM_EQ:
+        _check_length(3 * size + 2)
+    elif base == PROBLEM_EXP_TWINPAL and t is not None:
+        _check_length((4 * size + 4) * t)
     elif base == PROBLEM_EVENODD:
-        k = int(suffix) if suffix.isdigit() else args.k
         # Yes/No strings are a^(i*2^k) with i <= size; OutsidePromise
         # strings are shorter than max(size, 1) * 2^(k+1).
-        factor = max(2 * max(args.size, 1) if s == STATUS_OUTSIDE else args.size for s in statuses)
-        if k is None or k < 0 or factor <= 0:
-            return  # generate reports a bad k; every string is empty otherwise
+        factor = max(2 * max(size, 1) if s == STATUS_OUTSIDE else size for s in statuses)
+        if factor <= 0:
+            return  # every string is empty
         if k > MAX_INPUT_LENGTH.bit_length():
             # Over the cap whatever the factor; 2**k is never built.
             raise UsageError(
@@ -395,8 +366,9 @@ def _check_generated_length(args, statuses: "Tuple[str, ...]") -> None:
 
 def cmd_generate(args) -> int:
     statuses = tuple(args.statuses.split(",")) if args.statuses else (STATUS_YES, STATUS_NO)
-    _check_generated_length(args, statuses)
     try:
+        base, k = _parse_problem(args.problem, args.k)
+        _check_generated_length(base, k, args.size, args.t, statuses)
         instances = generate(
             args.problem,
             args.count,
@@ -420,431 +392,7 @@ def cmd_generate(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verify suites. Each check reports its exact values; the functions
-# below are also the substance of the acceptance test suite.
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
-
-
-def _words_up_to(max_len: int) -> "List[str]":
-    words, frontier = [""], [""]
-    for _ in range(max_len):
-        frontier = [w + ch for w in frontier for ch in "ab"]
-        words.extend(frontier)
-    return words
-
-
-def suite_awpal() -> List[CheckResult]:
-    checks: List[CheckResult] = []
-    machine = build_aw_pal()
-    target = QVector.basis(3, 0)
-
-    palindromes = [w for w in _words_up_to(11) if w == w[::-1]]
-    bad = []
-    for w in palindromes:
-        if pal_double_scan_state(w) != target:
-            bad.append(w)
-            continue
-        dist = run_exact_realtime(machine, f"{w}c{w}")
-        if dist.p_accept != prob_exact(1):
-            bad.append(w)
-    checks.append(
-        CheckResult(
-            "awpal.palindromes_fixed_point",
-            not bad,
-            f"{len(palindromes)} palindromes |w|<=11 end exactly at the accept axis"
-            + (f"; failures: {bad[:3]}" if bad else ""),
-        )
-    )
-
-    non_palindromes = [w for w in _words_up_to(9) if w != w[::-1]]
-    worst: Optional[Tuple[Fraction, Fraction, str]] = None
-    bad = []
-    for w in non_palindromes:
-        dist = run_exact_realtime(machine, f"{w}c{w}")
-        miss = dist.p_reject.value
-        floor = Fraction(1, 25 ** len(w))
-        if miss < floor:
-            bad.append(w)
-        ratio = miss / floor
-        if worst is None or ratio < worst[0]:
-            worst = (ratio, miss, w)
-    checks.append(
-        CheckResult(
-            "awpal.nonpalindromes_lower_bound",
-            not bad,
-            f"{len(non_palindromes)} non-palindromes |w|<=9 have exact miss probability"
-            f" >= 25^-|w|; tightest witness {worst[2]!r} at {worst[0]} x the floor",
-        )
-    )
-    return checks
-
-
-def suite_twinpal() -> List[CheckResult]:
-    checks: List[CheckResult] = []
-    machine = build_exact_twinpal()
-    one = prob_exact(1)
-    failures: List[str] = []
-    count = 0
-    for n in range(1, 4):
-        for u in _words_up_to(n):
-            if len(u) != n:
-                continue
-            for v in _words_up_to(n):
-                if len(v) != n:
-                    continue
-                u_pal, v_pal = u == u[::-1], v == v[::-1]
-                if u_pal == v_pal:
-                    continue
-                count += 1
-                word = f"{u}c{u}c{v}c{v}"
-                analysis = analyze_restarting(machine, word)
-                if u_pal:
-                    ok = (
-                        analysis.overall_accept == one
-                        and analysis.per_round.p_accept.value >= Fraction(16, 25 ** (len(v) + 1))
-                    )
-                else:
-                    ok = (
-                        analysis.overall_reject == one
-                        and analysis.per_round.p_reject.value >= Fraction(9, 25 ** (len(u) + 1))
-                    )
-                if not ok:
-                    failures.append(word)
-    checks.append(
-        CheckResult(
-            "twinpal.one_sided_and_per_round_bounds",
-            not failures,
-            f"{count} promise instances |u|=|v|<=3: overall decision exactly 1 and"
-            " per-round masses above 16*25^-(|v|+1) / 9*25^-(|u|+1)"
-            + (f"; failures: {failures[:3]}" if failures else ""),
-        )
-    )
-    return checks
-
-
-def suite_lasvegas() -> List[CheckResult]:
-    checks: List[CheckResult] = []
-    machine = build_lv_exptwinpal()
-    lower = one_minus_inv_e_bracket().lo
-    accept_floor = Fraction(16, 25) * lower
-    reject_floor = Fraction(9, 25) * lower
-    for size in (1, 2):
-        t = 25 ** size
-        instances = []
-        for u in _words_up_to(size):
-            if len(u) != size:
-                continue
-            for v in _words_up_to(size):
-                if len(v) != size or (u == u[::-1]) == (v == v[::-1]):
-                    continue
-                instances.append((u, v))
-        if not instances:
-            checks.append(
-                CheckResult(
-                    f"lasvegas.size{size}",
-                    True,
-                    f"|u|={size}: no promise instances exist (every string of"
-                    " that length is a palindrome), bound holds vacuously",
-                )
-            )
-            continue
-        failures = []
-        for u, v in instances:
-            word = f"{u}c{u}c{v}c{v}c" * t
-            dist = run_exact_realtime(machine, word)
-            if u == u[::-1]:
-                ok = dist.p_accept.value >= accept_floor and dist.p_reject == prob_exact(0)
-            else:
-                ok = dist.p_reject.value >= reject_floor and dist.p_accept == prob_exact(0)
-            if not ok:
-                failures.append((u, v))
-        checks.append(
-            CheckResult(
-                f"lasvegas.size{size}",
-                not failures,
-                f"|u|={size}, t=25^{size}: {len(instances)} instances decide correctly"
-                f" with mass >= (16/25)*(1-1/e) resp. (9/25)*(1-1/e) and wrong-decision"
-                " mass exactly 0" + (f"; failures: {failures[:3]}" if failures else ""),
-            )
-        )
-    return checks
-
-
-def suite_eq() -> List[CheckResult]:
-    checks: List[CheckResult] = []
-
-    bad_c = None
-    for c in range(1, 10 ** 4 + 1):
-        interval = angle_probability(sqrt2_pi(c), 64).as_interval()
-        if not interval.lo >= Fraction(1, 2 * c * c):
-            bad_c = c
-            break
-    checks.append(
-        CheckResult(
-            "eq.rotation_separation_bound",
-            bad_c is None,
-            "certified interval check sin^2(c*sqrt(2)*pi) >= 1/(2c^2) for"
-            " 1 <= c <= 10^4 at 64 fractional bits"
-            + (f"; first failure c={bad_c}" if bad_c is not None else ""),
-        )
-    )
-
-    machine = build_exact_eq_restarting()
-    worst = Fraction(0)
-    failures = []
-    for d in range(1, 9):
-        word = "a" * d + "b" + "a" * d + "b"
-        analysis = analyze_restarting(machine, word)
-        hi = analysis.expected_rounds.as_interval().hi
-        ratio = hi / (d * d)
-        worst = max(worst, ratio)
-        if hi > Fraction(25, 8) * d * d:
-            failures.append(d)
-    checks.append(
-        CheckResult(
-            "eq.expected_rounds_quadratic",
-            not failures,
-            f"expected rounds for |m-n|=1..8 fit C*(m-n)^2 with"
-            f" C = {format_rational(worst)} (~{float(worst):.6f}), below 25/8"
-            + (f"; failures at d={failures}" if failures else ""),
-        )
-    )
-    return checks
-
-
-def suite_evenodd() -> List[CheckResult]:
-    checks: List[CheckResult] = []
-
-    failures = []
-    runs = 0
-    for k in range(0, 17):
-        machine = build_evenodd_mcqfa(k)
-        for i in range(0, 101):
-            runs += 1
-            dist = run_unary_length(machine, i * 2 ** k)
-            want_accept = i % 2 == 0
-            ok = (
-                dist.p_accept == prob_exact(1 if want_accept else 0)
-                and dist.p_reject == prob_exact(0 if want_accept else 1)
-            )
-            if not ok:
-                failures.append((k, i))
-    checks.append(
-        CheckResult(
-            "evenodd.mcqfa_exact",
-            not failures,
-            f"{runs} closed-form runs (k<=16, i<=100) give the deterministic"
-            " correct verdict" + (f"; failures: {failures[:3]}" if failures else ""),
-        )
-    )
-
-    failures = []
-    for k in range(0, 11):
-        if not unary_cycle_check(build_evenodd_dfa(k), k).solves:
-            failures.append(k)
-    checks.append(
-        CheckResult(
-            "evenodd.dfa_cycle_check",
-            not failures,
-            "counting machines with 2^(k+1) states pass the cycle check for k<=10"
-            + (f"; failures: k={failures}" if failures else ""),
-        )
-    )
-
-    def mod_machine(modulus: int, accept_residues) -> MachineSpec:
-        classical = {("m0", LEFT_MARKER, "1"): ClassicalStep("m0", MOVE_RIGHT)}
-        for r in range(modulus):
-            classical[(f"m{r}", "a", "1")] = ClassicalStep(f"m{(r + 1) % modulus}", MOVE_RIGHT)
-            verdict = "s_a" if r in accept_residues else "s_r"
-            classical[(f"m{r}", RIGHT_MARKER, "1")] = ClassicalStep(verdict, MOVE_RIGHT)
-        return MachineSpec(
-            name=f"MOD{modulus}",
-            model_class=MODEL_RTDFA,
-            register=REGISTER_CLASSICAL,
-            quantum_dim=1,
-            states=frozenset({f"m{r}" for r in range(modulus)} | {"s_a", "s_r"}),
-            initial_state="m0",
-            accept_state="s_a",
-            reject_state="s_r",
-            dont_know_state=None,
-            alphabet=("a",),
-            classical_delta=classical,
-        )
-
-    counterexamples = []
-    ok = True
-    for modulus, accepts, k in ((2, {0}, 1), (3, {0}, 0), (12, {0, 1, 2, 3}, 2)):
-        result = unary_cycle_check(mod_machine(modulus, accepts), k)
-        if result.solves or result.counterexample is None:
-            ok = False
-            continue
-        i = result.counterexample
-        dist = run_unary_length(mod_machine(modulus, accepts), i * 2 ** k)
-        machine_accepts = dist.p_accept == prob_exact(1)
-        if machine_accepts == (i % 2 == 0):
-            ok = False
-        counterexamples.append((modulus, k, i))
-    checks.append(
-        CheckResult(
-            "evenodd.short_cycle_counterexamples",
-            ok,
-            "machines whose cycle length is not divisible by 2^(k+1) yield"
-            f" concrete wrong multipliers: {counterexamples}",
-        )
-    )
-    return checks
-
-
-def suite_witnesses() -> List[CheckResult]:
-    checks: List[CheckResult] = []
-
-    failures = []
-    pairs = 0
-    for m in range(1, 7):
-        witness = build_dissimilarity_witness("PromisePAL", m)
-        pairs += len(witness.separators)
-        failures.extend(f"m={m}: {v}" for v in verify_dissimilarity(witness))
-    checks.append(
-        CheckResult(
-            "witnesses.promisepal",
-            not failures,
-            f"palindrome witness families m<=6 separate all {pairs} pairs"
-            + (f"; failures: {failures[:3]}" if failures else ""),
-        )
-    )
-
-    witness = build_dissimilarity_witness("PromiseEQ", 50)
-    violations = verify_dissimilarity(witness)
-    checks.append(
-        CheckResult(
-            "witnesses.promiseeq",
-            not violations,
-            f"block-count witness family m=50 separates all {len(witness.separators)}"
-            " pairs" + (f"; failures: {violations[:3]}" if violations else ""),
-        )
-    )
-
-    failures = []
-    count = 0
-    for n in range(0, 6):
-        words = [w for w in _words_up_to(n) if len(w) == n]
-        for u in words:
-            for v in words:
-                count += 1
-                word = f"{u}c{v}"
-                before = membership("PromisePAL", word)
-                after = membership("PromiseTWINPAL", twin_expand(word))
-                expected = before if (u and v) else STATUS_OUTSIDE
-                if after != expected:
-                    failures.append(word)
-    checks.append(
-        CheckResult(
-            "witnesses.twin_expand_preserves_status",
-            not failures,
-            f"doubling transform preserves promise status on all {count} inputs"
-            f" with |u|=|v|<=5" + (f"; failures: {failures[:3]}" if failures else ""),
-        )
-    )
-    return checks
-
-
-def suite_contextuality(seed) -> List[CheckResult]:
-    checks: List[CheckResult] = []
-
-    best_value, _ = best_classical_chi()
-    checks.append(
-        CheckResult(
-            "contextuality.classical_chi_max",
-            best_value == 4,
-            f"exhaustive maximum over 512 assignments = {best_value}",
-        )
-    )
-
-    chi = quantum_chi()
-    checks.append(
-        CheckResult(
-            "contextuality.quantum_chi",
-            chi == Fraction(6),
-            f"exact Bell-pair evaluation = {format_rational(chi)}",
-        )
-    )
-
-    transcript = play_magic_square(QuantumBell(), 10 ** 4, seed=seed)
-    checks.append(
-        CheckResult(
-            "contextuality.quantum_game_perfect",
-            transcript.wins == 10 ** 4,
-            f"quantum strategy won {transcript.wins}/10000 seeded rounds",
-        )
-    )
-
-    value, _ = best_classical_strategy()
-    checks.append(
-        CheckResult(
-            "contextuality.classical_game_max",
-            value == Fraction(8, 9),
-            f"exhaustive maximum over 4096 constrained table pairs"
-            f" = {format_rational(value)}",
-        )
-    )
-
-    failures = []
-    for q in range(1, 9):
-        report = memory_game(QuantumQubit(), q, seed=seed)
-        if report.value != q or report.expected_value != q:
-            failures.append(q)
-    checks.append(
-        CheckResult(
-            "contextuality.memory_quantum_attains_q",
-            not failures,
-            "one exact qubit scores V = Q for every Q <= 8"
-            + (f"; failures: Q={failures}" if failures else ""),
-        )
-    )
-
-    failures = []
-    for exponent in (5, 9, 13, 21, 33):
-        n = 2 ** exponent
-        report = memory_game(ClassicalBounded(n), 8, seed=seed)
-        want = min(8, (exponent - 1) // 4)
-        if report.expected_value != want or classical_round_cutoff(n) != (exponent - 1) // 4:
-            failures.append(exponent)
-    checks.append(
-        CheckResult(
-            "contextuality.memory_classical_cutoff",
-            not failures,
-            "N-state responders score expected V = floor((log2 N - 1)/4):"
-            " verified at N = 2^5, 2^9, 2^13, 2^21, 2^33"
-            + (f"; failures at exponents {failures}" if failures else ""),
-        )
-    )
-    return checks
-
-
-SUITES: Dict[str, Callable[..., List[CheckResult]]] = {
-    "awpal": suite_awpal,
-    "twinpal": suite_twinpal,
-    "lasvegas": suite_lasvegas,
-    "eq": suite_eq,
-    "evenodd": suite_evenodd,
-    "witnesses": suite_witnesses,
-    "contextuality": suite_contextuality,
-}
-STOCHASTIC_SUITES = {"contextuality"}
-
-
-def run_suites(names: Sequence[str], seed=None) -> List[CheckResult]:
-    results: List[CheckResult] = []
-    for name in names:
-        fn = SUITES[name]
-        results.extend(fn(seed) if name in STOCHASTIC_SUITES else fn())
-    return results
+# verify
 
 
 def cmd_verify(args) -> int:
@@ -951,7 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, help="mc mode: number of sampled executions")
     p.add_argument("--seed", help="mc mode: RNG seed (required)")
     p.add_argument("--step-cap", type=int, help="mc mode: abort a trial after this many steps")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--allow-unpromised", action="store_true")
     _add_common_output(p)
     p.set_defaults(fn=cmd_analyze)

@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .analysis import run_unary_length
 from .constructions import build_evenodd_mcqfa
-from .exactnum import GaussianRational, format_rational, prob_exact
+from .exactnum import GR_ZERO, GaussianRational, format_rational, prob_exact
 from .qstate import QMatrix, QVector
 
 _HALF = Fraction(1, 2)
@@ -165,7 +165,6 @@ def bell_pair_state() -> QVector:
 ALICE_QUBITS = (0, 2)
 BOB_QUBITS = (1, 3)
 _TOTAL_QUBITS = 4
-_GR_ZERO = GaussianRational(Fraction(0))
 
 
 def embed_two_qubit(op: QMatrix, qubits: Tuple[int, int]) -> QMatrix:
@@ -179,7 +178,7 @@ def embed_two_qubit(op: QMatrix, qubits: Tuple[int, int]) -> QMatrix:
     rows = []
     for r in range(dim):
         local_r = (((r >> shift_hi) & 1) << 1) | ((r >> shift_lo) & 1)
-        row = [_GR_ZERO] * dim
+        row = [GR_ZERO] * dim
         for local_c in range(4):
             entry = op.rows[local_r][local_c]
             if entry.is_zero():

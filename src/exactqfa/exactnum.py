@@ -51,10 +51,6 @@ class GaussianRational:
     re: Fraction
     im: Fraction = Fraction(0)
 
-    @staticmethod
-    def from_rational(value: Union[Fraction, int]) -> "GaussianRational":
-        return GaussianRational(Fraction(value), Fraction(0))
-
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
         return GaussianRational(self.re + other.re, self.im + other.im)
 
@@ -312,16 +308,6 @@ def prob_sub(a: ProbValue, b: ProbValue) -> ProbValue:
     if a.is_exact() and b.is_exact():
         return ExactProb(a.value - b.value)
     return _tighten(a.as_interval() - b.as_interval())
-
-
-def prob_mul(a: ProbValue, b: ProbValue) -> ProbValue:
-    if a.is_exact() and b.is_exact():
-        return ExactProb(a.value * b.value)
-    # An exact zero annihilates even an interval factor.
-    for p in (a, b):
-        if p.is_exact() and p.value == 0:
-            return PROB_ZERO
-    return _tighten(a.as_interval() * b.as_interval())
 
 
 def prob_scale(p: ProbValue, factor: Fraction) -> ProbValue:

@@ -137,9 +137,6 @@ class StochasticMatrix:
             if sum(row) != 1:
                 raise ValueError(f"row for {state} does not sum to 1")
 
-    def column_of(self, state: str) -> int:
-        return self.order.index(state)
-
     def push(self, distribution: "dict[str, Fraction]") -> "dict[str, Fraction]":
         """Advance an exact distribution over states by one step."""
         out: "dict[str, Fraction]" = {}

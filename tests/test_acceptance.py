@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from exactqfa import cli
+from exactqfa import verify
 
 CONTEXTUALITY_SEED = "acceptance"
 
@@ -24,37 +24,37 @@ def _run_suite(fn, *args):
 
 @pytest.fixture(scope="session")
 def awpal():
-    return _run_suite(cli.suite_awpal)
+    return _run_suite(verify.suite_awpal)
 
 
 @pytest.fixture(scope="session")
 def twinpal():
-    return _run_suite(cli.suite_twinpal)
+    return _run_suite(verify.suite_twinpal)
 
 
 @pytest.fixture(scope="session")
 def lasvegas():
-    return _run_suite(cli.suite_lasvegas)
+    return _run_suite(verify.suite_lasvegas)
 
 
 @pytest.fixture(scope="session")
 def eq():
-    return _run_suite(cli.suite_eq)
+    return _run_suite(verify.suite_eq)
 
 
 @pytest.fixture(scope="session")
 def evenodd():
-    return _run_suite(cli.suite_evenodd)
+    return _run_suite(verify.suite_evenodd)
 
 
 @pytest.fixture(scope="session")
 def witnesses():
-    return _run_suite(cli.suite_witnesses)
+    return _run_suite(verify.suite_witnesses)
 
 
 @pytest.fixture(scope="session")
 def contextuality():
-    return _run_suite(cli.suite_contextuality, CONTEXTUALITY_SEED)
+    return _run_suite(verify.suite_contextuality, CONTEXTUALITY_SEED)
 
 
 def _assert_check(checks, name):

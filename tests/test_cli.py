@@ -310,6 +310,28 @@ class TestAnalyze:
         assert "cannot parse" in err
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ("EVENODD_MCQFA", "--k", "3", "--problem", "EVENODD^x", "--i", "1"),
+                "malformed problem id 'EVENODD^x'",
+            ),
+            (
+                ("AW_PAL", "--problem", "PromisePAL^3", "--u", "ab", "--v", "aa"),
+                "unknown problem 'PromisePAL^3'",
+            ),
+            (
+                ("AW_PAL", "--problem", "NoSuchProblem", "--u", "ab", "--v", "aa"),
+                "unknown problem 'NoSuchProblem'",
+            ),
+        ],
+    )
+    def test_malformed_problem_id_is_usage_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "analyze", *argv, "--mode", "exact")
+        assert code == 2 and out == ""
+        assert message in err
+
+    @pytest.mark.parametrize(
         "argv, length",
         [
             (("AW_PAL", "--input", "a1000000000000"), 10**12),
@@ -462,6 +484,9 @@ class TestGenerate:
                 ("--problem", "EVENODD", "--k", "25", "--statuses", "OutsidePromise"),
                 2**27,
             ),
+            (("--problem", "PromisePAL", "--size", "1000000000000"), 2 * 10**12 + 1),
+            (("--problem", "PromiseTWINPAL", "--size", "1000000000000"), 4 * 10**12 + 3),
+            (("--problem", "PromiseEQ", "--size", "1000000000000"), 3 * 10**12 + 2),
         ],
     )
     def test_huge_strings_fail_before_allocating(self, capsys, argv, length):
@@ -512,11 +537,28 @@ class TestVerify:
         assert code == 0
         assert "FAIL" not in out
         assert out.strip().endswith("3/3 checks passed")
+        assert out == (
+            "PASS witnesses.promisepal: palindrome witness families m<=6 separate all 2667 pairs\n"
+            "PASS witnesses.promiseeq: block-count witness family m=50 separates all 1225 pairs\n"
+            "PASS witnesses.twin_expand_preserves_status: doubling transform preserves promise"
+            " status on all 1365 inputs with |u|=|v|<=5\n"
+            "3/3 checks passed\n"
+        )
 
     def test_deterministic_report(self, capsys):
         _, out1, _ = run_cli(capsys, "verify", "evenodd")
         _, out2, _ = run_cli(capsys, "verify", "evenodd")
         assert out1 == out2
+        assert out1 == (
+            "PASS evenodd.mcqfa_exact: 1717 closed-form runs (k<=16, i<=100) give the"
+            " deterministic correct verdict\n"
+            "PASS evenodd.dfa_cycle_check: counting machines with 2^(k+1) states pass the"
+            " cycle check for k<=10\n"
+            "PASS evenodd.short_cycle_counterexamples: machines whose cycle length is not"
+            " divisible by 2^(k+1) yield concrete wrong multipliers:"
+            " [(2, 1, 1), (3, 0, 2), (12, 2, 2)]\n"
+            "3/3 checks passed\n"
+        )
 
     def test_stochastic_suite_requires_seed(self, capsys):
         code, _, err = run_cli(capsys, "verify", "contextuality")
