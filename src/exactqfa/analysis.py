@@ -9,9 +9,12 @@ must have exact branch probabilities, because its branches keep
 evolving; an interval-valued measurement is legal only when every
 outcome immediately halts or restarts the machine.
 
-Monte Carlo runs sample measurement outcomes against exact rational
-cumulative thresholds using dyadic draws that are refined on demand, so
-sampling is unbiased even for interval-valued probabilities.
+Monte Carlo runs sample measurement outcomes by comparing integer draws
+with integer cut points: the exact rational (or certified interval)
+cumulative thresholds scaled by 2^64 and rounded inward. A draw too
+close to a threshold to decide gains 64 more bits and is compared at
+the wider scale, so sampling is unbiased even for interval-valued
+probabilities.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .exactnum import (
     PROB_ZERO,
     ProbValue,
     RationalInterval,
+    cut_points,
     format_rational,
     prob_reciprocal,
     prob_scale,
@@ -758,64 +762,57 @@ MAX_PRECISION_BITS = 1 << 16
 class _StochNode:
     """One square whose measurement genuinely branches.
 
-    ``targets`` aligns with the outcome order of ``outcomes_at``; the
-    cumulative probability bounds can be recomputed at higher precision
-    when a draw lands too close to a boundary to decide. Bounds are kept
-    per precision, so repeated draws at a node measure it only once.
+    ``targets`` aligns with the outcome order of ``outcomes_at``.
+    ``cuts(bits, scale_bits)`` gives the integer cut points (see
+    ``cut_points``) of the cumulative probability bounds measured at a
+    precision of ``bits``. They are kept per (precision, scale), so
+    repeated draws at a node measure it only once per precision.
     """
 
-    __slots__ = ("key", "targets", "outcomes_at", "_bounds")
+    __slots__ = ("key", "targets", "outcomes_at", "_cuts")
 
     def __init__(self, key, targets, outcomes_at: Callable[[int], list]):
         self.key = key
         self.targets = targets
         self.outcomes_at = outcomes_at
-        self._bounds: "dict[int, list[tuple[Fraction, Fraction]]]" = {}
+        self._cuts: "dict[tuple[int, int], list[tuple[int, int]]]" = {}
 
-    def cumulative_bounds(self, bits: int) -> "list[tuple[Fraction, Fraction]]":
-        bounds = self._bounds.get(bits)
-        if bounds is not None:
-            return bounds
-        lo = hi = Fraction(0)
-        bounds = []
-        for _, _, p in self.outcomes_at(bits):
-            if isinstance(p, Fraction):
-                lo, hi = lo + p, hi + p
-            else:
-                iv = p.as_interval()
-                lo, hi = lo + iv.lo, hi + iv.hi
-            bounds.append((lo, hi))
-        self._bounds[bits] = bounds
-        return bounds
+    def cuts(self, bits: int, scale_bits: int) -> "list[tuple[int, int]]":
+        cuts = self._cuts.get((bits, scale_bits))
+        if cuts is None:
+            lo = hi = Fraction(0)
+            bounds = []
+            for _, _, p in self.outcomes_at(bits):
+                if isinstance(p, Fraction):
+                    lo, hi = lo + p, hi + p
+                else:
+                    iv = p.as_interval()
+                    lo, hi = lo + iv.lo, hi + iv.hi
+                bounds.append((lo, hi))
+            cuts = self._cuts[bits, scale_bits] = cut_points(bounds, scale_bits)
+        return cuts
 
 
 def _sample_outcome(node: _StochNode, rng: SplittableRng, precision_bits: int) -> int:
+    """The outcome a refinable uniform draw picks at a node.
+
+    The draw starts as 64 random bits and gains 64 more, with the
+    bounds' precision doubled, each time it is too close to a cut point
+    to decide, so sampling is exact even for interval-valued
+    probabilities.
+    """
     num = rng.draw64()
-    den = 1 << 64
+    scale_bits = 64
     bits = max(64, precision_bits)
     while True:
-        bounds = node.cumulative_bounds(bits)
-        prev_hi = Fraction(0)
-        chosen = -1
-        for i, (cum_lo, cum_hi) in enumerate(bounds):
-            # The draw u lies in [num/den, (num+1)/den); outcome i is
-            # certain when that whole window sits inside the band the
-            # outcome owns regardless of where the true probabilities
-            # fall within their intervals. The true cumulative total is
-            # exactly 1 and u < 1 always, so the last outcome needs only
-            # the lower test.
-            upper_ok = i == len(bounds) - 1 or num + 1 <= cum_lo * den
-            if num >= prev_hi * den and upper_ok:
-                chosen = i
-                break
-            prev_hi = cum_hi
-        if chosen >= 0:
-            return chosen
+        for i, (lo, hi) in enumerate(node.cuts(bits, scale_bits)):
+            if lo <= num < hi:
+                return i
         num = (num << 64) | rng.draw64()
-        den <<= 64
+        scale_bits += 64
         if bits < MAX_PRECISION_BITS:
             bits *= 2
-        if den > 1 << (4 * MAX_PRECISION_BITS):
+        if scale_bits > 4 * MAX_PRECISION_BITS:
             raise RuntimeError("sampling failed to separate outcome boundaries")
 
 

@@ -240,7 +240,7 @@ def _instance_word(args, problem: Optional[Tuple[str, Optional[int]]]) -> str:
     if args.i is None:
         raise UsageError("EVENODD instances need --i (the multiplier)")
     if args.i < 0:
-        raise UsageError(f"EVENODD instances need i >= 0 and k >= 0, got i={args.i}, k={k}")
+        raise UsageError(f"EVENODD instances need i >= 0, got i={args.i}")
     if k > MAX_INPUT_LENGTH.bit_length():
         # a^(i*2^k) is over the cap for every i >= 1; 2**k is never built.
         raise UsageError(f"input length {args.i}*2^{k} exceeds the cap of {MAX_INPUT_LENGTH} symbols")

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -29,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .analysis import run_unary_length
 from .constructions import build_evenodd_mcqfa
-from .exactnum import GR_ZERO, GaussianRational, format_rational, prob_exact
+from .exactnum import GR_ZERO, GaussianRational, cut_points, format_rational, prob_exact
 from .qstate import QMatrix, QVector
 
 _HALF = Fraction(1, 2)
@@ -343,16 +344,27 @@ def quantum_joint_distribution(
     return tuple(leaves)
 
 
+@lru_cache(maxsize=None)
+def _joint_cuts(
+    i: int, j: int
+) -> Tuple[Tuple[int, ...], Tuple[Tuple[Tuple[int, int, int], Tuple[int, int, int]], ...]]:
+    """The 64-bit draws at which each leaf of quantum_joint_distribution
+    after the first begins, and every leaf's (alice, bob) outcomes."""
+    leaves = quantum_joint_distribution(i, j)
+    cumulative = list(itertools.accumulate(p for _, _, p in leaves))
+    if cumulative[-1] != 1:
+        raise AssertionError("joint distribution does not sum to 1")
+    cuts = cut_points([(c, c) for c in cumulative], 64)
+    return tuple(lo for lo, _ in cuts[1:]), tuple((alice, bob) for alice, bob, _ in leaves)
+
+
 def _sample_joint(i: int, j: int, rng: Random) -> Tuple[Tuple[int, int, int], Tuple[int, int, int]]:
-    # Leaf probabilities are dyadic with small denominators, so a
-    # 64-bit uniform draw samples the distribution exactly.
-    draw = Fraction(rng.getrandbits(64), 1 << 64)
-    cumulative = Fraction(0)
-    for alice_out, bob_out, p in quantum_joint_distribution(i, j):
-        cumulative += p
-        if draw < cumulative:
-            return alice_out, bob_out
-    raise AssertionError("joint distribution does not sum to 1")
+    # Leaf probabilities are dyadic with small denominators, so every
+    # cumulative threshold times 2^64 is an integer and one 64-bit draw
+    # samples the distribution exactly: the draw picks the last leaf
+    # that begins at or below it.
+    starts, outcomes = _joint_cuts(i, j)
+    return outcomes[bisect_right(starts, rng.getrandbits(64))]
 
 
 def play_magic_square(strategy: Strategy, rounds: int, seed) -> GameTranscript:

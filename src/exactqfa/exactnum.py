@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Sequence, Union
 
 DYADIC_PI = "DyadicPi"
 SQRT2_PI = "Sqrt2Pi"
@@ -220,9 +220,6 @@ class RationalInterval:
     def entirely_gt(self, value: Fraction) -> bool:
         return self.lo > value
 
-    def entirely_le(self, value: Fraction) -> bool:
-        return self.hi <= value
-
     def entirely_lt(self, value: Fraction) -> bool:
         return self.hi < value
 
@@ -231,15 +228,6 @@ class RationalInterval:
 
     def __sub__(self, other: "RationalInterval") -> "RationalInterval":
         return RationalInterval(self.lo - other.hi, self.hi - other.lo)
-
-    def __mul__(self, other: "RationalInterval") -> "RationalInterval":
-        products = (
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        )
-        return RationalInterval(min(products), max(products))
 
     def scale(self, factor: Fraction) -> "RationalInterval":
         a, b = self.lo * factor, self.hi * factor
@@ -333,6 +321,30 @@ def prob_reciprocal(p: ProbValue) -> ProbValue:
             raise ZeroDivisionError("reciprocal of an exactly zero probability")
         return ExactProb(1 / p.value)
     return _tighten(p.as_interval().reciprocal())
+
+
+def cut_points(bounds: "Sequence[tuple[Fraction, Fraction]]", scale_bits: int) -> "list[tuple[int, int]]":
+    """The integer draws at scale 2^scale_bits that certainly pick each outcome.
+
+    ``bounds[i]`` encloses the cumulative probability of outcomes 0..i,
+    whose true total is exactly 1. A draw ``num`` stands for the window
+    [num, num + 1) / 2^s of uniform values, and outcome i owns that
+    whole window, wherever the true cumulative values lie inside their
+    bounds, exactly when ``lo_i <= num < hi_i`` for the returned pair.
+    Here lo_i = ceil(bounds[i - 1].hi * 2^s), or 0 for the first
+    outcome, and hi_i = floor(bounds[i].lo * 2^s), or 2^s for the last
+    outcome, since every draw lies below 1. As num is an integer, these
+    are the rational tests num / 2^s >= bounds[i - 1].hi and
+    (num + 1) / 2^s <= bounds[i].lo.
+    """
+    cuts = []
+    lo = 0
+    last = len(bounds) - 1
+    for i, (cum_lo, cum_hi) in enumerate(bounds):
+        hi = 1 << scale_bits if i == last else (cum_lo.numerator << scale_bits) // cum_lo.denominator
+        cuts.append((lo, hi))
+        lo = -((-cum_hi.numerator << scale_bits) // cum_hi.denominator)
+    return cuts
 
 
 def _mpf_tuple_to_fraction(t) -> Fraction:

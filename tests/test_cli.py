@@ -395,7 +395,7 @@ class TestAnalyze:
             ),
             (
                 ("EVENODD_MCQFA", "--problem", "EVENODD", "--k", "2", "--i", "-1"),
-                "EVENODD instances need i >= 0 and k >= 0, got i=-1, k=2",
+                "EVENODD instances need i >= 0, got i=-1",
             ),
         ],
     )

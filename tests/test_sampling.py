@@ -1,0 +1,373 @@
+"""Integer cut-point sampling against the rational reference samplers.
+
+``_reference_sample_outcome`` and ``_reference_sample_joint`` are the
+samplers as they were when every draw was compared with ``Fraction``
+thresholds. The integer samplers must pick the same outcome and
+consume exactly the same random draws.
+"""
+
+import hashlib
+import json
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from exactqfa.analysis import (
+    MAX_PRECISION_BITS,
+    MonteCarloResult,
+    _CompiledMachine,
+    _CompiledPfa,
+    _sample_outcome,
+    _StochNode,
+    run_monte_carlo,
+)
+from exactqfa.constructions import build_exact_eq_restarting
+from exactqfa.contextuality import (
+    GameRound,
+    QuantumBell,
+    _sample_joint,
+    play_magic_square,
+    quantum_joint_distribution,
+)
+from exactqfa.exactnum import ApproxProb, ExactProb, RationalInterval, cut_points
+from exactqfa.machines import (
+    LEFT_MARKER,
+    MODEL_RTPFA,
+    REGISTER_CLASSICAL,
+    RIGHT_MARKER,
+    MachineSpec,
+    StochasticMatrix,
+)
+
+TOP = 1 << 64
+THIRD = 0x5555555555555555  # floor(2^64 / 3): straddles 1/3 at every scale
+
+
+def _reference_bounds(node, bits):
+    lo = hi = Fraction(0)
+    bounds = []
+    for _, _, p in node.outcomes_at(bits):
+        if isinstance(p, Fraction):
+            lo, hi = lo + p, hi + p
+        else:
+            iv = p.as_interval()
+            lo, hi = lo + iv.lo, hi + iv.hi
+        bounds.append((lo, hi))
+    return bounds
+
+
+def _reference_sample_outcome(node, rng, precision_bits):
+    num = rng.draw64()
+    den = 1 << 64
+    bits = max(64, precision_bits)
+    while True:
+        bounds = _reference_bounds(node, bits)
+        prev_hi = Fraction(0)
+        chosen = -1
+        for i, (cum_lo, cum_hi) in enumerate(bounds):
+            upper_ok = i == len(bounds) - 1 or num + 1 <= cum_lo * den
+            if num >= prev_hi * den and upper_ok:
+                chosen = i
+                break
+            prev_hi = cum_hi
+        if chosen >= 0:
+            return chosen
+        num = (num << 64) | rng.draw64()
+        den <<= 64
+        if bits < MAX_PRECISION_BITS:
+            bits *= 2
+        if den > 1 << (4 * MAX_PRECISION_BITS):
+            raise RuntimeError("sampling failed to separate outcome boundaries")
+
+
+def _reference_sample_joint(i, j, rng):
+    draw = Fraction(rng.getrandbits(64), 1 << 64)
+    cumulative = Fraction(0)
+    for alice_out, bob_out, p in quantum_joint_distribution(i, j):
+        cumulative += p
+        if draw < cumulative:
+            return alice_out, bob_out
+    raise AssertionError("joint distribution does not sum to 1")
+
+
+class ScriptedRng:
+    """Replays the given 64-bit draws, then a fixed pseudo-random stream."""
+
+    def __init__(self, draws):
+        self.draws = list(draws)
+        self.calls = 0
+        self._rest = random.Random(0)
+
+    def draw64(self):
+        return self.getrandbits(64)
+
+    def getrandbits(self, k):
+        assert k == 64
+        self.calls += 1
+        if self.calls <= len(self.draws):
+            return self.draws[self.calls - 1]
+        return self._rest.getrandbits(64)
+
+
+def _both_outcomes(node, draws, precision_bits=64):
+    """(index, draws consumed) from the integer and the reference sampler."""
+    fast, ref = ScriptedRng(draws), ScriptedRng(draws)
+    got = (_sample_outcome(node, fast, precision_bits), fast.calls)
+    want = (_reference_sample_outcome(node, ref, precision_bits), ref.calls)
+    return got, want
+
+
+def _node(outcomes_at):
+    return _StochNode("test", None, outcomes_at)
+
+
+def _exact_node(probs):
+    outcomes = [(str(i), None, p) for i, p in enumerate(probs)]
+    return _node(lambda _bits: outcomes)
+
+
+def _eq_interval_nodes():
+    """The rotation-measurement nodes of EXACT_EQ_RESTARTING on a^2 b a^3."""
+    compiled = _CompiledMachine(build_exact_eq_restarting(), "aabaaa", 64)
+    nodes, todo = {}, [compiled.start]
+    while todo:
+        kind, payload, _ = compiled.resolve(todo.pop())
+        if kind == "stoch" and payload.key not in nodes:
+            nodes[payload.key] = payload
+            todo += [target for kind2, target in payload.targets if kind2 == "node"]
+    interval = [
+        node for node in nodes.values()
+        if any(isinstance(p, ApproxProb) for _, _, p in node.outcomes_at(64))
+    ]
+    assert len(interval) == 2
+    return interval
+
+
+def _thirds_pfa():
+    order = ("s1", "s2", "s_a", "s_r")
+    third = Fraction(1, 3)
+    keep = StochasticMatrix(
+        order, tuple(tuple(Fraction(int(r == c)) for c in range(4)) for r in range(4))
+    )
+    split = StochasticMatrix(
+        order,
+        ((third, 2 * third, Fraction(0), Fraction(0)),
+         (Fraction(0), Fraction(1), Fraction(0), Fraction(0)),
+         (Fraction(0), Fraction(0), Fraction(1), Fraction(0)),
+         (Fraction(0), Fraction(0), Fraction(0), Fraction(1))),
+    )
+    decide = StochasticMatrix(
+        order,
+        ((Fraction(0), Fraction(0), Fraction(1), Fraction(0)),
+         (Fraction(0), Fraction(0), Fraction(0), Fraction(1)),
+         (Fraction(0), Fraction(0), Fraction(1), Fraction(0)),
+         (Fraction(0), Fraction(0), Fraction(0), Fraction(1))),
+    )
+    return MachineSpec(
+        name="thirds",
+        model_class=MODEL_RTPFA,
+        register=REGISTER_CLASSICAL,
+        quantum_dim=1,
+        states=frozenset(order),
+        initial_state="s1",
+        accept_state="s_a",
+        reject_state="s_r",
+        dont_know_state=None,
+        alphabet=("a",),
+        stochastic_delta={LEFT_MARKER: keep, "a": split, RIGHT_MARKER: decide},
+    )
+
+
+def _near_cuts(node, bits=64):
+    """First draws at cut - 1, cut and cut + 1 for every scale-64 cut point."""
+    bounds = _reference_bounds(node, bits)
+    cuts = set()
+    for lo, hi in bounds[:-1]:
+        cuts.add((lo.numerator << 64) // lo.denominator)
+        cuts.add(-((-hi.numerator << 64) // hi.denominator))
+    return sorted({c + d for c in cuts for d in (-1, 0, 1) if 0 <= c + d < TOP})
+
+
+# --- the cut-point helper --------------------------------------------
+
+
+def test_cut_points_of_exact_thirds():
+    third = Fraction(1, 3)
+    assert cut_points([(third, third), (Fraction(1), Fraction(1))], 64) == [
+        (0, THIRD),
+        (THIRD + 1, TOP),
+    ]
+
+
+def test_cut_points_of_intervals_round_inward():
+    bounds = [(Fraction(1, 4), Fraction(1, 2)), (Fraction(1), Fraction(1))]
+    assert cut_points(bounds, 4) == [(0, 4), (8, 16)]
+    bounds = [(Fraction(5, 17), Fraction(6, 17)), (Fraction(1), Fraction(1))]
+    assert cut_points(bounds, 8) == [(0, 75), (91, 256)]
+
+
+# --- Monte Carlo nodes -----------------------------------------------
+
+
+def test_exact_node_around_every_cut():
+    node = _exact_node([Fraction(1, 3), Fraction(1, 5), Fraction(7, 15)])
+    for first in _near_cuts(node):
+        got, want = _both_outcomes(node, [first])
+        assert got == want
+
+
+def test_interval_nodes_around_every_cut():
+    for node in _eq_interval_nodes():
+        firsts = _near_cuts(node)
+        assert firsts
+        for first in firsts:
+            for precision_bits in (64, 100):
+                got, want = _both_outcomes(node, [first, 0, TOP - 1], precision_bits)
+                assert got == want
+
+
+def test_pfa_nodes_around_every_cut():
+    kind, node, _ = _CompiledPfa(_thirds_pfa(), "a").resolve((1, "s1", None))
+    assert kind == "stoch" and len(node.targets) == 2
+    for first in _near_cuts(node):
+        got, want = _both_outcomes(node, [first, THIRD, 5])
+        assert got == want
+    assert _both_outcomes(node, [THIRD, THIRD, 0]) == ((0, 3), (0, 3))
+
+
+def test_exact_third_forces_two_and_three_levels():
+    node = _exact_node([Fraction(1, 3), Fraction(2, 3)])
+    assert _both_outcomes(node, [THIRD, 0]) == ((0, 2), (0, 2))
+    assert _both_outcomes(node, [THIRD, TOP - 1]) == ((1, 2), (1, 2))
+    assert _both_outcomes(node, [THIRD, THIRD, 0]) == ((0, 3), (0, 3))
+    assert _both_outcomes(node, [THIRD, THIRD, TOP - 1]) == ((1, 3), (1, 3))
+
+
+def _straddling_draws(node, levels, last):
+    """Draws that stay undecided for ``levels`` - 1 refinements, then ``last``."""
+    draws, num, scale, bits = [], 0, 64, 64
+    for _ in range(levels - 1):
+        cum_lo = _reference_bounds(node, bits)[0][0]
+        target = (cum_lo.numerator << scale) // cum_lo.denominator
+        draw = target - (num << 64)
+        assert 0 <= draw < TOP
+        draws.append(draw)
+        num = target
+        scale += 64
+        bits *= 2
+    return draws + [last]
+
+
+def test_interval_nodes_force_two_and_three_levels():
+    for node in _eq_interval_nodes():
+        for levels in (2, 3):
+            for last in (0, TOP - 1):
+                draws = _straddling_draws(node, levels, last)
+                got, want = _both_outcomes(node, draws)
+                assert got == want
+                assert got[1] == levels
+
+
+def _distribution(draw):
+    """Outcome probabilities: Fractions, ExactProbs or enclosing intervals
+    whose width falls with the precision, around true values summing to 1."""
+    weights = draw(st.lists(st.integers(1, 50), min_size=2, max_size=4))
+    total = sum(weights)
+    truth = [Fraction(w, total) for w in weights]
+    kinds = draw(st.lists(st.sampled_from("fei"), min_size=len(truth), max_size=len(truth)))
+    slack = draw(st.lists(st.integers(1, 7), min_size=len(truth), max_size=len(truth)))
+
+    def outcomes_at(bits):
+        out = []
+        for i, (p, kind, k) in enumerate(zip(truth, kinds, slack)):
+            if kind == "f":
+                value = p
+            elif kind == "e":
+                value = ExactProb(p)
+            else:
+                e = Fraction(k, 1 << bits)
+                value = ApproxProb(RationalInterval(max(Fraction(0), p - e), p + e))
+            out.append((str(i), None, value))
+        return out
+
+    return outcomes_at
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_random_nodes_match_the_reference(data):
+    node = _node(_distribution(data.draw))
+    firsts = _near_cuts(node)
+    first = data.draw(st.one_of(st.integers(0, TOP - 1), st.sampled_from(firsts)))
+    rest = data.draw(st.lists(st.integers(0, TOP - 1), min_size=0, max_size=3))
+    precision_bits = data.draw(st.sampled_from((16, 64, 96)))
+    got, want = _both_outcomes(node, [first, *rest], precision_bits)
+    assert got == want
+
+
+def test_cut_points_are_cached_per_precision_and_scale():
+    calls = []
+    outcomes = [("0", None, Fraction(1, 3)), ("1", None, Fraction(2, 3))]
+
+    def outcomes_at(bits):
+        calls.append(bits)
+        return outcomes
+
+    node = _node(outcomes_at)
+    for _ in range(3):
+        _sample_outcome(node, ScriptedRng([THIRD, 0]), 64)
+    assert calls == [64, 128]
+
+
+# --- magic square ----------------------------------------------------
+
+
+def test_joint_sampler_around_every_cut():
+    for i in range(3):
+        for j in range(3):
+            cumulative = Fraction(0)
+            firsts = set()
+            for _, _, p in quantum_joint_distribution(i, j):
+                cumulative += p
+                cut = -((-cumulative.numerator << 64) // cumulative.denominator)
+                firsts |= {c for c in (cut - 1, cut, cut + 1) if 0 <= c < TOP}
+            for first in sorted(firsts):
+                fast, ref = ScriptedRng([first]), ScriptedRng([first])
+                assert _sample_joint(i, j, fast) == _reference_sample_joint(i, j, ref)
+                assert fast.calls == ref.calls == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2), st.integers(0, 2), st.integers(0, TOP - 1))
+def test_random_joint_draws_match_the_reference(i, j, draw):
+    fast, ref = ScriptedRng([draw]), ScriptedRng([draw])
+    assert _sample_joint(i, j, fast) == _reference_sample_joint(i, j, ref)
+    assert fast.calls == ref.calls == 1
+
+
+# --- results recorded with the rational samplers ---------------------
+
+
+def test_magic_square_game_matches_recorded_transcript():
+    transcript = play_magic_square(QuantumBell(), 2000, seed=2024)
+    assert transcript.wins == 2000 and transcript.value == 1
+    assert transcript.rounds[:3] == (
+        GameRound(i=0, j=2, alice=(1, 1, 1), bob=(1, -1, 1), win=True),
+        GameRound(i=0, j=2, alice=(-1, 1, -1), bob=(-1, -1, -1), win=True),
+        GameRound(i=0, j=1, alice=(1, 1, 1), bob=(1, 1, 1), win=True),
+    )
+    text = json.dumps(transcript.to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "aa81199846dd78cf883e3b66a6cfd475e559f332d99dac58476e096e71e2e04f"
+    )
+
+
+def test_interval_monte_carlo_matches_recorded_result():
+    assert run_monte_carlo(build_exact_eq_restarting(), "aabaaa", 200, seed="pin") == MonteCarloResult(
+        trials=200,
+        counts={"accept": 67, "reject": 133, "dont_know": 0, "continue": 0, "capped": 0},
+        mean_steps=Fraction(81, 5),
+        mean_rounds=Fraction(81, 40),
+    )
