@@ -110,10 +110,6 @@ class OutcomeDistribution:
             CATEGORY_CONTINUE: self.p_continue,
         }
 
-    def total_interval(self) -> RationalInterval:
-        total = prob_sum(self.by_category().values())
-        return total.as_interval()
-
     def to_json(self) -> dict:
         return {f"p_{k}": prob_to_json(v) for k, v in self.by_category().items()}
 
@@ -298,10 +294,16 @@ def _live_share(weight: Fraction, p: "Union[Fraction, ApproxProb]") -> Fraction:
     return weight * p
 
 
+def _check_alphabet(spec: MachineSpec, input_str: str) -> None:
+    """Raise on the first input symbol outside the machine alphabet."""
+    outside = set(input_str).difference(spec.alphabet)
+    if outside:
+        ch = next(ch for ch in input_str if ch in outside)
+        raise MachineError(f"input symbol {ch!r} outside the machine alphabet")
+
+
 def tape_of(spec: MachineSpec, input_str: str) -> "list[str]":
-    for ch in input_str:
-        if ch not in spec.alphabet:
-            raise MachineError(f"input symbol {ch!r} outside the machine alphabet")
+    _check_alphabet(spec, input_str)
     return [LEFT_MARKER, *input_str, RIGHT_MARKER]
 
 
@@ -320,7 +322,7 @@ def run_exact_realtime(
         return _run_pfa(spec, input_str)
     if not spec.is_realtime():
         raise MachineError(f"{spec.model_class} is not a realtime machine class")
-    tape = tape_of(spec, input_str)
+    _check_alphabet(spec, input_str)
     kernel = _Kernel(spec, precision_bits)
     branches: "dict[tuple[str, Register], Fraction]" = {
         (spec.initial_state, initial_register(spec)): Fraction(1)
@@ -331,12 +333,17 @@ def run_exact_realtime(
     period = (input_str * 2).find(input_str, 1)
     if 0 < period and len(input_str) // period >= 3:
         branches = _step(kernel, branches, LEFT_MARKER, masses)
-        branches = _advance_blocks(
+        branches, ends, den = _advance_blocks(
             kernel, branches, input_str[:period], len(input_str) // period, masses
         )
-        branches = _step(kernel, branches, RIGHT_MARKER, masses)
+        # The weights and ``ends`` are over ``den``: the right end-marker's
+        # masses join them, and each category is divided by ``den`` once.
+        branches = _step(kernel, branches, RIGHT_MARKER, ends)
+        for category, values in ends.items():
+            if values:
+                masses[category].append(prob_scale(prob_sum(values), Fraction(1, den)))
     else:
-        for sym in tape:
+        for sym in (LEFT_MARKER, *input_str, RIGHT_MARKER):
             branches = _step(kernel, branches, sym, masses)
     if branches:
         raise MachineError("live branches remain after the right end-marker")
@@ -368,29 +375,39 @@ def _block_row(kernel: _Kernel, key: tuple, block: str) -> tuple:
     return branches, {cat: prob_sum(values) for cat, values in masses.items() if values}
 
 
-def _advance_blocks(kernel: _Kernel, branches: dict, block: str, reps: int, masses: dict) -> dict:
+def _advance_blocks(kernel: _Kernel, branches: dict, block: str, reps: int, masses: dict) -> tuple:
     """Advance the live branches over ``reps`` copies of ``block``.
 
     The run walks block by block, combining the rows (``_block_row``) of
-    the live keys; a row is kept under the second-sighting rule. Once the
-    kept rows close over the keys the live ones reach, the remaining
-    blocks are taken in one step by ``_jump``; once every branch has
-    halted, the rest is skipped. Exact weights make the result equal to
-    the square-by-square run's, interval ends included.
+    the live keys; a row is kept under the second-sighting rule, and a
+    key seen in two blocks in a row is walked once. Once the kept rows
+    close over the keys the live ones reach, the remaining blocks are
+    taken in one step by ``_jump``; once every branch has halted, the
+    rest is skipped. Exact weights make the result equal to the
+    square-by-square run's, interval ends included.
+
+    Returns the live branches, with the decided mass a jump found, both
+    as numerators over the common denominator it returns last; without
+    a jump that denominator is 1.
     """
     rows = _Memo()
+    # The rows first seen in the previous block: a key seen again in the
+    # next block takes its row from here, not from a second walk.
+    recent: dict = {}
     for done in range(reps):
         if not branches:
             break
         keys = _closed_keys(rows, branches)
         if keys is not None:
-            return _jump(rows, keys, branches, reps - done, masses)
+            return _jump(rows, keys, branches, reps - done)
         new_branches: "dict[tuple[str, Register], Fraction]" = {}
+        seen_now = {}
         for key, weight in branches.items():
             row = rows.get(key)
             if row is None:
-                row = _block_row(kernel, key, block)
+                row = recent.get(key) or _block_row(kernel, key, block)
                 rows.offer(key, row)
+                seen_now[key] = row
             live, decided = row
             for key2, w in live.items():
                 share = weight * w
@@ -399,7 +416,8 @@ def _advance_blocks(kernel: _Kernel, branches: dict, block: str, reps: int, mass
             for category, mass in decided.items():
                 masses[category].append(prob_scale(mass, weight))
         branches = new_branches
-    return branches
+        recent = seen_now
+    return branches, _empty_masses(), 1
 
 
 def _closed_keys(rows: _Memo, branches: dict) -> "Optional[list]":
@@ -421,13 +439,16 @@ def _closed_keys(rows: _Memo, branches: dict) -> "Optional[list]":
     return keys
 
 
-def _jump(rows: _Memo, keys: list, branches: dict, blocks: int, masses: dict) -> dict:
+def _jump(rows: _Memo, keys: list, branches: dict, blocks: int) -> tuple:
     """Advance ``branches`` over ``blocks`` blocks as v·M^blocks.
 
     M = [[T, D], [0, I]]: T holds the live-to-live weights over ``keys``,
     D the decided mass, one column per category and one more for the
     upper end of each category whose mass is an interval, and I carries
-    the decided mass on unchanged.
+    the decided mass on unchanged. Returns the live weights and the
+    decided masses by category as integers over the denominator returned
+    last: one reduction per category at the end costs less than one per
+    entry.
     """
     index = {key: i for i, key in enumerate(keys)}
     decided = [rows[key][1] for key in keys]
@@ -457,15 +478,17 @@ def _jump(rows: _Memo, keys: list, branches: dict, blocks: int, masses: dict) ->
         blocks,
         ([x.numerator * (v_den // x.denominator) for x in start],),
     )
-    total_den = v_den * den**blocks
-    end = [Fraction(x, total_den) for x in scaled]
-    sums = dict(zip(columns, end[n:]))
+    sums = dict(zip(columns, scaled[n:]))
+    ends = _empty_masses()
     for c in cats:
         lo = sums[(c, "lo")]
         hi = sums.get((c, "hi"), lo)
         if hi:
-            masses[c].append(ExactProb(lo) if lo == hi else ApproxProb(RationalInterval(lo, hi)))
-    return {key: w for key, w in zip(keys, end) if w}
+            ends[c].append(
+                ExactProb(lo) if lo == hi else ApproxProb(RationalInterval(Fraction(lo), Fraction(hi)))
+            )
+    live = {key: w for key, w in zip(keys, scaled) if w}
+    return live, ends, v_den * den**blocks
 
 
 def _run_pfa(spec: MachineSpec, input_str: str) -> OutcomeDistribution:

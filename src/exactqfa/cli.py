@@ -279,42 +279,53 @@ def cmd_analyze(args) -> int:
     if word is not None:
         length = len(word)
     status = _check_promise(args, problem, word)
-    if mode == "exact":
-        if not spec.is_realtime():
-            raise UsageError(f"mode exact needs a realtime machine, not {spec.model_class}")
-        if len(spec.alphabet) == 1 and (word is None or set(word) <= set(spec.alphabet)):
-            try:
-                result = run_unary_length(spec, length, args.precision_bits)
-            except ValueError:
-                # Branching unary evolution: fall back to the general
-                # runner on the materialized string.
-                if word is None:
-                    word = _expand_input(args.input)
+    try:
+        if mode == "exact":
+            if not spec.is_realtime():
+                raise UsageError(f"mode exact needs a realtime machine, not {spec.model_class}")
+            if len(spec.alphabet) == 1 and (word is None or set(word) <= set(spec.alphabet)):
+                try:
+                    result = run_unary_length(spec, length, args.precision_bits)
+                except ValueError:
+                    # Branching unary evolution: fall back to the general
+                    # runner on the materialized string.
+                    if word is None:
+                        word = _expand_input(args.input)
+                    result = run_exact_realtime(spec, word, args.precision_bits)
+            else:
                 result = run_exact_realtime(spec, word, args.precision_bits)
+        elif mode == "restart":
+            if spec.model_class != MODEL_RESTARTING:
+                raise UsageError(f"mode restart needs a restarting machine, not {spec.model_class}")
+            result = analyze_restarting(spec, word, args.precision_bits)
+        elif mode == "sweep":
+            if spec.model_class != MODEL_SWEEPING:
+                raise UsageError(f"mode sweep needs a sweeping machine, not {spec.model_class}")
+            if args.max_sweeps is not None:
+                result = run_exact_sweeping(spec, word, args.max_sweeps, args.precision_bits)
+            else:
+                result = analyze_sweeping(spec, word, args.precision_bits, tick_cap=args.tick_cap)
         else:
-            result = run_exact_realtime(spec, word, args.precision_bits)
-    elif mode == "restart":
-        if spec.model_class != MODEL_RESTARTING:
-            raise UsageError(f"mode restart needs a restarting machine, not {spec.model_class}")
-        result = analyze_restarting(spec, word, args.precision_bits)
-    elif mode == "sweep":
-        if spec.model_class != MODEL_SWEEPING:
-            raise UsageError(f"mode sweep needs a sweeping machine, not {spec.model_class}")
-        if args.max_sweeps is not None:
-            result = run_exact_sweeping(spec, word, args.max_sweeps, args.precision_bits)
-        else:
-            result = analyze_sweeping(spec, word, args.precision_bits, tick_cap=args.tick_cap)
-    else:
-        if args.trials is None or args.seed is None:
-            raise UsageError("mode mc needs --trials and --seed")
-        result = run_monte_carlo(
-            spec,
-            word,
-            trials=args.trials,
-            seed=args.seed,
-            step_cap=args.step_cap,
-            precision_bits=args.precision_bits,
-        )
+            if args.trials is None or args.seed is None:
+                raise UsageError("mode mc needs --trials and --seed")
+            result = run_monte_carlo(
+                spec,
+                word,
+                trials=args.trials,
+                seed=args.seed,
+                step_cap=args.step_cap,
+                precision_bits=args.precision_bits,
+            )
+    except MachineError as exc:
+        # AW_EQ_PHASE reads a^m b a^n, so every PromiseEQ instance it is
+        # given reaches a hole in its tables; say why.
+        built = args.spec_file is None and args.input is None and problem is not None
+        if built and (args.machine, problem[0]) == ("AW_EQ_PHASE", PROBLEM_EQ):
+            raise MachineError(
+                "a PromiseEQ instance has three blocks, a^x b a^y b a^z, "
+                f"but AW_EQ_PHASE reads a^m b a^n: {exc}"
+            ) from exc
+        raise
     doc = {
         "input_length": length,
         "machine": spec.name,

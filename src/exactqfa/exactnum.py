@@ -206,22 +206,8 @@ class RationalInterval:
     def contains(self, value: Fraction) -> bool:
         return self.lo <= value <= self.hi
 
-    def contains_interval(self, other: "RationalInterval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
     def is_point(self) -> bool:
         return self.lo == self.hi
-
-    # Certified order checks: true only when the whole interval satisfies
-    # the relation, regardless of where the true value lies inside it.
-    def entirely_ge(self, value: Fraction) -> bool:
-        return self.lo >= value
-
-    def entirely_gt(self, value: Fraction) -> bool:
-        return self.lo > value
-
-    def entirely_lt(self, value: Fraction) -> bool:
-        return self.hi < value
 
     def __add__(self, other: "RationalInterval") -> "RationalInterval":
         return RationalInterval(self.lo + other.lo, self.hi + other.hi)

@@ -169,7 +169,7 @@ def test_rotation_interval_probabilities():
     assert not dist.p_reject.is_exact()
     iv = dist.p_reject.as_interval()
     assert Fraction(9291, 10000) < iv.lo and iv.hi < Fraction(9292, 10000)
-    total = dist.total_interval()
+    total = prob_sum(dist.by_category().values()).as_interval()
     assert total.contains(Fraction(1))
 
 
@@ -451,7 +451,7 @@ def test_unary_fast_path_huge_lengths():
     # Rotation closed form: angle accumulates symbolically.
     dist = run_unary_length(turn_machine(), 10**9)
     assert not dist.p_reject.is_exact()
-    assert dist.total_interval().contains(Fraction(1))
+    assert prob_sum(dist.by_category().values()).as_interval().contains(Fraction(1))
 
 
 def test_splittable_rng_children_are_stable_and_independent():
@@ -689,6 +689,25 @@ def test_periodic_run_resolves_a_bounded_number_of_squares(monkeypatch):
         run_exact_realtime(spec, _twin_blocks("ab", "aa", t))
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+@pytest.mark.parametrize(
+    "build, u, v",
+    [(build_lv_exptwinpal, u, v) for u, v in LV_PAIRS]
+    + [(build_exact_exptwinpal, u, v) for u, v in EXACT_PAIRS],
+)
+def test_key_seen_in_consecutive_blocks_is_walked_once(monkeypatch, build, u, v):
+    # Each block-boundary configuration of these inputs recurs in the
+    # very next block, so the second sighting reuses the first walk.
+    walked = []
+    block_row = analysis._block_row
+    monkeypatch.setattr(
+        analysis, "_block_row", lambda k, key, b: walked.append(key) or block_row(k, key, b)
+    )
+    spec = build()
+    word = _twin_blocks(u, v, 25)
+    assert run_exact_realtime(spec, word) == reference_realtime(spec, word)
+    assert walked and len(walked) == len(set(walked))
 
 
 @pytest.mark.parametrize("u, v", [("aba", "abb"), ("abb", "aba")])

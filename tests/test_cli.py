@@ -410,6 +410,20 @@ class TestAnalyze:
         assert message in err
         assert peak < cli.MAX_INPUT_LENGTH // 8
 
+    def test_promise_eq_instance_on_the_two_block_comparator_names_both_shapes(self, capsys):
+        hole = "no classical transition for ('count_down', 'b', '1')"
+        code, out, err = run_cli(
+            capsys, "analyze", "AW_EQ_PHASE", "--problem", "PromiseEQ", "--blocks", "3,3,5", "--mode", "exact"
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: a PromiseEQ instance has three blocks, a^x b a^y b a^z, "
+            f"but AW_EQ_PHASE reads a^m b a^n: {hole}\n"
+        )
+        # The same hole reached from a literal input keeps its own message.
+        code, out, err = run_cli(capsys, "analyze", "AW_EQ_PHASE", "--input", "a3ba3ba5", "--mode", "exact")
+        assert (code, out, err) == (2, "", f"error: {hole}\n")
+
     def test_unary_input_over_the_cap_runs_by_closed_form(self, capsys):
         # run_unary_length needs only the length, so the string is not built.
         tracemalloc.start()

@@ -133,13 +133,13 @@ def test_angle_probability_sqrt2_oracles() -> None:
     # Oracle: sin^2(sqrt(2) pi) = 0.9291080928344088... (50-digit mpmath).
     p1 = angle_probability(sqrt2_pi(1), precision_bits=64)
     assert isinstance(p1, ApproxProb)
-    assert p1.interval.entirely_gt(Fraction(9291, 10000))
-    assert p1.interval.entirely_lt(Fraction(9292, 10000))
+    assert p1.interval.lo > Fraction(9291, 10000)
+    assert p1.interval.hi < Fraction(9292, 10000)
     assert p1.interval.width <= Fraction(1, 2 ** 64)
     # Oracle: sin^2(2 sqrt(2) pi) = 0.2634649786560654... (50-digit mpmath).
     p2 = angle_probability(sqrt2_pi(2), precision_bits=64)
-    assert p2.as_interval().entirely_gt(Fraction(2634, 10000))
-    assert p2.as_interval().entirely_lt(Fraction(2635, 10000))
+    assert p2.as_interval().lo > Fraction(2634, 10000)
+    assert p2.as_interval().hi < Fraction(2635, 10000)
 
 
 MPMATH_PROBE = """
@@ -179,7 +179,7 @@ def test_angle_probability_precision_nesting(coeff: Fraction) -> None:
     angle = sqrt2_pi(coeff)
     wide = angle_probability(angle, precision_bits=64).as_interval()
     narrow = angle_probability(angle, precision_bits=128).as_interval()
-    assert wide.contains_interval(narrow)
+    assert wide.lo <= narrow.lo and narrow.hi <= wide.hi
     assert Fraction(0) <= wide.lo and wide.hi <= Fraction(1)
     assert narrow.width <= Fraction(1, 2 ** 128)
 
@@ -202,8 +202,8 @@ def test_interval_invariants() -> None:
     box = RationalInterval(Fraction(1, 3), Fraction(1, 2))
     assert box.contains(Fraction(2, 5))
     assert not box.contains(Fraction(2, 3))
-    assert box.entirely_ge(Fraction(1, 3))
-    assert not box.entirely_gt(Fraction(1, 3))
+    assert box.lo >= Fraction(1, 3)
+    assert not box.lo > Fraction(1, 3)
     assert box.reciprocal() == RationalInterval(Fraction(2), Fraction(3))
     with pytest.raises(ZeroDivisionError):
         RationalInterval(Fraction(-1), Fraction(1)).reciprocal()
@@ -222,6 +222,6 @@ def test_one_minus_inv_e_bracket() -> None:
     # Oracle: 1 - 1/e = 0.6321205588285576... (50-digit mpmath); the
     # certified bracket must pin it inside (0.632, 0.6322) with lots of slack.
     box = one_minus_inv_e_bracket()
-    assert box.entirely_gt(Fraction(79, 125))
-    assert box.entirely_lt(Fraction(3161, 5000))
+    assert box.lo > Fraction(79, 125)
+    assert box.hi < Fraction(3161, 5000)
     assert box.width < Fraction(1, 10 ** 20)
