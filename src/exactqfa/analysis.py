@@ -39,6 +39,7 @@ from .exactnum import (
     prob_reciprocal,
     prob_scale,
     prob_sum,
+    reduced_over,
 )
 from .machines import (
     LEFT_MARKER,
@@ -78,7 +79,8 @@ class MachineError(RuntimeError):
 
 
 class NonterminatingError(ValueError):
-    """A restarting analysis found zero certified halting mass per round."""
+    """A run can be shown never to end: zero certified halting mass per
+    round, or no reachable halting decision."""
 
 
 def prob_to_json(p: ProbValue):
@@ -317,23 +319,27 @@ def run_exact_realtime(
     block-boundary configurations recur (see ``_advance_blocks``). Two
     blocks are stepped square by square: a block row is kept from its
     key's second sighting, so the first jump can come at the third block.
+    The masses a jump leaves over its big denominator are reduced through
+    the denominator's small base (``reduced_over``), so the block path
+    ends without a gcd on integers the size of the answer. The alphabet
+    is checked on one block: a power has the same symbols as its root.
     """
     if spec.model_class == MODEL_RTPFA:
         return _run_pfa(spec, input_str)
     if not spec.is_realtime():
         raise MachineError(f"{spec.model_class} is not a realtime machine class")
-    _check_alphabet(spec, input_str)
+    # The shortest rotation that maps the input onto itself is its
+    # primitive root's length; it divides the length.
+    period = (input_str * 2).find(input_str, 1)
+    _check_alphabet(spec, input_str[:period] if period > 0 else input_str)
     kernel = _Kernel(spec, precision_bits)
     branches: "dict[tuple[str, Register], Fraction]" = {
         (spec.initial_state, initial_register(spec)): Fraction(1)
     }
     masses = _empty_masses()
-    # The shortest rotation that maps the input onto itself is its
-    # primitive root's length; it divides the length.
-    period = (input_str * 2).find(input_str, 1)
     if 0 < period and len(input_str) // period >= 3:
         branches = _step(kernel, branches, LEFT_MARKER, masses)
-        branches, ends, den = _advance_blocks(
+        branches, ends, den, base = _advance_blocks(
             kernel, branches, input_str[:period], len(input_str) // period, masses
         )
         # The weights and ``ends`` are over ``den``: the right end-marker's
@@ -341,13 +347,25 @@ def run_exact_realtime(
         branches = _step(kernel, branches, RIGHT_MARKER, ends)
         for category, values in ends.items():
             if values:
-                masses[category].append(prob_scale(prob_sum(values), Fraction(1, den)))
+                masses[category].append(_divided(prob_sum(values), den, base))
     else:
         for sym in (LEFT_MARKER, *input_str, RIGHT_MARKER):
             branches = _step(kernel, branches, sym, masses)
     if branches:
         raise MachineError("live branches remain after the right end-marker")
     return _masses_to_distribution(masses)
+
+
+def _divided(total: ProbValue, den: int, base: int) -> ProbValue:
+    """total / den in lowest terms, where every prime of ``den`` divides
+    ``base``. A sum S/q over q·den keeps that property with base q·base."""
+
+    def over(x: Fraction) -> Fraction:
+        return reduced_over(x.numerator, x.denominator * den, x.denominator * base)
+
+    if total.is_exact():
+        return ExactProb(over(total.value))
+    return ApproxProb(RationalInterval(over(total.interval.lo), over(total.interval.hi)))
 
 
 def _step(kernel: _Kernel, branches: dict, sym: str, masses: dict) -> dict:
@@ -387,8 +405,9 @@ def _advance_blocks(kernel: _Kernel, branches: dict, block: str, reps: int, mass
     square-by-square run's, interval ends included.
 
     Returns the live branches, with the decided mass a jump found, both
-    as numerators over the common denominator it returns last; without
-    a jump that denominator is 1.
+    as numerators over the common denominator it returns, and last a
+    base whose primes include every prime of that denominator; without
+    a jump both are 1.
     """
     rows = _Memo()
     # The rows first seen in the previous block: a key seen again in the
@@ -417,7 +436,7 @@ def _advance_blocks(kernel: _Kernel, branches: dict, block: str, reps: int, mass
                 masses[category].append(prob_scale(mass, weight))
         branches = new_branches
         recent = seen_now
-    return branches, _empty_masses(), 1
+    return branches, _empty_masses(), 1, 1
 
 
 def _closed_keys(rows: _Memo, branches: dict) -> "Optional[list]":
@@ -446,9 +465,10 @@ def _jump(rows: _Memo, keys: list, branches: dict, blocks: int) -> tuple:
     D the decided mass, one column per category and one more for the
     upper end of each category whose mass is an interval, and I carries
     the decided mass on unchanged. Returns the live weights and the
-    decided masses by category as integers over the denominator returned
-    last: one reduction per category at the end costs less than one per
-    entry.
+    decided masses by category as integers over the denominator
+    v_den·den^blocks, and last that denominator's base v_den·den, which
+    has every prime the power has: one reduction per category at the end
+    costs less than one per entry, and the base makes it cheap.
     """
     index = {key: i for i, key in enumerate(keys)}
     decided = [rows[key][1] for key in keys]
@@ -488,7 +508,7 @@ def _jump(rows: _Memo, keys: list, branches: dict, blocks: int) -> tuple:
                 ExactProb(lo) if lo == hi else ApproxProb(RationalInterval(Fraction(lo), Fraction(hi)))
             )
     live = {key: w for key, w in zip(keys, scaled) if w}
-    return live, ends, v_den * den**blocks
+    return live, ends, v_den * den**blocks, v_den * den
 
 
 def _run_pfa(spec: MachineSpec, input_str: str) -> OutcomeDistribution:
@@ -941,6 +961,31 @@ def _sample_trial(
             node = payload
 
 
+def _check_halt_reachable(compiled: "Union[_CompiledMachine, _CompiledPfa]") -> None:
+    """Raise unless a trial can reach a halting decision.
+
+    A breadth-first search from the start through ``resolve`` and the
+    sampled targets stops at the first halt. Every edge it follows has
+    positive probability, so when it finds none, an uncapped trial would
+    restart or wander forever.
+    """
+    frontier = [compiled.start]
+    seen = set(frontier)
+    while frontier:
+        reached = []
+        for node in frontier:
+            kind, payload, _ = compiled.resolve(node)
+            for end, target in payload.targets if kind == "stoch" else [(kind, payload)]:
+                if end == "halt":
+                    return
+                target = compiled.start if end == "restart" else target
+                if target not in seen:
+                    seen.add(target)
+                    reached.append(target)
+        frontier = reached
+    raise NonterminatingError("zero halting mass: no trial can reach a halting decision")
+
+
 def run_monte_carlo(
     spec: MachineSpec,
     input_str: str,
@@ -954,7 +999,8 @@ def run_monte_carlo(
     Results are reproducible from the seed: every trial owns a child
     generator derived from the seed and the trial index. Trials that
     exceed ``step_cap`` squares are counted as capped and excluded from
-    the step and round means.
+    the step and round means. Without a cap, a machine that can reach no
+    halting decision raises NonterminatingError before any trial.
     """
     if trials <= 0:
         raise ValueError("trials must be positive")
@@ -962,6 +1008,8 @@ def run_monte_carlo(
         compiled = _CompiledPfa(spec, input_str)
     else:
         compiled = _CompiledMachine(spec, input_str, precision_bits)
+    if step_cap is None:
+        _check_halt_reachable(compiled)
     rng_root = SplittableRng(seed)
     counts = {cat: 0 for cat in _TRIAL_CATEGORIES}
     step_total = 0

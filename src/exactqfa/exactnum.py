@@ -13,6 +13,7 @@ certified bound check, never a sampled float comparison.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -30,6 +31,24 @@ class ExactnessError(ValueError):
 def format_rational(value: Fraction) -> str:
     """Serialize as "p/q" with q > 0 and gcd(p, q) == 1, e.g. "-3/5", "1/1"."""
     return f"{value.numerator}/{value.denominator}"
+
+
+def reduced_over(num: int, den: int, base: int) -> Fraction:
+    """num/den in lowest terms, for den > 0 and base > 0 such that every
+    prime of ``den`` divides ``base``.
+
+    A prime common to num and den divides base, so it divides
+    gcd(num % base, base); when that small gcd is 1 the pair is already
+    coprime, and the Fraction is built from it without Fraction's own
+    gcd on the full-size integers. Otherwise this is Fraction(num, den).
+    """
+    if math.gcd(num % base, base) == 1:
+        # Both slots are set, as Fraction.__new__ sets them for a reduced pair.
+        value = object.__new__(Fraction)
+        value._numerator = num
+        value._denominator = den
+        return value
+    return Fraction(num, den)
 
 
 def parse_rational(text: str) -> Fraction:

@@ -1,5 +1,8 @@
 """Exact runs, restart/sweep analyses, Monte Carlo, and unary fast paths."""
 
+import fractions
+import math
+import types
 from fractions import Fraction
 
 import pytest
@@ -414,6 +417,15 @@ def test_monte_carlo_step_cap():
     assert result.counts["capped"] + result.counts["reject"] == 20000
 
 
+def test_monte_carlo_refuses_a_machine_that_can_never_halt():
+    # On the empty word EXACT_EQ_RESTARTING restarts with mass 1 each round.
+    spec = build_exact_eq_restarting()
+    with pytest.raises(NonterminatingError, match="zero halting mass"):
+        run_monte_carlo(spec, "", trials=40, seed=1)
+    capped = run_monte_carlo(spec, "", trials=5, seed=1, step_cap=100)
+    assert capped.counts["capped"] == 5
+
+
 def mod_dfa(modulus: int) -> MachineSpec:
     states = {f"r{i}" for i in range(modulus)} | {"s_a", "s_r"}
     classical = {(f"r{i}", "a", "1"): ClassicalStep(f"r{(i + 1) % modulus}", MOVE_RIGHT) for i in range(modulus)}
@@ -708,6 +720,33 @@ def test_key_seen_in_consecutive_blocks_is_walked_once(monkeypatch, build, u, v)
     word = _twin_blocks(u, v, 25)
     assert run_exact_realtime(spec, word) == reference_realtime(spec, word)
     assert walked and len(walked) == len(set(walked))
+
+
+def test_block_path_ends_without_a_full_size_gcd(monkeypatch):
+    # gcd(a, b) descends from the smaller operand's size to the result's;
+    # that descent is the quadratic part. gcd(x, x) or gcd(x, 5) on a big
+    # x costs a division at most.
+    descents = []
+    shim = types.SimpleNamespace(**vars(math))
+
+    def gcd(*args):
+        g = math.gcd(*args)
+        descents.append(min(a.bit_length() for a in args) - g.bit_length())
+        return g
+
+    shim.gcd = gcd
+    monkeypatch.setattr(fractions, "math", shim)
+    dist = run_exact_realtime(build_lv_exptwinpal(), _twin_blocks("ab", "aa", 625))
+    assert dist.p_reject.value.denominator.bit_length() > 10_000
+    assert descents and max(descents) <= 2000
+
+
+@pytest.mark.parametrize("word", ["ab?c" * 1000, "?abc" * 1000, "abcc" * 1000 + "?"])
+def test_bad_symbol_in_a_long_input_raises_like_the_square_path(word):
+    spec = build_lv_exptwinpal()
+    message = "input symbol '?' outside the machine alphabet"
+    assert outcome(run_exact_realtime, spec, word) == (MachineError, message)
+    assert outcome(reference_realtime, spec, word) == (MachineError, message)
 
 
 @pytest.mark.parametrize("u, v", [("aba", "abb"), ("abb", "aba")])

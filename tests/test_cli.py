@@ -743,3 +743,15 @@ def test_console_script_entry_point():
     )
     assert result.returncode == 0
     assert validate(parse_spec(result.stdout)) == []
+
+
+def test_mc_on_a_machine_that_can_never_halt_exits_2():
+    result = subprocess.run(
+        [sys.executable, "-m", "exactqfa.cli", "analyze", "EXACT_EQ_RESTARTING", "--input", "",
+         "--mode", "mc", "--trials", "40", "--seed", "1", "--allow-unpromised"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (result.returncode, result.stdout) == (2, "")
+    assert "zero halting mass" in result.stderr

@@ -8,13 +8,16 @@ produce its own expected values.
 
 from __future__ import annotations
 
+import fractions
+import math
 import os
 import subprocess
 import sys
+import types
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exactqfa.exactnum import (
@@ -32,6 +35,7 @@ from exactqfa.exactnum import (
     one_minus_inv_e_bracket,
     parse_gaussian,
     parse_rational,
+    reduced_over,
     sqrt2_pi,
 )
 
@@ -225,3 +229,51 @@ def test_one_minus_inv_e_bracket() -> None:
     assert box.lo > Fraction(79, 125)
     assert box.hi < Fraction(3161, 5000)
     assert box.width < Fraction(1, 10 ** 20)
+
+
+@st.composite
+def over_a_base(draw) -> "tuple[int, int, int]":
+    """(num, den, base) with den a product of small prime powers and base
+    holding each of those primes, and maybe others; num may share them."""
+    primes = draw(st.lists(st.sampled_from((2, 3, 5, 7)), unique=True, max_size=3))
+    den = base = 1
+    for p in primes:
+        den *= p ** draw(st.integers(0, 60))
+        base *= p ** draw(st.integers(1, 3))
+    base *= draw(st.sampled_from((1, 11, 13)))
+    num = draw(st.one_of(st.just(0), st.integers(-(2 ** 400), 2 ** 400)))
+    # A factor of a base prime makes num share a prime with den, so the
+    # fallback runs.
+    num *= draw(st.sampled_from((1, *primes, *(p * p for p in primes))))
+    return num, den, base
+
+
+@given(over_a_base())
+@settings(max_examples=300)
+@example((0, 1, 1))
+@example((0, 8, 2))
+@example((7, 1, 5))
+@example((12, 8, 2))
+@example((-50, 5 ** 40 * 2 ** 3, 10))
+@example((3 ** 5 * 11, 3 ** 9, 3 * 11))
+@example((2 ** 100 + 1, 2 ** 100, 2))
+def test_reduced_over_matches_fraction(case) -> None:
+    num, den, base = case
+    got, want = reduced_over(num, den, base), Fraction(num, den)
+    assert type(got) is Fraction
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    assert got == want and hash(got) == hash(want)
+    assert format_rational(got) == format_rational(want)
+
+
+def test_reduced_over_skips_fractions_gcd_on_a_coprime_pair(monkeypatch) -> None:
+    calls = []
+    shim = types.SimpleNamespace(**vars(math))
+    shim.gcd = lambda *args: calls.append(args) or math.gcd(*args)
+    monkeypatch.setattr(fractions, "math", shim)
+    den = 5 ** 4000 * 2 ** 10
+    # 3^5000 ends in 1, so 3^5000 + 2 is prime to 10.
+    assert reduced_over(3 ** 5000 + 2, den, 10).denominator == den
+    assert calls == []
+    assert reduced_over(5 * (3 ** 5000 + 2), den, 10).denominator == den // 5
+    assert len(calls) == 1
