@@ -15,6 +15,9 @@ cumulative thresholds scaled by 2^64 and rounded inward. A draw too
 close to a threshold to decide gains 64 more bits and is compared at
 the wider scale, so sampling is unbiased even for interval-valued
 probabilities.
+
+A realtime PFA runs through the same kernel: each nonzero entry of its
+matrix row is a branch, and it decides only at the right end-marker.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ from .exactnum import (
 )
 from .machines import (
     LEFT_MARKER,
-    MODEL_RTPFA,
     MOVE_LEFT,
     MOVE_RIGHT,
     MOVE_STAY,
@@ -94,9 +96,10 @@ def prob_to_json(p: ProbValue):
 class OutcomeDistribution:
     """Terminal mass of one pass over the input, by decision category.
 
-    ``p_continue`` holds restart mass for a restarting machine and the
-    residual live mass of a sweep-capped run; it is exactly zero for an
-    ordinary realtime machine.
+    ``p_continue`` holds restart mass for a restarting machine, the
+    residual live mass of a sweep-capped run, and for a PFA the mass
+    that ends outside the halting states; it is exactly zero for any
+    other realtime machine.
     """
 
     p_accept: ProbValue
@@ -149,10 +152,17 @@ def initial_register(spec: MachineSpec) -> Register:
 def _quantum_outcomes(
     spec: MachineSpec, cstate: str, sym: str, reg: Register, precision_bits: int
 ) -> "list[tuple[str, Register, Union[Fraction, ApproxProb]]]":
-    """All measurement branches for one square, with exact-zero branches dropped."""
+    """All measurement branches for one square, with exact-zero branches
+    dropped; a PFA's are the nonzero entries of its row, by target state."""
     action = spec.quantum_delta.get((cstate, sym))
     if action is None:
-        return [("1", reg, Fraction(1))]
+        if not spec.stochastic_delta:
+            return [("1", reg, Fraction(1))]
+        matrix = spec.stochastic_delta.get(sym)
+        if matrix is None:
+            raise MachineError(f"no stochastic matrix for symbol {sym!r}")
+        row = matrix.rows[matrix.order.index(cstate)]
+        return [(state, None, p) for state, p in zip(matrix.order, row) if p]
     if isinstance(action, UnitaryAction):
         return [("1", action.matrix.apply(reg), Fraction(1))]
     if isinstance(action, RotateAction):
@@ -231,6 +241,10 @@ class _Kernel:
     reg2, p)`` per nonzero branch, with ``category`` None for a live branch,
     ``offset`` the head move and ``p`` the shared ``_UNIT`` when the branch
     is certain. ``successors`` memoizes it in a ``_Memo``.
+
+    A PFA branch moves right to its label, a state, and decides only at
+    the right end-marker, as ``continue`` outside the halting states. Its
+    ``p`` is never ``_UNIT``, so sampling draws once on every PFA square.
     """
 
     def __init__(self, spec: MachineSpec, precision_bits: int):
@@ -253,7 +267,11 @@ class _Kernel:
         for label, reg2, p in _quantum_outcomes(spec, cstate, sym, reg, self.precision_bits):
             step = spec.classical_delta.get((cstate, sym, label))
             if step is None:
-                raise MachineError(f"no classical transition for ({cstate!r}, {sym!r}, {label!r})")
+                if not spec.stochastic_delta:
+                    raise MachineError(f"no classical transition for ({cstate!r}, {sym!r}, {label!r})")
+                category = (_decision(spec, label) or CATEGORY_CONTINUE) if sym == RIGHT_MARKER else None
+                out.append((category, label, 1, reg2, p))
+                continue
             if isinstance(p, Fraction):
                 total += p
                 if p == 1:
@@ -314,18 +332,10 @@ def run_exact_realtime(
 ) -> OutcomeDistribution:
     """One exact left-to-right pass; every branch tracked with rational weight.
 
-    An input that is a whole power block^reps with reps >= 3 is walked a
-    block at a time, and advanced by block transfer matrices once its
-    block-boundary configurations recur (see ``_advance_blocks``). Two
-    blocks are stepped square by square: a block row is kept from its
-    key's second sighting, so the first jump can come at the third block.
-    The masses a jump leaves over its big denominator are reduced through
-    the denominator's small base (``reduced_over``), so the block path
-    ends without a gcd on integers the size of the answer. The alphabet
-    is checked on one block: a power has the same symbols as its root.
+    An input that is a whole power block^reps with reps >= 3 takes the
+    block path (``_run_blocks``). The alphabet is checked on one block:
+    a power has the same symbols as its root.
     """
-    if spec.model_class == MODEL_RTPFA:
-        return _run_pfa(spec, input_str)
     if not spec.is_realtime():
         raise MachineError(f"{spec.model_class} is not a realtime machine class")
     # The shortest rotation that maps the input onto itself is its
@@ -333,24 +343,39 @@ def run_exact_realtime(
     period = (input_str * 2).find(input_str, 1)
     _check_alphabet(spec, input_str[:period] if period > 0 else input_str)
     kernel = _Kernel(spec, precision_bits)
-    branches: "dict[tuple[str, Register], Fraction]" = {
-        (spec.initial_state, initial_register(spec)): Fraction(1)
-    }
-    masses = _empty_masses()
     if 0 < period and len(input_str) // period >= 3:
-        branches = _step(kernel, branches, LEFT_MARKER, masses)
-        branches, ends, den, base = _advance_blocks(
-            kernel, branches, input_str[:period], len(input_str) // period, masses
-        )
-        # The weights and ``ends`` are over ``den``: the right end-marker's
-        # masses join them, and each category is divided by ``den`` once.
-        branches = _step(kernel, branches, RIGHT_MARKER, ends)
-        for category, values in ends.items():
-            if values:
-                masses[category].append(_divided(prob_sum(values), den, base))
-    else:
-        for sym in (LEFT_MARKER, *input_str, RIGHT_MARKER):
-            branches = _step(kernel, branches, sym, masses)
+        return _run_blocks(kernel, input_str[:period], len(input_str) // period)
+    branches = {(spec.initial_state, initial_register(spec)): Fraction(1)}
+    masses = _empty_masses()
+    for sym in (LEFT_MARKER, *input_str, RIGHT_MARKER):
+        branches = _step(kernel, branches, sym, masses)
+    if branches:
+        raise MachineError("live branches remain after the right end-marker")
+    return _masses_to_distribution(masses)
+
+
+def _run_blocks(kernel: _Kernel, block: str, reps: int) -> OutcomeDistribution:
+    """The exact run on block^reps, without building the input.
+
+    The blocks are walked a block at a time, and advanced by block
+    transfer matrices once their block-boundary configurations recur
+    (see ``_advance_blocks``). Two blocks are stepped square by square:
+    a block row is kept from its key's second sighting, so the first
+    jump can come at the third block. The masses a jump leaves over its
+    big denominator are reduced through the denominator's small base
+    (``reduced_over``), so the run ends without a gcd on integers the
+    size of the answer.
+    """
+    branches = {(kernel.spec.initial_state, initial_register(kernel.spec)): Fraction(1)}
+    masses = _empty_masses()
+    branches = _step(kernel, branches, LEFT_MARKER, masses)
+    branches, ends, den, base = _advance_blocks(kernel, branches, block, reps, masses)
+    # The weights and ``ends`` are over ``den``: the right end-marker's
+    # masses join them, and each category is divided by ``den`` once.
+    branches = _step(kernel, branches, RIGHT_MARKER, ends)
+    for category, values in ends.items():
+        if values:
+            masses[category].append(_divided(prob_sum(values), den, base))
     if branches:
         raise MachineError("live branches remain after the right end-marker")
     return _masses_to_distribution(masses)
@@ -509,27 +534,6 @@ def _jump(rows: _Memo, keys: list, branches: dict, blocks: int) -> tuple:
             )
     live = {key: w for key, w in zip(keys, scaled) if w}
     return live, ends, v_den * den**blocks, v_den * den
-
-
-def _run_pfa(spec: MachineSpec, input_str: str) -> OutcomeDistribution:
-    """Realtime PFA: push the exact state distribution through each symbol.
-
-    The whole tape is consumed; mass sitting in the accept, reject, or
-    don't-know state at the end decides, anything else is residual.
-    Absorbing behavior of halting states is up to the matrices.
-    """
-    tape = tape_of(spec, input_str)
-    dist: "dict[str, Fraction]" = {spec.initial_state: Fraction(1)}
-    for sym in tape:
-        matrix = spec.stochastic_delta.get(sym)
-        if matrix is None:
-            raise MachineError(f"no stochastic matrix for symbol {sym!r}")
-        dist = matrix.push(dist)
-    masses = _empty_masses()
-    for state, mass in dist.items():
-        category = _decision(spec, state) or CATEGORY_CONTINUE
-        masses[category].append(ExactProb(mass))
-    return _masses_to_distribution(masses)
 
 
 @dataclass(frozen=True)
@@ -859,9 +863,10 @@ def _sample_outcome(node: _StochNode, rng: SplittableRng, precision_bits: int) -
             raise RuntimeError("sampling failed to separate outcome boundaries")
 
 
-def _terminal(category: str) -> "tuple[str, Optional[str]]":
-    """The ("restart", None) or ("halt", category) target of a decided branch."""
-    return ("restart", None) if category == CATEGORY_CONTINUE else ("halt", category)
+def _terminal(category: str, state: str) -> "tuple[str, Optional[str]]":
+    """The ("restart", None) or ("halt", category) target of a branch
+    decided by entering ``state``; a PFA's residual mass halts."""
+    return ("restart", None) if state == RESTART_TARGET else ("halt", category)
 
 
 class _CompiledMachine:
@@ -885,7 +890,7 @@ class _CompiledMachine:
         sym = self.tape[pos]
         spec = self.kernel.spec
         targets = [
-            _terminal(category)
+            _terminal(category, state2)
             if category is not None
             else ("node", (_moved(pos, offset, self.last), state2, reg2))
             for category, state2, offset, reg2, _ in successors
@@ -922,7 +927,7 @@ class _CompiledMachine:
                 break
             category, state2, offset, reg2, _ = successors[0]
             if category is not None:
-                kind, payload = _terminal(category)
+                kind, payload = _terminal(category, state2)
                 steps += 1
                 self._memo[cur] = (kind, payload, 1)
                 break
@@ -935,7 +940,7 @@ class _CompiledMachine:
 
 
 def _sample_trial(
-    compiled: "Union[_CompiledMachine, _CompiledPfa]",
+    compiled: _CompiledMachine,
     rng: SplittableRng,
     step_cap: Optional[int],
     precision_bits: int,
@@ -961,7 +966,7 @@ def _sample_trial(
             node = payload
 
 
-def _check_halt_reachable(compiled: "Union[_CompiledMachine, _CompiledPfa]") -> None:
+def _check_halt_reachable(compiled: _CompiledMachine) -> None:
     """Raise unless a trial can reach a halting decision.
 
     A breadth-first search from the start through ``resolve`` and the
@@ -1004,10 +1009,7 @@ def run_monte_carlo(
     """
     if trials <= 0:
         raise ValueError("trials must be positive")
-    if spec.model_class == MODEL_RTPFA:
-        compiled = _CompiledPfa(spec, input_str)
-    else:
-        compiled = _CompiledMachine(spec, input_str, precision_bits)
+    compiled = _CompiledMachine(spec, input_str, precision_bits)
     if step_cap is None:
         _check_halt_reachable(compiled)
     rng_root = SplittableRng(seed)
@@ -1030,41 +1032,6 @@ def run_monte_carlo(
     )
 
 
-class _CompiledPfa:
-    """A realtime PFA as a compiled graph of stochastic nodes.
-
-    The classical state plays the register role; every square is a
-    stochastic node over the rows of that symbol's matrix.
-    """
-
-    def __init__(self, spec: MachineSpec, input_str: str):
-        self.tape = tape_of(spec, input_str)
-        self.last = len(self.tape) - 1
-        self.start = (0, spec.initial_state, None)
-        self._spec = spec
-        self._memo: dict = {}
-
-    def resolve(self, node):
-        entry = self._memo.get(node)
-        if entry is None:
-            entry = self._memo[node] = self._resolve(node)
-        return entry
-
-    def _resolve(self, node):
-        pos, cstate, _ = node
-        category = _decision(self._spec, cstate)
-        if category is not None:
-            return ("halt", category, 0)
-        if pos > self.last:
-            return ("halt", CATEGORY_CONTINUE, 0)
-        matrix = self._spec.stochastic_delta[self.tape[pos]]
-        row = matrix.rows[matrix.order.index(cstate)]
-        branches = [(state, p) for state, p in zip(matrix.order, row) if p != 0]
-        targets = [("node", (pos + 1, state, None)) for state, _ in branches]
-        outcomes = [(str(i), None, p) for i, (_, p) in enumerate(branches)]
-        return ("stoch", _StochNode(node, targets, lambda _bits: outcomes), 0)
-
-
 def run_unary_length(
     spec: MachineSpec, length: int, precision_bits: int = 64, walk_limit: int = 1 << 22
 ) -> OutcomeDistribution:
@@ -1073,20 +1040,21 @@ def run_unary_length(
     Closed forms avoid materializing the input: a self-looping rotation
     square contributes its angle times the length, and a classical or
     matrix register that revisits a configuration is advanced by cycle
-    arithmetic. Falls back to a ValueError when the evolution inside the
-    unary run is not deterministic, in which case the caller should use
-    run_exact_realtime on the materialized string.
+    arithmetic. A PFA takes the block path with the letter as its block.
+    Falls back to a ValueError when the evolution inside the unary run
+    of any other machine is not deterministic, in which case the caller
+    should use run_exact_realtime on the materialized string.
     """
     if length < 0:
         raise ValueError("length must be nonnegative")
     if len(spec.alphabet) != 1:
         raise ValueError("unary fast path requires a one-symbol alphabet")
-    if spec.model_class == MODEL_RTPFA:
-        return _unary_pfa(spec, length)
-    if not spec.is_realtime():
-        raise ValueError("unary fast path requires a realtime machine class")
     sym = spec.alphabet[0]
     kernel = _Kernel(spec, precision_bits)
+    if spec.stochastic_delta:
+        return _run_blocks(kernel, sym, length)
+    if not spec.is_realtime():
+        raise ValueError("unary fast path requires a realtime machine class")
     masses = _empty_masses()
     # The left end-marker may branch; each branch is advanced separately.
     live: "list[tuple[str, Register, Fraction]]" = []
@@ -1114,7 +1082,8 @@ def run_unary_length(
 def _advance_unary(
     kernel: _Kernel, cstate: str, reg: Register, sym: str, length: int, walk_limit: int
 ):
-    """Advance one deterministic branch over `length` unary squares."""
+    """Advance one deterministic branch over `length` unary squares; a
+    PFA never gets here, as ``run_unary_length`` sends it to ``_run_blocks``."""
     if length == 0:
         return ("live", cstate, reg)
     action = kernel.spec.quantum_delta.get((cstate, sym))
@@ -1148,25 +1117,6 @@ def _advance_unary(
         seen[key] = consumed
         seq.append(key)
     return ("live", cstate, reg)
-
-
-def _unary_pfa(spec: MachineSpec, length: int) -> OutcomeDistribution:
-    sym = spec.alphabet[0]
-    order = spec.stochastic_delta[sym].order
-    dist = {spec.initial_state: Fraction(1)}
-    dist = spec.stochastic_delta[LEFT_MARKER].push(dist)
-    vector = tuple(dist.get(s, Fraction(0)) for s in order)
-    (vector,) = _matrix_power(spec.stochastic_delta[sym].rows, length, (vector,))
-    dist = {s: v for s, v in zip(order, vector) if v}
-    final = spec.stochastic_delta[RIGHT_MARKER]
-    if final.order != order:
-        dist = {s: dist.get(s, Fraction(0)) for s in final.order}
-    dist = final.push(dist)
-    masses = _empty_masses()
-    for state, mass in dist.items():
-        category = _decision(spec, state) or CATEGORY_CONTINUE
-        masses[category].append(ExactProb(mass))
-    return _masses_to_distribution(masses)
 
 
 def _matrix_power(rows, exponent: int, start):

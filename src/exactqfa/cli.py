@@ -45,7 +45,15 @@ from .contextuality import (
     transcript_to_json_text,
 )
 from .exactnum import MIN_PRECISION_BITS, ExactnessError, format_rational
-from .machines import MODEL_RESTARTING, MODEL_SWEEPING, MachineSpec, emit_spec, parse_spec, validate
+from .machines import (
+    MODEL_RESTARTING,
+    MODEL_SWEEPING,
+    MachineSpec,
+    SpecFormatError,
+    emit_spec,
+    parse_spec,
+    validate,
+)
 from .problems import (
     PROBLEM_EQ,
     PROBLEM_EVENODD,
@@ -599,7 +607,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (MachineError, NonterminatingError, ExactnessError, InfeasibleParameters) as exc:
+    except (MachineError, NonterminatingError, ExactnessError, InfeasibleParameters, SpecFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except OSError as exc:

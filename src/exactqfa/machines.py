@@ -18,7 +18,9 @@ reports the fixed outcome "1"), then a classical transition keyed on
 move. A missing quantum entry means identity evolution with outcome "1".
 Halting happens by entering the accept, reject, or don't-know state; a
 restarting machine may instead route a right-end-marker outcome to the
-reserved target "restart", which begins the next round.
+reserved target "restart", which begins the next round. A realtime PFA
+reads the whole tape and decides by the state it holds after the right
+end-marker; a halting state absorbs only if its matrix rows make it.
 """
 
 from __future__ import annotations
@@ -129,6 +131,8 @@ class StochasticMatrix:
 
     def __post_init__(self) -> None:
         n = len(self.order)
+        if len(set(self.order)) != n:
+            raise ValueError(f"stochastic matrix state order repeats a state: {list(self.order)}")
         if len(self.rows) != n or any(len(r) != n for r in self.rows):
             raise ValueError("stochastic matrix shape does not match state order")
         for state, row in zip(self.order, self.rows):
@@ -136,18 +140,6 @@ class StochasticMatrix:
                 raise ValueError(f"negative transition probability from {state}")
             if sum(row) != 1:
                 raise ValueError(f"row for {state} does not sum to 1")
-
-    def push(self, distribution: "dict[str, Fraction]") -> "dict[str, Fraction]":
-        """Advance an exact distribution over states by one step."""
-        out: "dict[str, Fraction]" = {}
-        for state, mass in distribution.items():
-            if mass == 0:
-                continue
-            row = self.rows[self.order.index(state)]
-            for target, p in zip(self.order, row):
-                if p:
-                    out[target] = out.get(target, Fraction(0)) + mass * p
-        return out
 
     def to_json(self) -> dict:
         return {

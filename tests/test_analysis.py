@@ -61,6 +61,7 @@ from exactqfa.machines import (
     validate,
 )
 from exactqfa.qstate import ProjectiveMeasurement, QMatrix
+from test_sampling import _thirds_pfa
 
 ROT = QMatrix.from_rows(
     [[Fraction(3, 5), Fraction(4, 5)], [Fraction(-4, 5), Fraction(3, 5)]]
@@ -284,6 +285,84 @@ def test_pfa_fair_coin_exact():
         assert dist.p_reject.value == Fraction(1, 2)
 
 
+def small_pfa(name: str, rows_by_symbol: dict) -> MachineSpec:
+    """A PFA over the states s1, s2, s_a, s_r, with each symbol's rows in that order."""
+    order = ("s1", "s2", "s_a", "s_r")
+    return MachineSpec(
+        name=name,
+        model_class=MODEL_RTPFA,
+        register=REGISTER_CLASSICAL,
+        quantum_dim=1,
+        states=frozenset(order),
+        initial_state="s1",
+        accept_state="s_a",
+        reject_state="s_r",
+        dont_know_state=None,
+        alphabet=tuple(sym for sym in rows_by_symbol if sym not in (LEFT_MARKER, RIGHT_MARKER)),
+        stochastic_delta={
+            sym: StochasticMatrix(order, tuple(tuple(Fraction(x) for x in row) for row in rows))
+            for sym, rows in rows_by_symbol.items()
+        },
+    )
+
+
+PFA_KEEP = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+HALF, THIRD = Fraction(1, 2), Fraction(1, 3)
+
+
+def bouncing_pfa() -> MachineSpec:
+    """On "a", s1 enters s_a or stays with 1/2 each, and s_a goes back to
+    s1: the accept state does not absorb, so "aa" accepts with 1/4."""
+    bounce = ((HALF, 0, HALF, 0), (0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1))
+    return small_pfa("bouncing", {LEFT_MARKER: PFA_KEEP, "a": bounce, RIGHT_MARKER: PFA_KEEP})
+
+
+def residual_pfa() -> MachineSpec:
+    """The right end-marker leaves a third of s2's mass in s2, so a^n
+    ends with p_continue (1 - 2^-n)/3."""
+    split = ((HALF, HALF, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    end = ((0, 0, 1, 0), (0, THIRD, THIRD, THIRD), (0, 0, 1, 0), (0, 0, 0, 1))
+    return small_pfa("residual", {LEFT_MARKER: PFA_KEEP, "a": split, RIGHT_MARKER: end})
+
+
+def two_letter_pfa() -> MachineSpec:
+    """Branches on both letters, leaves s_a on "a", and keeps s2's mass at the end."""
+    a = ((HALF, HALF, 0, 0), (0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1))
+    b = ((1, 0, 0, 0), (THIRD, 0, 2 * THIRD, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    end = ((0, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    return small_pfa("two-letter", {LEFT_MARKER: PFA_KEEP, "a": a, "b": b, RIGHT_MARKER: end})
+
+
+def test_small_pfas_are_valid():
+    for spec in (bouncing_pfa(), residual_pfa(), two_letter_pfa()):
+        assert validate(spec) == []
+
+
+def _within_hoeffding(count: int, trials: int, p: Fraction, delta: float = 1e-9) -> bool:
+    """count/trials is within the Hoeffding bound that a fair sampler of
+    probability p leaves with probability at most delta."""
+    return abs(Fraction(count, trials) - p) <= math.sqrt(math.log(2 / delta) / (2 * trials))
+
+
+def test_monte_carlo_on_a_pfa_whose_accept_state_does_not_absorb():
+    spec = bouncing_pfa()
+    assert run_exact_realtime(spec, "aa").p_accept == ExactProb(Fraction(1, 4))
+    result = run_monte_carlo(spec, "aa", 4000, seed=1)
+    assert _within_hoeffding(result.counts["accept"], 4000, Fraction(1, 4))
+    # Every trial reads the whole tape: the two end-markers and two a's.
+    assert result.mean_steps == 4
+
+
+def test_monte_carlo_on_a_pfa_halts_its_residual_mass_as_continue():
+    spec = residual_pfa()
+    dist = run_exact_realtime(spec, "aaa")
+    assert dist.p_continue == ExactProb(Fraction(7, 24))
+    result = run_monte_carlo(spec, "aaa", 4000, seed=2)
+    assert _within_hoeffding(result.counts["continue"], 4000, dist.p_continue.value)
+    assert result.counts["capped"] == 0
+    assert result.mean_rounds == 1
+
+
 def bounce_machine() -> MachineSpec:
     """Sweeping machine with a 9/25 accept coin per iteration.
 
@@ -449,7 +528,7 @@ def mod_dfa(modulus: int) -> MachineSpec:
 
 
 def test_unary_fast_path_matches_general_runner():
-    for spec in (turn_machine(), mod_dfa(3), fair_coin_pfa()):
+    for spec in (turn_machine(), mod_dfa(3), fair_coin_pfa(), _thirds_pfa(), bouncing_pfa()):
         for n in (0, 1, 2, 5, 9):
             assert run_unary_length(spec, n) == run_exact_realtime(spec, "a" * n)
 
@@ -629,6 +708,8 @@ PERIODIC_CASES = (
     # Every branch halts in the first block, or on the left end-marker.
     + [(first_b_rejecter(), word) for word in ("b" * 3, "ab" * 4, "aab" * 9)]
     + [(first_b_rejecter(halt_on_left=True), "ab" * 3)]
+    + [(pfa, "a" * 9) for pfa in (fair_coin_pfa(), _thirds_pfa(), bouncing_pfa(), residual_pfa())]
+    + [(two_letter_pfa(), "ab" * 6), (two_letter_pfa(), "aba" * 4)]
 )
 
 

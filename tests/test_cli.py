@@ -11,7 +11,8 @@ import pytest
 from exactqfa import cli
 from exactqfa.analysis import MAX_PRECISION_BITS
 from exactqfa.exactnum import MIN_PRECISION_BITS, one_minus_inv_e_bracket
-from exactqfa.machines import parse_spec, validate
+from exactqfa.machines import emit_spec, parse_spec, validate
+from test_analysis import fair_coin_pfa
 
 
 def run_cli(capsys, *argv):
@@ -146,6 +147,36 @@ class TestAnalyze:
         doc = json.loads(out)
         assert doc["machine"] == "AW_PAL"
         assert doc["result"]["p_accept"] == "1/1"
+
+    def test_pfa_spec_file_in_exact_and_mc_mode(self, capsys, tmp_path):
+        # Both outputs are pinned to the bytes the dedicated PFA runners printed.
+        path = tmp_path / "fair-coin.json"
+        path.write_text(emit_spec(fair_coin_pfa()) + "\n", encoding="utf-8")
+        argv = ("analyze", "--spec-file", str(path), "--input", "a7")
+        head = '{\n  "input": "aaaaaaa",\n  "input_length": 7,\n  "machine": "fair-coin",\n'
+        code, out, _ = run_cli(capsys, *argv, "--mode", "exact")
+        assert code == 0
+        assert out == head + (
+            '  "mode": "exact",\n  "result": {\n    "p_accept": "1/2",\n    "p_continue": "0/1",\n'
+            '    "p_dont_know": "0/1",\n    "p_reject": "1/2"\n  }\n}\n'
+        )
+        code, out, _ = run_cli(capsys, *argv, "--mode", "mc", "--trials", "300", "--seed", "5")
+        assert code == 0
+        assert out == head + (
+            '  "mode": "mc",\n  "result": {\n    "counts": {\n      "accept": 138,\n'
+            '      "capped": 0,\n      "continue": 0,\n      "dont_know": 0,\n      "reject": 162\n'
+            '    },\n    "mean_rounds": "1/1",\n    "mean_steps": "9/1",\n    "trials": 300\n  }\n}\n'
+        )
+
+    def test_spec_file_with_a_repeated_matrix_state_exits_2(self, capsys, tmp_path):
+        doc = json.loads(emit_spec(fair_coin_pfa()))
+        doc["stochastic_delta"]["a"]["order"] = ["s1", "s1", "s_r"]
+        path = tmp_path / "repeated.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli(capsys, "analyze", "--spec-file", str(path), "--input", "a", "--mode", "exact")
+        assert code == 2
+        assert out == ""
+        assert "repeats a state" in err
 
     def test_eq_blocks_parameter(self, capsys):
         code, out, _ = run_cli(

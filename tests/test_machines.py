@@ -254,6 +254,13 @@ def test_pfa_missing_symbol_matrix_is_flagged():
     assert any("missing symbol" in msg for msg in violations)
 
 
+def test_stochastic_matrix_rejects_a_repeated_state():
+    # The second s1 row would never be read: rows are found by order.index.
+    rows = tuple(tuple(Fraction(int(r == c)) for c in range(4)) for r in range(4))
+    with pytest.raises(ValueError, match="repeats a state"):
+        StochasticMatrix(("s1", "s1", "s_a", "s_r"), rows)
+
+
 def test_stochastic_rows_must_sum_to_one():
     with pytest.raises(ValueError, match="sum to 1"):
         StochasticMatrix(("x", "y"), ((Fraction(1, 2), Fraction(1, 3)), (Fraction(0), Fraction(1))))

@@ -18,7 +18,6 @@ from exactqfa.analysis import (
     MAX_PRECISION_BITS,
     MonteCarloResult,
     _CompiledMachine,
-    _CompiledPfa,
     _sample_outcome,
     _StochNode,
     run_monte_carlo,
@@ -229,7 +228,7 @@ def test_interval_nodes_around_every_cut():
 
 
 def test_pfa_nodes_around_every_cut():
-    kind, node, _ = _CompiledPfa(_thirds_pfa(), "a").resolve((1, "s1", None))
+    kind, node, _ = _CompiledMachine(_thirds_pfa(), "a", 64).resolve((1, "s1", None))
     assert kind == "stoch" and len(node.targets) == 2
     for first in _near_cuts(node):
         got, want = _both_outcomes(node, [first, THIRD, 5])
