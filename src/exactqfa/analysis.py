@@ -128,12 +128,7 @@ def _masses_to_distribution(masses: "dict[str, list[ProbValue]]") -> OutcomeDist
     total = prob_sum(sums.values()).as_interval()
     if not total.contains(Fraction(1)):
         raise MachineError(f"total terminal mass {total} does not cover 1")
-    return OutcomeDistribution(
-        sums[CATEGORY_ACCEPT],
-        sums[CATEGORY_REJECT],
-        sums[CATEGORY_DONT_KNOW],
-        sums[CATEGORY_CONTINUE],
-    )
+    return OutcomeDistribution(*(sums[cat] for cat in CATEGORIES))
 
 
 _BASIS_2 = ProjectiveMeasurement.from_partition(2, {"1": [0], "2": [1]})
@@ -483,6 +478,11 @@ def _closed_keys(rows: _Memo, branches: dict) -> "Optional[list]":
     return keys
 
 
+# The largest denominator, in bits, that ``_jump`` builds. Every product
+# of its power pays for each bit, so a bigger answer is refused.
+MAX_JUMP_BITS = 1 << 25
+
+
 def _jump(rows: _Memo, keys: list, branches: dict, blocks: int) -> tuple:
     """Advance ``branches`` over ``blocks`` blocks as v·M^blocks.
 
@@ -518,6 +518,10 @@ def _jump(rows: _Memo, keys: list, branches: dict, blocks: int) -> tuple:
     # v·M^blocks = w·N^blocks / (v_den·den^blocks) needs no gcd until the end.
     den = math.lcm(*(x.denominator for row in matrix for x in row))
     v_den = math.lcm(*(x.denominator for x in start))
+    # den^blocks has at least blocks * (den.bit_length() - 1) + 1 bits.
+    bits = blocks * (den.bit_length() - 1) + v_den.bit_length()
+    if bits > MAX_JUMP_BITS:
+        raise MachineError(f"a jump's answer needs at least {bits} bits, over the cap of {MAX_JUMP_BITS}")
     (scaled,) = _matrix_power(
         [[x.numerator * (den // x.denominator) for x in row] for row in matrix],
         blocks,
@@ -608,6 +612,32 @@ def analyze_restarting(
     )
 
 
+def _sweep_tick(kernel: _Kernel, tape: "list[str]", live: dict, tick: int, decided: list) -> dict:
+    """Advance every live branch of a two-way run one square.
+
+    ``live`` maps (pos, state, register, sweeps) to a weight, and branches
+    that reach equal keys merge. A sweep completes when the head arrives
+    at either end-marker. Each decided mass is appended to ``decided`` as
+    (category, mass, tick, sweeps).
+    """
+    last = len(tape) - 1
+    new_live: "dict[tuple[int, str, Register, int], Fraction]" = {}
+    for (pos, cstate, reg, sweeps), weight in live.items():
+        for category, state2, offset, reg2, p in kernel.successors(cstate, tape[pos], reg):
+            if category == CATEGORY_CONTINUE:
+                raise MachineError("restart is not part of the sweeping model")
+            if category is not None:
+                decided.append((category, _weighted(weight, p), tick, sweeps))
+                continue
+            share = _live_share(weight, p)
+            pos2 = _moved(pos, offset, last)
+            arrived = pos2 != pos and pos2 in (0, last)
+            key = (pos2, state2, reg2, sweeps + 1 if arrived else sweeps)
+            merged = new_live.get(key)
+            new_live[key] = share if merged is None else merged + share
+    return new_live
+
+
 def run_exact_sweeping(
     spec: MachineSpec, input_str: str, max_sweeps: int, precision_bits: int = 64
 ) -> OutcomeDistribution:
@@ -623,28 +653,22 @@ def run_exact_sweeping(
     if max_sweeps < 0:
         raise ValueError("max_sweeps must be nonnegative")
     tape = tape_of(spec, input_str)
-    last = len(tape) - 1
     step_budget = (max_sweeps + 1) * (len(tape) + 2) + 16
     kernel = _Kernel(spec, precision_bits)
-    masses = _empty_masses()
-    stack = [(0, spec.initial_state, initial_register(spec), Fraction(1), 0, 0)]
-    while stack:
-        pos, cstate, reg, weight, sweeps, steps = stack.pop()
-        if sweeps >= max_sweeps:
-            masses[CATEGORY_CONTINUE].append(ExactProb(weight))
-            continue
-        if steps > step_budget:
+    live = {(0, spec.initial_state, initial_register(spec), 0): Fraction(1)}
+    decided: list = []
+    for tick in range(step_budget + 2):
+        # Every live branch has processed ``tick`` squares.
+        for key in [key for key in live if key[3] >= max_sweeps]:
+            decided.append((CATEGORY_CONTINUE, ExactProb(live.pop(key)), tick, key[3]))
+        if not live:
+            break
+        if tick > step_budget:
             raise MachineError("step budget exceeded without sweep progress")
-        for category, state2, offset, reg2, p in kernel.successors(cstate, tape[pos], reg):
-            if category == CATEGORY_CONTINUE:
-                raise MachineError("restart is not part of the sweeping model")
-            if category is not None:
-                masses[category].append(_weighted(weight, p))
-                continue
-            share = _live_share(weight, p)
-            pos2 = _moved(pos, offset, last)
-            arrived = pos2 != pos and pos2 in (0, last)
-            stack.append((pos2, state2, reg2, share, sweeps + (1 if arrived else 0), steps + 1))
+        live = _sweep_tick(kernel, tape, live, tick + 1, decided)
+    masses = _empty_masses()
+    for category, mass, _, _ in decided:
+        masses[category].append(mass)
     return _masses_to_distribution(masses)
 
 
@@ -676,77 +700,50 @@ def analyze_sweeping(
 ) -> SweepingAnalysis:
     """Detect the iteration loop of a sweeping machine and sum the series.
 
-    The exact run proceeds in global ticks (every live branch processes
-    one square per tick). When the live set collapses back to the
-    initial configuration with weight L, one iteration is complete; the
-    decided masses m_i recorded at ticks o_i (with s_i completed sweeps)
-    then give, by geometric summation over independent iterations,
+    The exact run proceeds in global ticks (``_sweep_tick``). When the
+    live set collapses back to the initial configuration with weight L,
+    at whatever sweep count, one iteration is complete; the decided
+    masses m_i recorded at ticks o_i (with s_i completed sweeps) then
+    give, by geometric summation over independent iterations,
 
         overall(category) = sum of category masses / (1 - L)
         E[ticks]  = sum(m_i o_i)/(1 - L) + cycle_ticks * L/(1 - L)
         E[sweeps] = sum(m_i s_i)/(1 - L) + cycle_sweeps * L/(1 - L)
     """
     tape = tape_of(spec, input_str)
-    last = len(tape) - 1
     if tick_cap <= 0:
         tick_cap = 64 * (len(tape) + 2) + 256
     kernel = _Kernel(spec, precision_bits)
     start = (0, spec.initial_state, initial_register(spec))
-    live: "dict[tuple[int, str, Register], Fraction]" = {start: Fraction(1)}
-    decided: "list[tuple[str, Fraction, int, int]]" = []
+    live = {(*start, 0): Fraction(1)}
+    decided: "list[tuple[str, ProbValue, int, int]]" = []
     loop_weight: Optional[Fraction] = None
     cycle_ticks = cycle_sweeps = 0
-    sweeps_by_config: "dict[tuple[int, str, Register], int]" = {start: 0}
     for tick in range(1, tick_cap + 1):
-        new_live: "dict[tuple[int, str, Register], Fraction]" = {}
-        new_sweeps: "dict[tuple[int, str, Register], int]" = {}
-        for (pos, cstate, reg), weight in live.items():
-            sweeps = sweeps_by_config[(pos, cstate, reg)]
-            for category, state2, offset, reg2, p in kernel.successors(cstate, tape[pos], reg):
-                if not isinstance(p, Fraction):
-                    raise ExactnessError("loop analysis requires exact branch masses")
-                if category == CATEGORY_CONTINUE:
-                    raise MachineError("restart is not part of the sweeping model")
-                share = weight if p is _UNIT else weight * p
-                if category is not None:
-                    decided.append((category, share, tick, sweeps))
-                    continue
-                pos2 = _moved(pos, offset, last)
-                arrived = pos2 != pos and pos2 in (0, last)
-                key = (pos2, state2, reg2)
-                merged = new_live.get(key)
-                new_live[key] = share if merged is None else merged + share
-                s2 = sweeps + (1 if arrived else 0)
-                if key in new_sweeps and new_sweeps[key] != s2:
-                    raise MachineError("merged branches disagree on sweep count")
-                new_sweeps[key] = s2
-        live, sweeps_by_config = new_live, new_sweeps
+        live = _sweep_tick(kernel, tape, live, tick, decided)
         if not live:
             loop_weight = Fraction(0)
             break
-        if len(live) == 1 and start in live:
-            loop_weight = live[start]
+        if len(live) == 1 and next(iter(live))[:3] == start:
+            (((*_, cycle_sweeps), loop_weight),) = live.items()
             cycle_ticks = tick
-            cycle_sweeps = sweeps_by_config[start]
             break
+    if not all(mass.is_exact() for _, mass, _, _ in decided):
+        raise ExactnessError("loop analysis requires exact branch masses")
     if loop_weight is None:
         raise MachineError("no iteration structure detected within the tick cap")
     if loop_weight >= 1:
         raise NonterminatingError("the sweeping loop never sheds mass")
     survive = 1 - loop_weight
+    # No branch decides ``continue`` here: that slot holds the loop weight.
     sums = {cat: Fraction(0) for cat in CATEGORIES}
-    tick_mass = Fraction(0)
-    sweep_mass = Fraction(0)
+    sums[CATEGORY_CONTINUE] = loop_weight
+    tick_mass = sweep_mass = Fraction(0)
     for category, mass, tick, sweeps in decided:
-        sums[category] += mass
-        tick_mass += mass * tick
-        sweep_mass += mass * sweeps
-    per_iteration = OutcomeDistribution(
-        ExactProb(sums[CATEGORY_ACCEPT]),
-        ExactProb(sums[CATEGORY_REJECT]),
-        ExactProb(sums[CATEGORY_DONT_KNOW]),
-        ExactProb(loop_weight),
-    )
+        sums[category] += mass.value
+        tick_mass += mass.value * tick
+        sweep_mass += mass.value * sweeps
+    per_iteration = OutcomeDistribution(*(ExactProb(sums[cat]) for cat in CATEGORIES))
     tail = loop_weight / survive
     return SweepingAnalysis(
         per_iteration=per_iteration,
@@ -1032,9 +1029,11 @@ def run_monte_carlo(
     )
 
 
-def run_unary_length(
-    spec: MachineSpec, length: int, precision_bits: int = 64, walk_limit: int = 1 << 22
-) -> OutcomeDistribution:
+# The most squares ``_advance_unary`` walks before it gives up on a cycle.
+UNARY_WALK_LIMIT = 1 << 22
+
+
+def run_unary_length(spec: MachineSpec, length: int, precision_bits: int = 64) -> OutcomeDistribution:
     """Exact realtime run on the unary input of the given length.
 
     Closed forms avoid materializing the input: a self-looping rotation
@@ -1068,7 +1067,7 @@ def run_unary_length(
         else:
             live.append((state2, reg2, p))
     for cstate, reg, weight in live:
-        outcome = _advance_unary(kernel, cstate, reg, sym, length, walk_limit)
+        outcome = _advance_unary(kernel, cstate, reg, sym, length)
         if outcome[0] == "halt":
             masses[outcome[1]].append(ExactProb(weight))
             continue
@@ -1079,9 +1078,7 @@ def run_unary_length(
     return _masses_to_distribution(masses)
 
 
-def _advance_unary(
-    kernel: _Kernel, cstate: str, reg: Register, sym: str, length: int, walk_limit: int
-):
+def _advance_unary(kernel: _Kernel, cstate: str, reg: Register, sym: str, length: int):
     """Advance one deterministic branch over `length` unary squares; a
     PFA never gets here, as ``run_unary_length`` sends it to ``_run_blocks``."""
     if length == 0:
@@ -1093,7 +1090,7 @@ def _advance_unary(
     seq: "list[tuple[str, Register]]" = [(cstate, reg)]
     consumed = 0
     while consumed < length:
-        if consumed > walk_limit:
+        if consumed > UNARY_WALK_LIMIT:
             raise ValueError("unary walk exceeded the configuration limit")
         # The walk stops at its first repeated configuration, so a memo
         # could never hit here.

@@ -192,7 +192,11 @@ def cmd_construct(args) -> int:
 def _build_machine(args):
     if args.spec_file is not None:
         with open(args.spec_file, "r", encoding="utf-8") as handle:
-            return parse_spec(handle.read())
+            spec = parse_spec(handle.read())
+        problems = validate(spec)
+        if problems:
+            raise SpecFormatError(f"invalid machine in {args.spec_file}: " + "; ".join(problems))
+        return spec
     if args.machine is None:
         raise UsageError("name a built-in machine or pass --spec-file")
     if args.machine not in CONSTRUCTION_IDS:

@@ -22,7 +22,7 @@ than silently mis-deciding.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Container, Dict, Optional, Tuple
 
 from .exactnum import dyadic_pi, sqrt2_pi
 from .machines import (
@@ -570,17 +570,22 @@ def build_evenodd_dfa(k: int) -> MachineSpec:
             f"k={k} exceeds the supported cap {EVENODD_DFA_MAX_K} "
             f"(the machine needs 2^(k+1) states)"
         )
-    modulus = 2 ** (k + 1)
+    return build_counter_dfa(f"EVENODD_DFA(k={k})", 2 ** (k + 1), range(2**k))
+
+
+def build_counter_dfa(name: str, modulus: int, accept_residues: Container[int]) -> MachineSpec:
+    """A unary DFA whose states r0, r1, ... count the input length modulo
+    ``modulus``; the end-marker accepts on ``accept_residues``."""
     classical = {
         ("r0", LEFT_MARKER, "1"): ClassicalStep("r0", MOVE_RIGHT),
     }
     for i in range(modulus):
         classical[(f"r{i}", "a", "1")] = ClassicalStep(f"r{(i + 1) % modulus}", MOVE_RIGHT)
-        verdict = "s_a" if i < 2 ** k else "s_r"
+        verdict = "s_a" if i in accept_residues else "s_r"
         classical[(f"r{i}", RIGHT_MARKER, "1")] = ClassicalStep(verdict, MOVE_RIGHT)
     states = frozenset({f"r{i}" for i in range(modulus)} | {"s_a", "s_r"})
     return MachineSpec(
-        name=f"EVENODD_DFA(k={k})",
+        name=name,
         model_class=MODEL_RTDFA,
         register=REGISTER_CLASSICAL,
         quantum_dim=1,

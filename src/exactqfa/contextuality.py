@@ -508,7 +508,7 @@ def _quantum_parity_answer(k: int, multiplier: int) -> int:
     raise ArithmeticError("the parity counter gave a non-deterministic verdict")
 
 
-def memory_game(responder: Responder, rounds: int, seed, *, multiplier_range: int = _MULTIPLIER_RANGE) -> InequalityReport:
+def memory_game(responder: Responder, rounds: int, seed) -> InequalityReport:
     """Play the escalating parity game.
 
     Round j (1-based) uses exponent k = 4j and poses two instances of
@@ -526,15 +526,13 @@ def memory_game(responder: Responder, rounds: int, seed, *, multiplier_range: in
     """
     if rounds < 1:
         raise ValueError("rounds must be at least 1")
-    if multiplier_range < 1:
-        raise ValueError("multiplier_range must be at least 1")
     rng = Random(f"memory-game:{seed}")
     per_round: List[MemoryRound] = []
     schedule = tuple(4 * j for j in range(1, rounds + 1))
     for j in range(1, rounds + 1):
         k = 4 * j
-        yes_multiplier = 2 * rng.randrange(multiplier_range)
-        no_multiplier = 2 * rng.randrange(multiplier_range) + 1
+        yes_multiplier = 2 * rng.randrange(_MULTIPLIER_RANGE)
+        no_multiplier = 2 * rng.randrange(_MULTIPLIER_RANGE) + 1
         if isinstance(responder, QuantumQubit):
             yes_answer = _quantum_parity_answer(k, yes_multiplier)
             no_answer = _quantum_parity_answer(k, no_multiplier)

@@ -85,14 +85,6 @@ class GaussianRational:
     def __neg__(self) -> "GaussianRational":
         return GaussianRational(-self.re, -self.im)
 
-    def __truediv__(self, other: "GaussianRational") -> "GaussianRational":
-        norm = other.abs2()
-        if norm == 0:
-            raise ZeroDivisionError("division by zero GaussianRational")
-        conj = other.conjugate()
-        prod = self * conj
-        return GaussianRational(prod.re / norm, prod.im / norm)
-
     def scale(self, factor: Fraction) -> "GaussianRational":
         return GaussianRational(self.re * factor, self.im * factor)
 
@@ -271,11 +263,9 @@ class ApproxProb:
         return False
 
 
-AngleProbability = Union[ExactProb, ApproxProb]
-
-# General alias: any probability-like quantity that is either an exact
-# rational or a certified enclosing interval.
-ProbValue = AngleProbability
+# Any probability-like quantity that is either an exact rational or a
+# certified enclosing interval.
+ProbValue = Union[ExactProb, ApproxProb]
 
 PROB_ZERO = ExactProb(Fraction(0))
 PROB_ONE = ExactProb(Fraction(1))
@@ -404,7 +394,7 @@ def _interval_sin_squared(angle: SymbolicAngle, precision_bits: int) -> Rational
         iv.prec = saved_prec
 
 
-def angle_probability(angle: SymbolicAngle, precision_bits: int = 64) -> AngleProbability:
+def angle_probability(angle: SymbolicAngle, precision_bits: int = 64) -> ProbValue:
     """sin^2 of a symbolic angle, exact when analytically forced.
 
     Returns ExactProb exactly when the value is forced to 0 or 1: a
@@ -442,22 +432,24 @@ def cos_sin_exact(angle: SymbolicAngle) -> "tuple[Fraction, Fraction]":
     return table[quarter_turns]
 
 
-def one_minus_inv_e_bracket(terms: int = 24) -> RationalInterval:
+# Taylor terms of e summed by ``one_minus_inv_e_bracket``.
+E_TAYLOR_TERMS = 24
+
+
+def one_minus_inv_e_bracket() -> RationalInterval:
     """Certified rational bracket around 1 - 1/e.
 
     Uses the exact Taylor partial sum for e with the standard tail bound
     sum_{k>n} 1/k! < 2/(n+1)!, all in rational arithmetic, so both
     endpoints are proven bounds rather than floating-point estimates.
     """
-    if terms < 4:
-        raise ValueError("need at least 4 Taylor terms")
     partial = Fraction(0)
     factorial = 1
-    for k in range(terms + 1):
+    for k in range(E_TAYLOR_TERMS + 1):
         if k > 0:
             factorial *= k
         partial += Fraction(1, factorial)
-    tail = Fraction(2, factorial * (terms + 1))
+    tail = Fraction(2, factorial * (E_TAYLOR_TERMS + 1))
     e_lo, e_hi = partial, partial + tail
     # 1 - 1/e is increasing in e, so bounds map monotonically.
     return RationalInterval(1 - Fraction(1, 1) / e_lo, 1 - Fraction(1, 1) / e_hi)

@@ -14,6 +14,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .analysis import analyze_restarting, run_exact_realtime, run_unary_length
 from .constructions import (
     build_aw_pal,
+    build_counter_dfa,
     build_evenodd_dfa,
     build_evenodd_mcqfa,
     build_exact_eq_restarting,
@@ -38,15 +39,6 @@ from .exactnum import (
     one_minus_inv_e_bracket,
     prob_exact,
     sqrt2_pi,
-)
-from .machines import (
-    LEFT_MARKER,
-    MODEL_RTDFA,
-    MOVE_RIGHT,
-    REGISTER_CLASSICAL,
-    RIGHT_MARKER,
-    ClassicalStep,
-    MachineSpec,
 )
 from .problems import (
     STATUS_OUTSIDE,
@@ -242,28 +234,6 @@ def suite_eq() -> List[CheckResult]:
     return checks
 
 
-def _mod_machine(modulus: int, accept_residues) -> MachineSpec:
-    """A unary DFA that counts its input modulo ``modulus``."""
-    classical = {("m0", LEFT_MARKER, "1"): ClassicalStep("m0", MOVE_RIGHT)}
-    for r in range(modulus):
-        classical[(f"m{r}", "a", "1")] = ClassicalStep(f"m{(r + 1) % modulus}", MOVE_RIGHT)
-        verdict = "s_a" if r in accept_residues else "s_r"
-        classical[(f"m{r}", RIGHT_MARKER, "1")] = ClassicalStep(verdict, MOVE_RIGHT)
-    return MachineSpec(
-        name=f"MOD{modulus}",
-        model_class=MODEL_RTDFA,
-        register=REGISTER_CLASSICAL,
-        quantum_dim=1,
-        states=frozenset({f"m{r}" for r in range(modulus)} | {"s_a", "s_r"}),
-        initial_state="m0",
-        accept_state="s_a",
-        reject_state="s_r",
-        dont_know_state=None,
-        alphabet=("a",),
-        classical_delta=classical,
-    )
-
-
 def suite_evenodd() -> List[CheckResult]:
     failures = []
     runs = 0
@@ -300,12 +270,13 @@ def suite_evenodd() -> List[CheckResult]:
     counterexamples = []
     ok = True
     for modulus, accepts, k in ((2, {0}, 1), (3, {0}, 0), (12, {0, 1, 2, 3}, 2)):
-        result = unary_cycle_check(_mod_machine(modulus, accepts), k)
+        machine = build_counter_dfa(f"MOD{modulus}", modulus, accepts)
+        result = unary_cycle_check(machine, k)
         if result.solves or result.counterexample is None:
             ok = False
             continue
         i = result.counterexample
-        dist = run_unary_length(_mod_machine(modulus, accepts), i * 2 ** k)
+        dist = run_unary_length(machine, i * 2 ** k)
         machine_accepts = dist.p_accept == prob_exact(1)
         if machine_accepts == (i % 2 == 0):
             ok = False

@@ -578,6 +578,22 @@ def test_periodic_run_applies_each_configuration_a_bounded_number_of_times(monke
     assert counts[0] == counts[1] > 0
 
 
+def test_aperiodic_run_takes_recurring_squares_from_the_memo(monkeypatch):
+    # The middle block breaks the period, so the run walks square by
+    # square; its configurations still recur, and the kernel's memo
+    # answers them without applying a matrix again.
+    calls = []
+    apply = QMatrix.apply
+    monkeypatch.setattr(QMatrix, "apply", lambda m, v: calls.append(1) or apply(m, v))
+    spec = build_lv_exptwinpal()
+    counts = []
+    for n in (50, 100):
+        calls.clear()
+        run_exact_realtime(spec, "abcabcaacaac" * n + "aacaacabcabc" + "abcabcaacaac" * n)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
 def reference_realtime(spec: MachineSpec, word: str) -> OutcomeDistribution:
     """Square-by-square exact run, the oracle for the block transfer path."""
     kernel = analysis._Kernel(spec, 64)

@@ -178,6 +178,20 @@ class TestAnalyze:
         assert out == ""
         assert "repeats a state" in err
 
+    def test_spec_file_that_fails_validation_exits_2(self, capsys, tmp_path):
+        # The end-marker matrix leaves out s1, so a run would find no row for it.
+        doc = json.loads(emit_spec(fair_coin_pfa()))
+        doc["stochastic_delta"]["$"] = {
+            "order": ["s_a", "s_r"],
+            "rows": [["1/1", "0/1"], ["0/1", "1/1"]],
+        }
+        path = tmp_path / "no-s1.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli(capsys, "analyze", "--spec-file", str(path), "--input", "a", "--mode", "exact")
+        assert code == 2
+        assert out == ""
+        assert "state order does not cover the state set" in err
+
     def test_eq_blocks_parameter(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -786,3 +800,29 @@ def test_mc_on_a_machine_that_can_never_halt_exits_2():
     )
     assert (result.returncode, result.stdout) == (2, "")
     assert "zero halting mass" in result.stderr
+
+
+def _run_module(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "exactqfa.cli", *argv], capture_output=True, text=True, timeout=60
+    )
+
+
+def test_capped_sweep_run_with_a_large_budget_finishes():
+    result = _run_module(
+        "analyze", "EXACT_PAL_SWEEPING", "--mode", "sweep", "--input", "abaabcaabab", "--max-sweeps", "200"
+    )
+    assert result.returncode == 0
+    assert json.loads(result.stdout)["result"]["p_dont_know"] == "0/1"
+
+
+def test_jump_to_an_oversize_answer_exits_2(tmp_path):
+    # Each letter keeps a third of the mass live, so the answer on a^(10^8)
+    # is 3^-(10^8), a denominator of about 158M bits.
+    doc = json.loads(emit_spec(fair_coin_pfa()))
+    doc["stochastic_delta"]["a"]["rows"][0] = ["1/3", "0/1", "2/3"]
+    path = tmp_path / "thirds.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    result = _run_module("analyze", "--spec-file", str(path), "--input", "a100000000", "--mode", "exact")
+    assert (result.returncode, result.stdout) == (2, "")
+    assert "over the cap" in result.stderr

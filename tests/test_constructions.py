@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from exactqfa import analysis
 from exactqfa.analysis import (
     NonterminatingError,
     analyze_restarting,
@@ -142,6 +143,44 @@ def test_sweeping_pal_budget_behavior():
     # budget admits the third sweep's end-marker visit.
     assert caps[4] == Fraction(16, 25) * Fraction(11169, 390625)
     assert caps[3] == 0
+
+
+@pytest.mark.parametrize("word", ["abaabcaabab", "aacab", "abcaa"])
+def test_sweeping_pal_capped_runs_match_the_loop_analysis(word):
+    # One iteration spans four sweeps and leaves weight L live, so a
+    # budget of 4j sweeps decides p(1 + L + ... + L^(j-1)) of each
+    # category and leaves L^j.
+    spec = build_exact_pal_sweeping()
+    per_iteration = analyze_sweeping(spec, word).per_iteration
+    loop = per_iteration.p_continue.value
+    for j in range(8):
+        dist = run_exact_sweeping(spec, word, max_sweeps=4 * j)
+        series = (1 - loop**j) / (1 - loop)
+        assert dist.p_accept.value == per_iteration.p_accept.value * series
+        assert dist.p_reject.value == per_iteration.p_reject.value * series
+        assert dist.p_continue.value == loop**j
+
+
+def test_sweeping_pal_capped_run_resolves_linearly_many_squares(monkeypatch):
+    # Branches that meet in one configuration merge, so the work grows
+    # with the sweep budget, not with the number of paths.
+    calls = []
+    budget = []
+    successors = analysis._Kernel.successors
+
+    def counted(kernel, *args):
+        calls.append(1)
+        if budget and len(calls) > budget[0]:
+            raise AssertionError(f"more than {budget[0]} squares resolved")
+        return successors(kernel, *args)
+
+    monkeypatch.setattr(analysis._Kernel, "successors", counted)
+    spec = build_exact_pal_sweeping()
+    run_exact_sweeping(spec, "abaabcaabab", max_sweeps=20)
+    budget.append(5 * len(calls))
+    calls.clear()
+    run_exact_sweeping(spec, "abaabcaabab", max_sweeps=80)
+    assert 0 < len(calls) <= budget[0]
 
 
 def lv_word(u, v, t):

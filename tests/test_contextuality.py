@@ -264,8 +264,6 @@ class TestMemoryGame:
             memory_game(QuantumQubit(), 0, seed=1)
         with pytest.raises(ValueError):
             ClassicalBounded(1)
-        with pytest.raises(ValueError):
-            memory_game(QuantumQubit(), 2, seed=1, multiplier_range=0)
 
     def test_summary_csv(self):
         reports = [

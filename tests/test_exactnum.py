@@ -64,9 +64,6 @@ def test_gaussian_arithmetic_basics() -> None:
     z = GaussianRational(Fraction(3, 5), Fraction(-4, 5))
     assert z.abs2() == Fraction(1)
     assert z * z.conjugate() == GaussianRational(Fraction(1), Fraction(0))
-    assert (z / z) == GaussianRational(Fraction(1), Fraction(0))
-    with pytest.raises(ZeroDivisionError):
-        z / GaussianRational(Fraction(0), Fraction(0))
 
 
 gaussians = st.builds(GaussianRational, rationals, rationals)
