@@ -14,7 +14,10 @@ with integer cut points: the exact rational (or certified interval)
 cumulative thresholds scaled by 2^64 and rounded inward. A draw too
 close to a threshold to decide gains 64 more bits and is compared at
 the wider scale, so sampling is unbiased even for interval-valued
-probabilities.
+probabilities. Each trial owns a generator that is seeded only at its
+first draw, so a trial with no random choice seeds nothing, and a trial
+moves from one sampled square to the next along edges cached on the
+square, without building or hashing a configuration.
 
 A realtime PFA runs through the same kernel: each nonzero entry of its
 matrix row is a branch, and it decides only at the right end-marker.
@@ -758,25 +761,34 @@ def analyze_sweeping(
 class SplittableRng:
     """Seedable, splittable source of uniform 64-bit draws.
 
-    Child generators are derived by hashing the parent's seed material
-    with a text label, so any tree of children is fully determined by
-    the root seed and the labels, independent of evaluation order.
-    Draws come from the stdlib Mersenne Twister seeded with the hashed
-    material.
+    The root's seed material is the SHA-256 digest of the UTF-8 text
+    ``"exactqfa:" + repr(seed)``, and a child's is the digest of its
+    parent's material, ``b"/"`` and the UTF-8 label, so any tree of
+    children is fully determined by the root seed and the labels,
+    independent of evaluation order. Draws are ``getrandbits(64)`` of a
+    stdlib ``random.Random`` seeded with the material read as a
+    big-endian integer. That generator is built at the first draw, so a
+    generator that never draws, such as the root or a trial with no
+    random choice, costs only its hash.
     """
+
+    __slots__ = ("_material", "_rng")
 
     def __init__(self, seed, _material: Optional[bytes] = None):
         if _material is None:
             _material = hashlib.sha256(f"exactqfa:{seed!r}".encode()).digest()
         self._material = _material
-        self._rng = random.Random(int.from_bytes(_material, "big"))
+        self._rng: Optional[random.Random] = None
 
     def child(self, label: str) -> "SplittableRng":
         material = hashlib.sha256(self._material + b"/" + label.encode()).digest()
         return SplittableRng(None, _material=material)
 
     def draw64(self) -> int:
-        return self._rng.getrandbits(64)
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = random.Random(int.from_bytes(self._material, "big"))
+        return rng.getrandbits(64)
 
 
 @dataclass(frozen=True)
@@ -811,14 +823,20 @@ class _StochNode:
     ``cut_points``) of the cumulative probability bounds measured at a
     precision of ``bits``. They are kept per (precision, scale), so
     repeated draws at a node measure it only once per precision.
+
+    ``edges`` maps an outcome index whose target is a node to that
+    node's ``_CompiledMachine.resolve`` result. It is filled the first
+    time a trial takes the edge, so later trials go from this square to
+    the next sampled one without building or hashing a node key.
     """
 
-    __slots__ = ("key", "targets", "outcomes_at", "_cuts")
+    __slots__ = ("key", "targets", "outcomes_at", "edges", "_cuts")
 
     def __init__(self, key, targets, outcomes_at: Callable[[int], list]):
         self.key = key
         self.targets = targets
         self.outcomes_at = outcomes_at
+        self.edges: "dict[int, tuple]" = {}
         self._cuts: "dict[tuple[int, int], list[tuple[int, int]]]" = {}
 
     def cuts(self, bits: int, scale_bits: int) -> "list[tuple[int, int]]":
@@ -872,7 +890,10 @@ class _CompiledMachine:
     Deterministic stretches (single outcome of probability one) are
     collapsed into jumps with step counts, so a trial only pays for
     genuine random choices. Nodes are (position, classical state,
-    register) triples.
+    register) triples. ``resolve`` memoizes every node it meets; a trial
+    meets a node key only at the start (``resolve_start``, kept after
+    its first call) and on an edge no trial took before (see
+    ``_StochNode.edges``).
     """
 
     def __init__(self, spec: MachineSpec, input_str: str, precision_bits: int):
@@ -881,6 +902,13 @@ class _CompiledMachine:
         self.kernel = _Kernel(spec, precision_bits)
         self.start = (0, spec.initial_state, initial_register(spec))
         self._memo: dict = {}
+        self._start_resolution: Optional[tuple] = None
+
+    def resolve_start(self) -> tuple:
+        """``resolve(self.start)``, kept after the first call."""
+        if self._start_resolution is None:
+            self._start_resolution = self.resolve(self.start)
+        return self._start_resolution
 
     def _stoch_node(self, key, successors: tuple) -> _StochNode:
         pos, cstate, reg = key
@@ -942,25 +970,33 @@ def _sample_trial(
     step_cap: Optional[int],
     precision_bits: int,
 ) -> "tuple[str, int, int]":
-    """One sampled execution: its verdict, squares and rounds."""
-    node = compiled.start
-    steps = 0
+    """One sampled execution: its verdict, squares and rounds.
+
+    A sampled edge to a node is resolved, and kept on its
+    ``_StochNode``, only after the step cap is tested, so a capped trial
+    resolves nothing past its cap.
+    """
+    kind, payload, steps = compiled.resolve_start()
     rounds = 1
     while True:
-        kind, payload, consumed = compiled.resolve(node)
-        steps += consumed
         if kind == "stoch":
+            node = payload
+            index = _sample_outcome(node, rng, precision_bits)
+            kind, payload = node.targets[index]
             steps += 1
-            kind, payload = payload.targets[_sample_outcome(payload, rng, precision_bits)]
         if step_cap is not None and steps > step_cap:
             return CATEGORY_CAPPED, steps, rounds
         if kind == "halt":
             return payload, steps, rounds
         if kind == "restart":
             rounds += 1
-            node = compiled.start
+            kind, payload, consumed = compiled.resolve_start()
         else:
-            node = payload
+            resolution = node.edges.get(index)
+            if resolution is None:
+                resolution = node.edges[index] = compiled.resolve(payload)
+            kind, payload, consumed = resolution
+        steps += consumed
 
 
 def _check_halt_reachable(compiled: _CompiledMachine) -> None:

@@ -111,14 +111,6 @@ def pal_double_scan_state(word: str) -> QVector:
     return state
 
 
-def pal_miss_probability(word: str) -> Fraction:
-    """Exact probability that the double scan is caught off the first
-    axis, i.e. the end measurement yields outcome "23"."""
-    state = pal_double_scan_state(word)
-    first = state.amplitudes[0]
-    return 1 - (first.re ** 2 + first.im ** 2)
-
-
 def build_aw_pal() -> MachineSpec:
     """Realtime two-pass palindrome checker.
 

@@ -3,11 +3,10 @@
 The first half implements the 3x3 grid of two-qubit Pauli observables
 whose six product identities (three rows multiply to +I, the first two
 columns to +I, the last column to -I) make a perfect classical cell
-assignment impossible.  All identities are verified by exact matrix
-arithmetic, the classical optimum 8/9 is found by exhaustive search
-over constrained deterministic tables, and the quantum strategy is
-sampled from the exact joint outcome distribution of sequential
-commuting measurements on two shared Bell pairs.
+assignment impossible.  The classical optimum 8/9 is found by
+exhaustive search over constrained deterministic tables, and the
+quantum strategy is sampled from the exact joint outcome distribution
+of sequential commuting measurements on two shared Bell pairs.
 
 The second half plays a repeated parity-verification game: round j
 poses one even and one odd multiple-of-2^(4j) counting question.  A
@@ -31,6 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from .analysis import run_unary_length
 from .constructions import build_evenodd_mcqfa
 from .exactnum import GR_ZERO, GaussianRational, cut_points, format_rational, prob_exact
+from .machines import MachineSpec
 from .qstate import QMatrix, QVector
 
 _HALF = Fraction(1, 2)
@@ -114,43 +114,6 @@ MAGIC_GRID = ObservableGrid.from_labels(
 )
 
 _I4 = QMatrix.identity(4)
-_MINUS_I4 = _I4.scale(-1)
-
-
-def verify_grid(grid: ObservableGrid = MAGIC_GRID) -> List[str]:
-    """Exact checks of all structural identities; returns violations."""
-    problems: List[str] = []
-    for r in range(3):
-        for c in range(3):
-            m = grid.cell(r, c)
-            if m != m.conj_transpose():
-                problems.append(f"cell ({r},{c}) is not Hermitian")
-            if not m.is_unitary():
-                problems.append(f"cell ({r},{c}) is not unitary")
-            if m @ m != _I4:
-                problems.append(f"cell ({r},{c}) does not square to the identity")
-    for r in range(3):
-        for c1 in range(3):
-            for c2 in range(c1 + 1, 3):
-                a, b = grid.cell(r, c1), grid.cell(r, c2)
-                if a @ b != b @ a:
-                    problems.append(f"row {r} cells {c1},{c2} do not commute")
-    for c in range(3):
-        for r1 in range(3):
-            for r2 in range(r1 + 1, 3):
-                a, b = grid.cell(r1, c), grid.cell(r2, c)
-                if a @ b != b @ a:
-                    problems.append(f"column {c} cells {r1},{r2} do not commute")
-    for r in range(3):
-        prod = grid.cell(r, 0) @ grid.cell(r, 1) @ grid.cell(r, 2)
-        if prod != _I4:
-            problems.append(f"row {r} does not multiply to +I")
-    for c, want in ((0, _I4), (1, _I4), (2, _MINUS_I4)):
-        prod = grid.cell(0, c) @ grid.cell(1, c) @ grid.cell(2, c)
-        if prod != want:
-            sign = "+I" if want == _I4 else "-I"
-            problems.append(f"column {c} does not multiply to {sign}")
-    return problems
 
 
 # Shared state: two Bell pairs in a 16-dimensional register.  Global
@@ -345,48 +308,56 @@ def quantum_joint_distribution(
 
 
 @lru_cache(maxsize=None)
-def _joint_cuts(
-    i: int, j: int
-) -> Tuple[Tuple[int, ...], Tuple[Tuple[Tuple[int, int, int], Tuple[int, int, int]], ...]]:
-    """The 64-bit draws at which each leaf of quantum_joint_distribution
-    after the first begins, and every leaf's (alice, bob) outcomes."""
+def _quantum_rounds(i: int, j: int) -> Tuple[Tuple[int, ...], Tuple[GameRound, ...]]:
+    """The round table of the quantum strategy on inputs (i, j).
+
+    It gives the 64-bit draws at which each leaf of
+    quantum_joint_distribution after the first begins, and one GameRound
+    per leaf, win flag included. Leaf probabilities are dyadic with
+    small denominators, so every cumulative threshold times 2^64 is an
+    integer and one 64-bit draw samples the distribution exactly: the
+    draw picks the last leaf that begins at or below it.
+    """
     leaves = quantum_joint_distribution(i, j)
     cumulative = list(itertools.accumulate(p for _, _, p in leaves))
     if cumulative[-1] != 1:
         raise AssertionError("joint distribution does not sum to 1")
     cuts = cut_points([(c, c) for c in cumulative], 64)
-    return tuple(lo for lo, _ in cuts[1:]), tuple((alice, bob) for alice, bob, _ in leaves)
-
-
-def _sample_joint(i: int, j: int, rng: Random) -> Tuple[Tuple[int, int, int], Tuple[int, int, int]]:
-    # Leaf probabilities are dyadic with small denominators, so every
-    # cumulative threshold times 2^64 is an integer and one 64-bit draw
-    # samples the distribution exactly: the draw picks the last leaf
-    # that begins at or below it.
-    starts, outcomes = _joint_cuts(i, j)
-    return outcomes[bisect_right(starts, rng.getrandbits(64))]
+    rounds = tuple(GameRound(i, j, alice, bob, _round_wins(i, j, alice, bob)) for alice, bob, _ in leaves)
+    return tuple(lo for lo, _ in cuts[1:]), rounds
 
 
 def play_magic_square(strategy: Strategy, rounds: int, seed) -> GameTranscript:
     """Sample the game: uniform row/column inputs each round, outputs
     from the strategy, win when both parities hold and the common cell
-    agrees."""
+    agrees.
+
+    Every round draws its row and its column; the quantum strategy then
+    draws 64 bits and looks its round up in ``_quantum_rounds``, while a
+    classical strategy plays the one round its tables give for (i, j).
+    """
     if rounds < 1:
         raise ValueError("rounds must be at least 1")
     rng = Random(f"magic-square:{seed}")
+    quantum = isinstance(strategy, QuantumBell)
+    if not quantum:
+        fixed = [
+            [
+                GameRound(i, j, alice, bob, _round_wins(i, j, alice, bob))
+                for j, bob in enumerate(map(tuple, strategy.bob))
+            ]
+            for i, alice in enumerate(map(tuple, strategy.alice))
+        ]
     played: List[GameRound] = []
-    wins = 0
     for _ in range(rounds):
         i = rng.randrange(3)
         j = rng.randrange(3)
-        if isinstance(strategy, QuantumBell):
-            alice_out, bob_out = _sample_joint(i, j, rng)
+        if quantum:
+            starts, table = _quantum_rounds(i, j)
+            played.append(table[bisect_right(starts, rng.getrandbits(64))])
         else:
-            alice_out = tuple(strategy.alice[i])
-            bob_out = tuple(strategy.bob[j])
-        win = _round_wins(i, j, alice_out, bob_out)
-        wins += win
-        played.append(GameRound(i, j, alice_out, bob_out, win))
+            played.append(fixed[i][j])
+    wins = sum(r.win for r in played)
     return GameTranscript(tuple(played), wins, Fraction(wins, rounds))
 
 
@@ -494,13 +465,12 @@ class InequalityReport:
 _MULTIPLIER_RANGE = 16
 
 
-def _quantum_parity_answer(k: int, multiplier: int) -> int:
-    """Run the exact one-qubit counter on the unary instance of length
-    multiplier * 2^k via the closed-form length runner; the verdict is
-    deterministic because the final rotation is an exact half-turn
-    multiple."""
-    machine = build_evenodd_mcqfa(k)
-    dist = run_unary_length(machine, multiplier * 2 ** k)
+def _quantum_parity_answer(counter: MachineSpec, k: int, multiplier: int) -> int:
+    """Run the exact one-qubit counter ``build_evenodd_mcqfa(k)`` on the
+    unary instance of length multiplier * 2^k via the closed-form length
+    runner; the verdict is deterministic because the final rotation is
+    an exact half-turn multiple."""
+    dist = run_unary_length(counter, multiplier * 2 ** k)
     if dist.p_accept == prob_exact(1):
         return 1
     if dist.p_reject == prob_exact(1):
@@ -534,8 +504,9 @@ def memory_game(responder: Responder, rounds: int, seed) -> InequalityReport:
         yes_multiplier = 2 * rng.randrange(_MULTIPLIER_RANGE)
         no_multiplier = 2 * rng.randrange(_MULTIPLIER_RANGE) + 1
         if isinstance(responder, QuantumQubit):
-            yes_answer = _quantum_parity_answer(k, yes_multiplier)
-            no_answer = _quantum_parity_answer(k, no_multiplier)
+            counter = build_evenodd_mcqfa(k)
+            yes_answer = _quantum_parity_answer(counter, k, yes_multiplier)
+            no_answer = _quantum_parity_answer(counter, k, no_multiplier)
             expected = Fraction(1)
         elif 2 ** (k + 1) <= responder.memory_states:
             # Within budget the responder tracks the input length

@@ -1,5 +1,6 @@
 """Exact runs, restart/sweep analyses, Monte Carlo, and unary fast paths."""
 
+import dataclasses
 import fractions
 import math
 import types
@@ -494,6 +495,25 @@ def test_monte_carlo_step_cap():
     assert result.counts["capped"] > 0
     assert _within_five_sigma(result.counts["capped"], 20000, p, p)
     assert result.counts["capped"] + result.counts["reject"] == 20000
+
+
+def test_a_capped_trial_resolves_nothing_past_its_cap():
+    # Outcome 2 of the end measurement (576/625) enters a state that stays
+    # on "$" forever, so resolving that edge raises. With a cap of 3 every
+    # trial is capped at the measurement (its 4th square) before the edge
+    # is resolved; with a cap of 4 a trial resolves it.
+    spin = spin_machine()
+    stuck = {
+        ("s1", RIGHT_MARKER, "2"): ClassicalStep("stuck", MOVE_STAY),
+        ("stuck", RIGHT_MARKER, "1"): ClassicalStep("stuck", MOVE_STAY),
+    }
+    spec = dataclasses.replace(
+        spin, states=spin.states | {"stuck"}, classical_delta={**spin.classical_delta, **stuck}
+    )
+    capped = run_monte_carlo(spec, "aa", trials=50, seed=1, step_cap=3)
+    assert capped.counts["capped"] == 50
+    with pytest.raises(NonterminatingError, match="deterministic loop"):
+        run_monte_carlo(spec, "aa", trials=50, seed=1, step_cap=4)
 
 
 def test_monte_carlo_refuses_a_machine_that_can_never_halt():

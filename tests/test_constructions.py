@@ -26,7 +26,6 @@ from exactqfa.constructions import (
     build_exact_twinpal,
     build_lv_exptwinpal,
     pal_double_scan_state,
-    pal_miss_probability,
 )
 from exactqfa.exactnum import ExactProb
 from exactqfa.machines import emit_spec, parse_spec, validate
@@ -43,6 +42,13 @@ ALL_BUILDERS = [
     lambda: build_evenodd_mcqfa(4),
     lambda: build_evenodd_dfa(4),
 ]
+
+
+def pal_miss_probability(word):
+    """Exact probability that the double scan is caught off the first
+    axis, i.e. the end measurement yields outcome "23"."""
+    first = pal_double_scan_state(word).amplitudes[0]
+    return 1 - (first.re ** 2 + first.im ** 2)
 
 
 def words(length, alphabet="ab"):

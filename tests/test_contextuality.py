@@ -31,9 +31,47 @@ from exactqfa.contextuality import (
     quantum_joint_distribution,
     report_to_json_text,
     transcript_to_json_text,
-    verify_grid,
 )
 from exactqfa.qstate import QMatrix, QVector
+
+I4 = QMatrix.identity(4)
+MINUS_I4 = I4.scale(-1)
+
+
+def verify_grid(grid):
+    """Exact checks of all structural identities; returns violations."""
+    problems = []
+    for r in range(3):
+        for c in range(3):
+            m = grid.cell(r, c)
+            if m != m.conj_transpose():
+                problems.append(f"cell ({r},{c}) is not Hermitian")
+            if not m.is_unitary():
+                problems.append(f"cell ({r},{c}) is not unitary")
+            if m @ m != I4:
+                problems.append(f"cell ({r},{c}) does not square to the identity")
+    for r in range(3):
+        for c1 in range(3):
+            for c2 in range(c1 + 1, 3):
+                a, b = grid.cell(r, c1), grid.cell(r, c2)
+                if a @ b != b @ a:
+                    problems.append(f"row {r} cells {c1},{c2} do not commute")
+    for c in range(3):
+        for r1 in range(3):
+            for r2 in range(r1 + 1, 3):
+                a, b = grid.cell(r1, c), grid.cell(r2, c)
+                if a @ b != b @ a:
+                    problems.append(f"column {c} cells {r1},{r2} do not commute")
+    for r in range(3):
+        prod = grid.cell(r, 0) @ grid.cell(r, 1) @ grid.cell(r, 2)
+        if prod != I4:
+            problems.append(f"row {r} does not multiply to +I")
+    for c, want in ((0, I4), (1, I4), (2, MINUS_I4)):
+        prod = grid.cell(0, c) @ grid.cell(1, c) @ grid.cell(2, c)
+        if prod != want:
+            sign = "+I" if want == I4 else "-I"
+            problems.append(f"column {c} does not multiply to {sign}")
+    return problems
 
 
 class TestChiValue:

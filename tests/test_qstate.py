@@ -21,6 +21,7 @@ from exactqfa.qstate import (
     QVector,
     canonical_phase,
 )
+from test_exactnum import abs2
 
 ROT_A = QMatrix.from_rows(
     [
@@ -226,11 +227,11 @@ def reference_canonical_phase(amps):
 
 
 def reference_measure(meas: ProjectiveMeasurement, amps):
-    total = sum((a.abs2() for a in amps), Fraction(0))
+    total = sum((abs2(a) for a in amps), Fraction(0))
     branches = []
     for label, indices in meas.outcomes:
         projected = tuple(a if i in indices else GR_ZERO for i, a in enumerate(amps))
-        mass = sum((a.abs2() for a in projected), Fraction(0))
+        mass = sum((abs2(a) for a in projected), Fraction(0))
         if mass == 0:
             continue
         num, den = mass.numerator, mass.denominator

@@ -3,30 +3,38 @@
 ``_reference_sample_outcome`` and ``_reference_sample_joint`` are the
 samplers as they were when every draw was compared with ``Fraction``
 thresholds. The integer samplers must pick the same outcome and
-consume exactly the same random draws.
+consume exactly the same random draws. Results recorded with earlier
+samplers pin whole runs and games, and the seeded generators are
+checked against their documented derivation.
 """
 
 import hashlib
 import json
 import random
+import types
+from bisect import bisect_right
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exactqfa import analysis
 from exactqfa.analysis import (
     MAX_PRECISION_BITS,
     MonteCarloResult,
+    SplittableRng,
     _CompiledMachine,
     _sample_outcome,
     _StochNode,
     run_monte_carlo,
 )
-from exactqfa.constructions import build_exact_eq_restarting
+from exactqfa.constructions import build_aw_pal, build_exact_eq_restarting, build_exact_twinpal
 from exactqfa.contextuality import (
+    ClassicalDeterministic,
     GameRound,
     QuantumBell,
-    _sample_joint,
+    _quantum_rounds,
+    best_classical_strategy,
     play_magic_square,
     quantum_joint_distribution,
 )
@@ -108,6 +116,13 @@ class ScriptedRng:
         if self.calls <= len(self.draws):
             return self.draws[self.calls - 1]
         return self._rest.getrandbits(64)
+
+
+def _table_round(i, j, rng):
+    """The (alice, bob) outcomes of the ``_quantum_rounds`` row a draw picks."""
+    starts, rounds = _quantum_rounds(i, j)
+    picked = rounds[bisect_right(starts, rng.getrandbits(64))]
+    return picked.alice, picked.bob
 
 
 def _both_outcomes(node, draws, precision_bits=64):
@@ -334,7 +349,7 @@ def test_joint_sampler_around_every_cut():
                 firsts |= {c for c in (cut - 1, cut, cut + 1) if 0 <= c < TOP}
             for first in sorted(firsts):
                 fast, ref = ScriptedRng([first]), ScriptedRng([first])
-                assert _sample_joint(i, j, fast) == _reference_sample_joint(i, j, ref)
+                assert _table_round(i, j, fast) == _reference_sample_joint(i, j, ref)
                 assert fast.calls == ref.calls == 1
 
 
@@ -342,7 +357,7 @@ def test_joint_sampler_around_every_cut():
 @given(st.integers(0, 2), st.integers(0, 2), st.integers(0, TOP - 1))
 def test_random_joint_draws_match_the_reference(i, j, draw):
     fast, ref = ScriptedRng([draw]), ScriptedRng([draw])
-    assert _sample_joint(i, j, fast) == _reference_sample_joint(i, j, ref)
+    assert _table_round(i, j, fast) == _reference_sample_joint(i, j, ref)
     assert fast.calls == ref.calls == 1
 
 
@@ -370,3 +385,115 @@ def test_interval_monte_carlo_matches_recorded_result():
         mean_steps=Fraction(81, 5),
         mean_rounds=Fraction(81, 40),
     )
+
+
+def _transcript_digest(transcript):
+    text = json.dumps(transcript.to_json(), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_classical_games_match_recorded_transcripts():
+    _, best = best_classical_strategy()
+    transcript = play_magic_square(best, 2000, seed=2024)
+    assert transcript.wins == 1794
+    assert _transcript_digest(transcript) == (
+        "a219650cf6c77f6fe39f0ca8d7a9fe0d3990f86668b33a8d800d1af5f02b5ec3"
+    )
+    table = ClassicalDeterministic(((1, 1, 1),) * 3, ((1, 1, 1), (1, 1, 1), (1, 1, -1)))
+    transcript = play_magic_square(table, 200, seed=3)
+    assert transcript.wins == 184
+    assert _transcript_digest(transcript) == (
+        "e80eed7a641e1e67600b5f7d64c2a4a313716469168a5f678059831836214a0d"
+    )
+
+
+def test_round_tables_hold_winning_rounds_of_their_inputs():
+    for i in range(3):
+        for j in range(3):
+            starts, rounds = _quantum_rounds(i, j)
+            assert len(rounds) == len(starts) + 1 == len(quantum_joint_distribution(i, j))
+            assert all((r.i, r.j, r.win) == (i, j, True) for r in rounds)
+
+
+# --- the seeded generators -------------------------------------------
+
+
+def _recipe_draws(material, count):
+    twister = random.Random(int.from_bytes(material, "big"))
+    return [twister.getrandbits(64) for _ in range(count)]
+
+
+def test_generator_draws_follow_the_documented_recipe():
+    for seed in (0, 1, "pin", 2024, None):
+        root_material = hashlib.sha256(f"exactqfa:{seed!r}".encode()).digest()
+        root = SplittableRng(seed)
+        assert [root.draw64() for _ in range(3)] == _recipe_draws(root_material, 3)
+        for label in ("trial:0", "trial:17", "x"):
+            child_material = hashlib.sha256(root_material + b"/" + label.encode()).digest()
+            child = root.child(label)
+            assert [child.draw64() for _ in range(2)] == _recipe_draws(child_material, 2)
+            grandchild_material = hashlib.sha256(child_material + b"/y").digest()
+            assert child.child("y").draw64() == _recipe_draws(grandchild_material, 1)[0]
+
+
+def _count_generators(monkeypatch):
+    built = []
+
+    class CountingRandom(random.Random):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(analysis, "random", types.SimpleNamespace(Random=CountingRandom))
+    return built
+
+
+def test_trials_that_never_draw_seed_no_generator(monkeypatch):
+    built = _count_generators(monkeypatch)
+    spec = build_aw_pal()
+    assert run_monte_carlo(spec, "abbacabba", 40, seed=5) == MonteCarloResult(
+        trials=40,
+        counts={"accept": 40, "reject": 0, "dont_know": 0, "continue": 0, "capped": 0},
+        mean_steps=Fraction(11),
+        mean_rounds=Fraction(1),
+    )
+    assert built == []
+    assert run_monte_carlo(spec, "abbcabb", 40, seed=5) == MonteCarloResult(
+        trials=40,
+        counts={"accept": 29, "reject": 11, "dont_know": 0, "continue": 0, "capped": 0},
+        mean_steps=Fraction(9),
+        mean_rounds=Fraction(1),
+    )
+    assert len(built) == 40
+
+
+# Recorded before trials followed cached edges: 120 trials at seed 11.
+# The caps between 10 and 60 stop some trials but not all.
+_CAPPED_RUNS = {
+    ("eq", None): ((45, 75, 0), Fraction(82, 5), Fraction(41, 20)),
+    ("eq", 5): ((0, 0, 120), None, None),
+    ("eq", 10): ((20, 36, 64), Fraction(8), Fraction(1)),
+    ("eq", 16): ((32, 55, 33), Fraction(944, 87), Fraction(118, 87)),
+    ("eq", 30): ((41, 63, 16), Fraction(13), Fraction(13, 8)),
+    ("eq", 60): ((45, 74, 1), Fraction(16), Fraction(2)),
+    ("twin", None): ((82, 38, 0), Fraction(30043, 60), Fraction(2311, 60)),
+    ("twin", 10): ((0, 0, 120), None, None),
+    ("twin", 16): ((1, 0, 119), Fraction(13), Fraction(1)),
+    ("twin", 30): ((5, 0, 115), Fraction(117, 5), Fraction(9, 5)),
+    ("twin", 60): ((8, 4, 108), Fraction(143, 4), Fraction(11, 4)),
+}
+
+
+def test_step_capped_runs_match_recorded_results():
+    machines = {
+        "eq": (build_exact_eq_restarting(), "aabaaa"),
+        "twin": (build_exact_twinpal(), "abcabcbacba"),
+    }
+    for (name, cap), ((accept, reject, capped), steps, rounds) in _CAPPED_RUNS.items():
+        spec, word = machines[name]
+        assert run_monte_carlo(spec, word, 120, seed=11, step_cap=cap) == MonteCarloResult(
+            trials=120,
+            counts={"accept": accept, "reject": reject, "dont_know": 0, "continue": 0, "capped": capped},
+            mean_steps=steps,
+            mean_rounds=rounds,
+        ), (name, cap)
