@@ -21,6 +21,10 @@ square, without building or hashing a configuration.
 
 A realtime PFA runs through the same kernel: each nonzero entry of its
 matrix row is a branch, and it decides only at the right end-marker.
+
+A unary run takes the block path on its letter, where each live branch
+first tries a closed form: a self-looping rotation turns by its angle
+times the length, and a deterministic walk skips its whole cycles.
 """
 
 from __future__ import annotations
@@ -352,6 +356,19 @@ def run_exact_realtime(
     return _masses_to_distribution(masses)
 
 
+def run_unary_length(spec: MachineSpec, length: int, precision_bits: int = 64) -> OutcomeDistribution:
+    """The exact realtime run on the unary input of the given length, which
+    is never built: it is the block path with the machine's one letter as
+    its block, so the unary closed forms of ``_advance_blocks`` apply."""
+    if length < 0:
+        raise ValueError("length must be nonnegative")
+    if len(spec.alphabet) != 1:
+        raise ValueError("unary fast path requires a one-symbol alphabet")
+    if not spec.is_realtime():
+        raise ValueError("unary fast path requires a realtime machine class")
+    return _run_blocks(_Kernel(spec, precision_bits), spec.alphabet[0], length)
+
+
 def _run_blocks(kernel: _Kernel, block: str, reps: int) -> OutcomeDistribution:
     """The exact run on block^reps, without building the input.
 
@@ -368,9 +385,9 @@ def _run_blocks(kernel: _Kernel, block: str, reps: int) -> OutcomeDistribution:
     masses = _empty_masses()
     branches = _step(kernel, branches, LEFT_MARKER, masses)
     branches, ends, den, base = _advance_blocks(kernel, branches, block, reps, masses)
-    # The weights and ``ends`` are over ``den``: the right end-marker's
-    # masses join them, and each category is divided by ``den`` once.
-    branches = _step(kernel, branches, RIGHT_MARKER, ends)
+    # After a jump the weights and ``ends`` are over ``den``: the right
+    # end-marker's masses join them, and each category is divided once.
+    branches = _step(kernel, branches, RIGHT_MARKER, masses if den == 1 else ends)
     for category, values in ends.items():
         if values:
             masses[category].append(_divided(prob_sum(values), den, base))
@@ -419,19 +436,24 @@ def _block_row(kernel: _Kernel, key: tuple, block: str) -> tuple:
 def _advance_blocks(kernel: _Kernel, branches: dict, block: str, reps: int, masses: dict) -> tuple:
     """Advance the live branches over ``reps`` copies of ``block``.
 
-    The run walks block by block, combining the rows (``_block_row``) of
-    the live keys; a row is kept under the second-sighting rule, and a
-    key seen in two blocks in a row is walked once. Once the kept rows
-    close over the keys the live ones reach, the remaining blocks are
-    taken in one step by ``_jump``; once every branch has halted, the
-    rest is skipped. Exact weights make the result equal to the
-    square-by-square run's, interval ends included.
+    A one-letter block takes the unary closed forms (``_advance_unary``)
+    when every live branch has one. Otherwise the run walks block by
+    block, combining the rows (``_block_row``) of the live keys; a row is
+    kept under the second-sighting rule, and a key seen in two blocks in
+    a row is walked once. Once the kept rows close over the keys the live
+    ones reach, the remaining blocks are taken in one step by ``_jump``;
+    once every branch has halted, the rest is skipped. Exact weights make
+    the result equal to the square-by-square run's, interval ends included.
 
     Returns the live branches, with the decided mass a jump found, both
     as numerators over the common denominator it returns, and last a
     base whose primes include every prime of that denominator; without
     a jump both are 1.
     """
+    if len(block) == 1:
+        advanced = _advance_unary(kernel, branches, block, reps, masses)
+        if advanced is not None:
+            return advanced, _empty_masses(), 1, 1
     rows = _Memo()
     # The rows first seen in the previous block: a key seen again in the
     # next block takes its row from here, not from a second walk.
@@ -460,6 +482,67 @@ def _advance_blocks(kernel: _Kernel, branches: dict, block: str, reps: int, mass
         branches = new_branches
         recent = seen_now
     return branches, _empty_masses(), 1, 1
+
+
+# The most squares ``_unary_end`` walks on one branch before it leaves
+# the run to the block loop.
+UNARY_WALK_LIMIT = 1 << 22
+
+
+def _advance_unary(kernel: _Kernel, branches: dict, sym: str, reps: int, masses: dict) -> Optional[dict]:
+    """The live branches after ``reps`` squares of ``sym``, by closed forms.
+
+    Each branch ends where ``_unary_end`` puts it, and branches that end
+    on equal keys merge; a branch that halts on the way adds its weight
+    to ``masses``. When one branch has no closed form, this returns None
+    and leaves ``masses`` as it was.
+    """
+    ends = [(_unary_end(kernel, key, sym, reps), weight) for key, weight in branches.items()]
+    if any(end is None for end, _ in ends):
+        return None
+    live: "dict[tuple[str, Register], Fraction]" = {}
+    for end, weight in ends:
+        if isinstance(end, str):
+            masses[end].append(ExactProb(weight))
+        else:
+            merged = live.get(end)
+            live[end] = weight if merged is None else merged + weight
+    return live
+
+
+def _unary_end(kernel: _Kernel, key: tuple, sym: str, reps: int):
+    """The key of the branch at ``key`` after ``reps`` squares of ``sym``,
+    the category it halts in on the way, or None without a closed form.
+
+    A self-looping rotation state turns by its angle times ``reps``. Any
+    other branch walks until its configuration recurs, and skips the
+    rest in whole cycles; the walk gives up at a square that is not
+    deterministic, or past ``UNARY_WALK_LIMIT`` squares.
+    """
+    cstate, reg = key
+    action = kernel.spec.quantum_delta.get((cstate, sym))
+    step = kernel.spec.classical_delta.get((cstate, sym, "1"))
+    if isinstance(action, RotateAction) and step is not None and step.state == cstate:
+        return cstate, reg.rotated(action.angle.scale(reps))
+    # The keys walked, in order, each with its square count.
+    seen = {key: 0}
+    while len(seen) <= reps:
+        if len(seen) > UNARY_WALK_LIMIT:
+            return None
+        # The walk stops at its first repeated configuration, so a memo
+        # could never hit here.
+        successors = kernel.resolve(cstate, sym, reg)
+        if not _is_deterministic(successors):
+            return None
+        category, cstate, _, reg, _ = successors[0]
+        if category is not None:
+            return category
+        key = (cstate, reg)
+        if key in seen:
+            start = seen[key]
+            return list(seen)[start + (reps - start) % (len(seen) - start)]
+        seen[key] = len(seen)
+    return key
 
 
 def _closed_keys(rows: _Memo, branches: dict) -> "Optional[list]":
@@ -1063,93 +1146,6 @@ def run_monte_carlo(
         mean_steps=Fraction(step_total, decided) if decided else None,
         mean_rounds=Fraction(round_total, decided) if decided else None,
     )
-
-
-# The most squares ``_advance_unary`` walks before it gives up on a cycle.
-UNARY_WALK_LIMIT = 1 << 22
-
-
-def run_unary_length(spec: MachineSpec, length: int, precision_bits: int = 64) -> OutcomeDistribution:
-    """Exact realtime run on the unary input of the given length.
-
-    Closed forms avoid materializing the input: a self-looping rotation
-    square contributes its angle times the length, and a classical or
-    matrix register that revisits a configuration is advanced by cycle
-    arithmetic. A PFA takes the block path with the letter as its block.
-    Falls back to a ValueError when the evolution inside the unary run
-    of any other machine is not deterministic, in which case the caller
-    should use run_exact_realtime on the materialized string.
-    """
-    if length < 0:
-        raise ValueError("length must be nonnegative")
-    if len(spec.alphabet) != 1:
-        raise ValueError("unary fast path requires a one-symbol alphabet")
-    sym = spec.alphabet[0]
-    kernel = _Kernel(spec, precision_bits)
-    if spec.stochastic_delta:
-        return _run_blocks(kernel, sym, length)
-    if not spec.is_realtime():
-        raise ValueError("unary fast path requires a realtime machine class")
-    masses = _empty_masses()
-    # The left end-marker may branch; each branch is advanced separately.
-    live: "list[tuple[str, Register, Fraction]]" = []
-    for category, state2, _, reg2, p in kernel.successors(
-        spec.initial_state, LEFT_MARKER, initial_register(spec)
-    ):
-        if not isinstance(p, Fraction):
-            raise ExactnessError("interval-valued branch on the left end-marker")
-        if category is not None:
-            masses[category].append(ExactProb(p))
-        else:
-            live.append((state2, reg2, p))
-    for cstate, reg, weight in live:
-        outcome = _advance_unary(kernel, cstate, reg, sym, length)
-        if outcome[0] == "halt":
-            masses[outcome[1]].append(ExactProb(weight))
-            continue
-        for category, _, _, _, p in kernel.successors(outcome[1], RIGHT_MARKER, outcome[2]):
-            if category is None:
-                raise MachineError("right end-marker must halt or restart a realtime machine")
-            masses[category].append(_weighted(weight, p))
-    return _masses_to_distribution(masses)
-
-
-def _advance_unary(kernel: _Kernel, cstate: str, reg: Register, sym: str, length: int):
-    """Advance one deterministic branch over `length` unary squares; a
-    PFA never gets here, as ``run_unary_length`` sends it to ``_run_blocks``."""
-    if length == 0:
-        return ("live", cstate, reg)
-    action = kernel.spec.quantum_delta.get((cstate, sym))
-    if isinstance(action, RotateAction) and kernel.resolve(cstate, sym, reg)[0][1] == cstate:
-        return ("live", cstate, reg.rotated(action.angle.scale(length)))
-    seen = {(cstate, reg): 0}
-    seq: "list[tuple[str, Register]]" = [(cstate, reg)]
-    consumed = 0
-    while consumed < length:
-        if consumed > UNARY_WALK_LIMIT:
-            raise ValueError("unary walk exceeded the configuration limit")
-        # The walk stops at its first repeated configuration, so a memo
-        # could never hit here.
-        successors = kernel.resolve(cstate, sym, reg)
-        if not _is_deterministic(successors):
-            raise ValueError("unary fast path requires deterministic evolution")
-        category, state2, _, reg2, _ = successors[0]
-        if category == CATEGORY_CONTINUE:
-            raise ValueError("unary fast path does not model mid-input restarts")
-        if category is not None:
-            return ("halt", category)
-        cstate, reg = state2, reg2
-        consumed += 1
-        key = (cstate, reg)
-        if key in seen:
-            start = seen[key]
-            period = consumed - start
-            final = start + (length - start) % period
-            cstate, reg = seq[final]
-            return ("live", cstate, reg)
-        seen[key] = consumed
-        seq.append(key)
-    return ("live", cstate, reg)
 
 
 def _matrix_power(rows, exponent: int, start):

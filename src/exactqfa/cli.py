@@ -284,8 +284,8 @@ def cmd_analyze(args) -> int:
         )
     spec = _build_machine(args)
     problem = None if args.problem is None else _problem_of(args)
-    # A unary input over the cap can still run by the closed forms of
-    # run_unary_length, which need only its length.
+    # A unary input over the cap still runs: run_unary_length needs only
+    # its length.
     length = _unary_input_length(args, spec) if mode == "exact" else None
     word = None if length is not None and length > MAX_INPUT_LENGTH else _instance_word(args, problem)
     if word is not None:
@@ -296,14 +296,7 @@ def cmd_analyze(args) -> int:
             if not spec.is_realtime():
                 raise UsageError(f"mode exact needs a realtime machine, not {spec.model_class}")
             if len(spec.alphabet) == 1 and (word is None or set(word) <= set(spec.alphabet)):
-                try:
-                    result = run_unary_length(spec, length, args.precision_bits)
-                except ValueError:
-                    # Branching unary evolution: fall back to the general
-                    # runner on the materialized string.
-                    if word is None:
-                        word = _expand_input(args.input)
-                    result = run_exact_realtime(spec, word, args.precision_bits)
+                result = run_unary_length(spec, length, args.precision_bits)
             else:
                 result = run_exact_realtime(spec, word, args.precision_bits)
         elif mode == "restart":

@@ -73,20 +73,11 @@ class GaussianRational:
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
         return GaussianRational(self.re + other.re, self.im + other.im)
 
-    def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
     def __mul__(self, other: "GaussianRational") -> "GaussianRational":
         return GaussianRational(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
-
-    def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
-
-    def scale(self, factor: Fraction) -> "GaussianRational":
-        return GaussianRational(self.re * factor, self.im * factor)
 
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
@@ -164,9 +155,6 @@ class SymbolicAngle:
                 f"cannot add angles of different kinds: {self.kind} + {other.kind}"
             )
         return SymbolicAngle(self.kind, self.coeff + other.coeff)
-
-    def __neg__(self) -> "SymbolicAngle":
-        return SymbolicAngle(self.kind, -self.coeff)
 
     def scale(self, factor: int) -> "SymbolicAngle":
         return SymbolicAngle(self.kind, self.coeff * factor)

@@ -477,26 +477,27 @@ def _dfa_verdict(dfa: MachineSpec, state: str) -> str:
     return "other"
 
 
-def extract_cycle_structure(dfa: MachineSpec) -> CycleStructure:
-    """Walk the unary machine until a state repeats."""
+def _walk_cycle(dfa: MachineSpec) -> Tuple[List[str], CycleStructure]:
+    """Walk the unary machine until a state repeats: the states after the
+    left end-marker and each letter up to the repeat, and the cycle."""
     if dfa.model_class != MODEL_RTDFA or len(dfa.alphabet) != 1:
         raise ValueError("cycle extraction expects a unary deterministic machine")
     letter = dfa.alphabet[0]
     state = _dfa_successor(dfa, dfa.initial_state, LEFT_MARKER)
+    # The states walked, in order, each with its input length.
     seen = {state: 0}
-    path = [state]
     while True:
         state = _dfa_successor(dfa, state, letter)
         if state in seen:
-            tail = seen[state]
-            period = len(path) - tail
-            break
-        seen[state] = len(path)
-        path.append(state)
-    decisions = tuple(_dfa_verdict(dfa, s) for s in path[tail : tail + period])
-    # Verdicts below the tail are recomputed on demand by callers via
-    # the same path; store only the periodic part.
-    return CycleStructure(tail=tail, period=period, decisions=decisions)
+            path, tail = list(seen), seen[state]
+            decisions = tuple(_dfa_verdict(dfa, s) for s in path[tail:])
+            return path, CycleStructure(tail=tail, period=len(path) - tail, decisions=decisions)
+        seen[state] = len(seen)
+
+
+def extract_cycle_structure(dfa: MachineSpec) -> CycleStructure:
+    """Walk the unary machine until a state repeats."""
+    return _walk_cycle(dfa)[1]
 
 
 def unary_cycle_check(dfa: MachineSpec, k: int) -> CycleCheckResult:
@@ -512,19 +513,12 @@ def unary_cycle_check(dfa: MachineSpec, k: int) -> CycleCheckResult:
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    structure = extract_cycle_structure(dfa)
-    letter = dfa.alphabet[0]
-    # Verdict as a function of input length, via the walked prefix.
-    state = _dfa_successor(dfa, dfa.initial_state, LEFT_MARKER)
-    prefix = [state]
-    while len(prefix) < structure.tail + structure.period:
-        prefix.append(_dfa_successor(dfa, prefix[-1], letter))
+    path, structure = _walk_cycle(dfa)
 
     def verdict_at(length: int) -> str:
-        if length < structure.tail + structure.period:
-            return _dfa_verdict(dfa, prefix[length])
-        offset = (length - structure.tail) % structure.period
-        return structure.decisions[offset]
+        if length < structure.tail:
+            return _dfa_verdict(dfa, path[length])
+        return structure.decisions[(length - structure.tail) % structure.period]
 
     step = 2 ** k
     # Period of the machine's verdict in i-space, then two of them to

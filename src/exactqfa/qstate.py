@@ -294,19 +294,6 @@ class QMatrix:
             out.append(tuple(new_row))
         return QMatrix(tuple(out))
 
-    def __add__(self, other: "QMatrix") -> "QMatrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch in matrix addition")
-        return QMatrix(
-            tuple(
-                tuple(a + b for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.rows, other.rows)
-            )
-        )
-
-    def __sub__(self, other: "QMatrix") -> "QMatrix":
-        return self + other.scale(Fraction(-1))
-
     def scale(self, factor: EntryLike) -> "QMatrix":
         g = _as_gaussian(factor)
         return QMatrix(tuple(tuple(e * g for e in row) for row in self.rows))

@@ -3,10 +3,13 @@
 import dataclasses
 import fractions
 import math
+import time
 import types
 from fractions import Fraction
 
+import mpmath
 import pytest
+from mpmath.libmp import to_rational
 
 from exactqfa import analysis
 from exactqfa.analysis import (
@@ -25,6 +28,8 @@ from exactqfa.analysis import (
 )
 from exactqfa.constructions import (
     build_aw_pal,
+    build_evenodd_dfa,
+    build_evenodd_mcqfa,
     build_exact_eq_restarting,
     build_exact_exptwinpal,
     build_lv_exptwinpal,
@@ -32,6 +37,7 @@ from exactqfa.constructions import (
 from exactqfa.exactnum import (
     ExactnessError,
     ExactProb,
+    dyadic_pi,
     one_minus_inv_e_bracket,
     prob_scale,
     prob_sum,
@@ -565,6 +571,163 @@ def test_unary_fast_path_huge_lengths():
     assert prob_sum(dist.by_category().values()).as_interval().contains(Fraction(1))
 
 
+R90 = QMatrix.from_rows([[0, -1], [1, 0]])
+
+
+def split_turns_machine(register=REGISTER_MATRIX) -> MachineSpec:
+    """The left end-marker's measurement splits the mass 9/25 : 16/25
+    between "lo" and "hi", and each then turns its register on every
+    letter: a matrix register by R90 and its inverse, a rotation
+    register by sqrt(2) pi and by pi/8. The right end-marker measures
+    both, so each length ends in its own distribution."""
+    if register == REGISTER_MATRIX:
+        quantum = {
+            ("s1", LEFT_MARKER): MeasureAction(BASIS2, pre=ROT),
+            ("lo", "a"): UnitaryAction(R90),
+            ("hi", "a"): UnitaryAction(R90.conj_transpose()),
+            ("lo", RIGHT_MARKER): MeasureAction(BASIS2),
+            ("hi", RIGHT_MARKER): MeasureAction(BASIS2, pre=ROT),
+        }
+    else:
+        quantum = {
+            ("s1", LEFT_MARKER): MeasureRotationAction(pre=ROT),
+            ("lo", "a"): RotateAction(sqrt2_pi(1)),
+            ("hi", "a"): RotateAction(dyadic_pi(Fraction(1, 8))),
+            ("lo", RIGHT_MARKER): MeasureRotationAction(),
+            ("hi", RIGHT_MARKER): MeasureRotationAction(),
+        }
+    classical = {
+        ("s1", LEFT_MARKER, "1"): ClassicalStep("lo", MOVE_RIGHT),
+        ("s1", LEFT_MARKER, "2"): ClassicalStep("hi", MOVE_RIGHT),
+        ("lo", "a", "1"): ClassicalStep("lo", MOVE_RIGHT),
+        ("hi", "a", "1"): ClassicalStep("hi", MOVE_RIGHT),
+    }
+    for state, accept in (("lo", "1"), ("hi", "2")):
+        for label in ("1", "2"):
+            classical[(state, RIGHT_MARKER, label)] = ClassicalStep(
+                "s_a" if label == accept else "s_r", MOVE_RIGHT
+            )
+    return MachineSpec(
+        name=f"split-turns-{register}",
+        model_class=MODEL_RTQCFA,
+        register=register,
+        quantum_dim=2,
+        states=frozenset({"s1", "lo", "hi", "s_a", "s_r"}),
+        initial_state="s1",
+        accept_state="s_a",
+        reject_state="s_r",
+        dont_know_state=None,
+        alphabet=("a",),
+        quantum_delta=quantum,
+        classical_delta=classical,
+    )
+
+
+def stepped_unary(spec: MachineSpec, length: int) -> OutcomeDistribution:
+    """The run on a^length, one ``_step`` per square: the oracle for the
+    unary closed forms."""
+    kernel = analysis._Kernel(spec, 64)
+    branches = {(spec.initial_state, analysis.initial_register(spec)): Fraction(1)}
+    masses = analysis._empty_masses()
+    branches = analysis._step(kernel, branches, LEFT_MARKER, masses)
+    for _ in range(length):
+        branches = analysis._step(kernel, branches, "a", masses)
+    branches = analysis._step(kernel, branches, RIGHT_MARKER, masses)
+    assert not branches
+    return analysis._masses_to_distribution(masses)
+
+
+@pytest.mark.parametrize(
+    "register, lengths",
+    [(REGISTER_MATRIX, [*range(10), 10**6]), (REGISTER_ROTATION, [*range(10), 10**4])],
+)
+def test_split_unary_branches_match_the_stepped_run(monkeypatch, register, lengths):
+    # Both branches take a closed form, so no block row is ever built.
+    spec = split_turns_machine(register)
+    assert validate(spec) == []
+    expected = [stepped_unary(spec, n) for n in lengths]
+    monkeypatch.setattr(analysis, "_block_row", None)
+    assert [run_unary_length(spec, n) for n in lengths] == expected
+    assert expected[0] != expected[1]
+
+
+def walk_or_toss_machine() -> MachineSpec:
+    """The left end-marker sends 9/25 of the mass down a three-letter
+    walk to rejection and keeps the rest in "toss", which measures on
+    every letter, so the unary closed forms give up."""
+    classical = {
+        ("s1", LEFT_MARKER, "1"): ClassicalStep("w0", MOVE_RIGHT),
+        ("s1", LEFT_MARKER, "2"): ClassicalStep("toss", MOVE_RIGHT),
+        ("w0", "a", "1"): ClassicalStep("w1", MOVE_RIGHT),
+        ("w1", "a", "1"): ClassicalStep("w2", MOVE_RIGHT),
+        ("w2", "a", "1"): ClassicalStep("s_r", MOVE_RIGHT),
+        ("toss", "a", "1"): ClassicalStep("toss", MOVE_RIGHT),
+        ("toss", "a", "2"): ClassicalStep("s_a", MOVE_RIGHT),
+    }
+    for state in ("w0", "w1", "w2", "toss"):
+        classical[(state, RIGHT_MARKER, "1")] = ClassicalStep("s_a", MOVE_RIGHT)
+    return MachineSpec(
+        name="walk-or-toss",
+        model_class=MODEL_RTQCFA,
+        register=REGISTER_MATRIX,
+        quantum_dim=2,
+        states=frozenset({"s1", "w0", "w1", "w2", "toss", "s_a", "s_r"}),
+        initial_state="s1",
+        accept_state="s_a",
+        reject_state="s_r",
+        dont_know_state=None,
+        alphabet=("a",),
+        quantum_delta={
+            ("s1", LEFT_MARKER): MeasureAction(BASIS2, pre=ROT),
+            ("toss", "a"): MeasureAction(BASIS2, pre=ROT),
+        },
+        classical_delta=classical,
+    )
+
+
+def test_a_branch_without_closed_form_sends_every_branch_to_the_block_loop():
+    # The walking branch halts before "toss" gives up; its mass must be
+    # counted once, by the block loop.
+    spec = walk_or_toss_machine()
+    assert validate(spec) == []
+    for n in (0, 1, 2, 3, 4, 9, 40):
+        assert run_unary_length(spec, n) == stepped_unary(spec, n)
+    assert run_unary_length(spec, 40).p_reject == ExactProb(Fraction(9, 25))
+
+
+@pytest.mark.parametrize("build, k", [(build_evenodd_mcqfa, 12), (build_evenodd_dfa, 10)])
+def test_long_unary_power_takes_the_closed_form(build, k):
+    spec = build(k)
+    word = "a" * (100 * 2**k)
+    # CPU time, so that other load on the host does not count.
+    start = time.process_time()
+    dist = run_exact_realtime(spec, word)
+    assert time.process_time() - start < 0.5
+    assert dist == run_unary_length(spec, len(word))
+    assert dist.p_accept == ExactProb(Fraction(1))
+
+
+def test_restart_ratio_of_interval_masses_is_an_enclosure():
+    # Per round, accept is cos^2(3 sqrt(2) pi) and reject sin^2, both
+    # intervals, and nothing restarts: each overall ratio is an interval
+    # that must hold the per-round value, here enclosed by mpmath at 256 bits.
+    result = analyze_restarting(turn_machine(model=MODEL_RESTARTING), "aaa")
+    iv = mpmath.iv
+    saved = iv.prec
+    iv.prec = 256
+    try:
+        angle = 3 * iv.sqrt(2) * iv.pi
+        truths = (iv.cos(angle) ** 2, iv.sin(angle) ** 2)
+    finally:
+        iv.prec = saved
+    for ratio, truth in zip((result.overall_accept, result.overall_reject), truths):
+        assert not ratio.is_exact()
+        bounds = ratio.as_interval()
+        assert 0 <= bounds.lo <= bounds.hi <= 1
+        truth_lo, truth_hi = (Fraction(*to_rational(end)) for end in truth._mpi_)
+        assert bounds.lo <= truth_lo and truth_hi <= bounds.hi
+
+
 def test_splittable_rng_children_are_stable_and_independent():
     root = SplittableRng(42)
     a1 = [SplittableRng(42).child("a").draw64() for _ in range(3)]
@@ -770,6 +933,22 @@ def test_periodic_reference_cases_cover_continue_and_interval_masses():
     assert sum(not isinstance(r, OutcomeDistribution) for r in results) == 3
 
 
+# Powers of one letter: every branch tries the unary closed forms first.
+UNARY_POWERS = (
+    [(build_aw_pal(), "a" * 9), (build_aw_pal(), "c" * 4), (build_lv_exptwinpal(), "c" * 6)]
+    + [(build_exact_eq_restarting(), "a" * 7), (build_exact_eq_restarting(), "b" * 5)]
+    + [(turn_machine(MODEL_RESTARTING, end={"1": RESTART_TARGET, "2": "s_r"}), "a" * 5)]
+    + [(first_b_rejecter(), "b" * 4), (first_b_rejecter(halt_on_left=True), "a" * 4)]
+)
+
+
+@pytest.mark.parametrize(
+    "spec, word", UNARY_POWERS, ids=[f"{spec.name}-{word}" for spec, word in UNARY_POWERS]
+)
+def test_unary_power_matches_square_by_square_reference(spec, word):
+    assert outcome(run_exact_realtime, spec, word) == outcome(reference_realtime, spec, word)
+
+
 def test_interval_block_rows_are_advanced_by_the_jump(monkeypatch):
     jumps = []
     jump = analysis._jump
@@ -792,8 +971,8 @@ def test_table_hole_in_third_block_raises_like_the_reference():
 
 
 def test_never_recurring_register_walks_every_block(monkeypatch):
-    # ROT has infinite order, so no block row is ever kept and the run
-    # applies the rotation once per block.
+    # ROT has infinite order, so no configuration recurs and the run
+    # applies the rotation once per letter.
     calls = []
     apply = QMatrix.apply
     monkeypatch.setattr(QMatrix, "apply", lambda m, v: calls.append(1) or apply(m, v))

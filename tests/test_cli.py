@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from exactqfa.analysis import MAX_PRECISION_BITS
 from exactqfa.exactnum import MIN_PRECISION_BITS, one_minus_inv_e_bracket
 from exactqfa.machines import emit_spec, parse_spec, validate
 from test_analysis import fair_coin_pfa
+from test_sampling import _thirds_pfa
 
 
 def run_cli(capsys, *argv):
@@ -826,3 +828,40 @@ def test_jump_to_an_oversize_answer_exits_2(tmp_path):
     result = _run_module("analyze", "--spec-file", str(path), "--input", "a100000000", "--mode", "exact")
     assert (result.returncode, result.stdout) == (2, "")
     assert "over the cap" in result.stderr
+
+
+UNARY_EXACT_CASES = (
+    [
+        ("EVENODD_MCQFA", "--k", str(k), "--input", word)
+        for k in (0, 1, 3, 8, 16)
+        for word in ("a", "a2", "a7", "a64", "a65536", "a1000000000")
+    ]
+    + [
+        ("EVENODD_DFA", "--k", str(k), "--input", word)
+        for k in (0, 2, 8)
+        for word in ("a", "a5", "a96", "a123456789")
+    ]
+    + [
+        (machine, "--k", "2", "--problem", "EVENODD", "--i", str(i))
+        for machine in ("EVENODD_MCQFA", "EVENODD_DFA")
+        for i in (0, 1, 3)
+    ]
+)
+
+
+def test_unary_exact_stdout_is_pinned(capsys, tmp_path):
+    # One SHA-256 over the exit code and stdout of every run, recorded
+    # when unary inputs still had a runner of their own.
+    files = []
+    for name, pfa in (("fair-coin", fair_coin_pfa()), ("thirds", _thirds_pfa())):
+        path = tmp_path / f"{name}.json"
+        path.write_text(emit_spec(pfa) + "\n", encoding="utf-8")
+        files.append(str(path))
+    cases = list(UNARY_EXACT_CASES) + [
+        ("--spec-file", path, "--input", word) for path in files for word in ("a", "a7", "a1000")
+    ]
+    digest = hashlib.sha256()
+    for argv in cases:
+        code, out, _ = run_cli(capsys, "analyze", *argv, "--mode", "exact")
+        digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == "600b259fbd8c1b6a9da832a9302be13d1f20840ad4085560a143482e7a776564"

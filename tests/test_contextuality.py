@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from exactqfa import analysis
 from exactqfa.contextuality import (
     ALICE_QUBITS,
     MAGIC_GRID,
@@ -255,6 +256,20 @@ class TestMemoryGame:
         assert report.schedule == (4, 8, 12, 16, 20, 24, 28, 32)
         assert all(r.term == 1 for r in report.per_round)
         assert all(r.yes_answer == 1 and r.no_answer == -1 for r in report.per_round)
+
+    def test_quantum_rounds_call_the_runner_on_the_analysis_module(self, monkeypatch):
+        # A wrapper on analysis.run_unary_length, as a tracer puts there,
+        # sees both instances of every round.
+        calls = []
+        runner = analysis.run_unary_length
+        monkeypatch.setattr(
+            analysis, "run_unary_length", lambda *args: calls.append(args[1]) or runner(*args)
+        )
+        report = memory_game(QuantumQubit(), 2, seed=5)
+        assert len(calls) == 4
+        assert calls == [
+            m * 2**r.k for r in report.per_round for m in (r.yes_multiplier, r.no_multiplier)
+        ]
 
     def test_classical_within_budget_scores(self):
         report = memory_game(ClassicalBounded(2 ** 33), 8, seed=1)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from exactqfa import problems
 from exactqfa.constructions import build_evenodd_dfa
 from exactqfa.machines import (
     LEFT_MARKER,
@@ -384,6 +385,18 @@ class TestCycleCheck:
         assert structure.tail == 2
         assert structure.period == 3
         assert structure.decisions == ("reject", "reject", "reject")
+
+    def test_check_walks_the_machine_once(self, monkeypatch):
+        calls = []
+        successor = problems._dfa_successor
+        monkeypatch.setattr(
+            problems, "_dfa_successor", lambda dfa, state, sym: calls.append(sym) or successor(dfa, state, sym)
+        )
+        result = unary_cycle_check(build_evenodd_dfa(3), 3)
+        assert result.solves
+        # Fifteen letters reach the other states of the 16-state cycle, and
+        # one more closes it.
+        assert calls.count("a") == result.structure.tail + result.structure.period == 16
 
     def test_result_truthiness(self):
         good = unary_cycle_check(build_evenodd_dfa(1), 1)
