@@ -19,8 +19,10 @@ first draw, so a trial with no random choice seeds nothing, and a trial
 moves from one sampled square to the next along edges cached on the
 square, without building or hashing a configuration.
 
-A realtime PFA runs through the same kernel: each nonzero entry of its
-matrix row is a branch, and it decides only at the right end-marker.
+Every runner drives one kernel, whose squares are compiled once per
+machine; a certain square makes no Fraction and skips the run's memo. A
+realtime PFA's square branches on each nonzero entry of its matrix row,
+and it decides only at the right end-marker.
 
 A unary run takes the block path on its letter, where each live branch
 first tries a closed form: a self-looping rotation turns by its angle
@@ -64,6 +66,7 @@ from .machines import (
     MeasureAction,
     MeasureRotationAction,
     RotateAction,
+    UNIT_OUTCOME,
     UnitaryAction,
 )
 from .qstate import (
@@ -151,54 +154,6 @@ def initial_register(spec: MachineSpec) -> Register:
     return None
 
 
-def _quantum_outcomes(
-    spec: MachineSpec, cstate: str, sym: str, reg: Register, precision_bits: int
-) -> "list[tuple[str, Register, Union[Fraction, ApproxProb]]]":
-    """All measurement branches for one square, with exact-zero branches
-    dropped; a PFA's are the nonzero entries of its row, by target state."""
-    action = spec.quantum_delta.get((cstate, sym))
-    if action is None:
-        if not spec.stochastic_delta:
-            return [("1", reg, Fraction(1))]
-        matrix = spec.stochastic_delta.get(sym)
-        if matrix is None:
-            raise MachineError(f"no stochastic matrix for symbol {sym!r}")
-        row = matrix.rows[matrix.order.index(cstate)]
-        return [(state, None, p) for state, p in zip(matrix.order, row) if p]
-    if isinstance(action, UnitaryAction):
-        return [("1", action.matrix.apply(reg), Fraction(1))]
-    if isinstance(action, RotateAction):
-        return [("1", reg.rotated(action.angle), Fraction(1))]
-    if isinstance(action, MeasureAction):
-        vec = reg if action.pre is None else action.pre.apply(reg)
-        branches = action.measurement.measure(vec)
-        return [(b.outcome, b.vector, b.probability) for b in branches]
-    # MeasureRotationAction: exact when the angle is a quarter turn,
-    # interval-valued otherwise.
-    if reg.is_exact():
-        vec = reg.exact_vector()
-        if action.pre is not None:
-            vec = action.pre.apply(vec)
-        out = []
-        for b in _BASIS_2.measure(vec):
-            post = ROTATION_AT_ZERO if b.outcome == "1" else ROTATION_AT_ONE
-            out.append((b.outcome, post, b.probability))
-        return out
-    if action.pre is not None:
-        raise ExactnessError(
-            "rotation measurement with a pre-unitary requires an exactly known angle"
-        )
-    p_zero, p_one = reg.outcome_probabilities(precision_bits)
-    out = []
-    for label, post, p in (("1", ROTATION_AT_ZERO, p_zero), ("2", ROTATION_AT_ONE, p_one)):
-        if p.is_exact():
-            if p.value:
-                out.append((label, post, p.value))
-        else:
-            out.append((label, post, p))
-    return out
-
-
 def _decision(spec: MachineSpec, state: str) -> Optional[str]:
     if state == spec.accept_state:
         return CATEGORY_ACCEPT
@@ -235,55 +190,138 @@ class _Memo(dict):
 # ``p is _UNIT`` instead of comparing Fractions on every square.
 _UNIT = Fraction(1)
 
+# A square's register operation; the first two do no register work.
+_OP_NONE, _OP_PFA, _OP_UNITARY, _OP_ROTATE, _OP_MEASURE, _OP_MEASURE_ROTATION = range(6)
 
-class _Kernel:
-    """Square transitions of one machine at a fixed precision, memoized for one run.
 
-    ``resolve(cstate, sym, reg)`` gives a ``(category, next_state, offset,
-    reg2, p)`` per nonzero branch, with ``category`` None for a live branch,
-    ``offset`` the head move and ``p`` the shared ``_UNIT`` when the branch
-    is certain. ``successors`` memoizes it in a ``_Memo``.
+class _Square:
+    """One (state, symbol) square of a machine, compiled once per spec.
 
-    A PFA branch moves right to its label, a state, and decides only at
-    the right end-marker, as ``continue`` outside the halting states. Its
-    ``p`` is never ``_UNIT``, so sampling draws once on every PFA square.
+    ``op`` is the register operation and ``arg`` its matrix, angle or
+    measurement. ``exits`` maps each outcome label to its (category,
+    next_state, offset), or to the ``MachineError`` text of the table hole
+    it reaches. ``fixed`` is the one exit of a certain square (no action,
+    a unitary or a rotation), or a PFA square's successors: one per
+    nonzero entry of its row, moving right and deciding only at ``$``.
     """
 
-    def __init__(self, spec: MachineSpec, precision_bits: int):
-        self.spec = spec
-        self.precision_bits = precision_bits
-        self._memo = _Memo()
+    __slots__ = ("op", "arg", "pre", "exits", "fixed")
 
-    def successors(self, cstate: str, sym: str, reg: Register) -> tuple:
-        key = (cstate, sym, reg)
-        out = self._memo.get(key)
-        if out is None:
-            out = self.resolve(cstate, sym, reg)
-            self._memo.offer(key, out)
-        return out
+    def __init__(self, spec: MachineSpec, cstate: str, sym: str):
+        action = spec.quantum_delta.get((cstate, sym))
+        self.pre = getattr(action, "pre", None)
+        if action is None and spec.stochastic_delta:
+            matrix = spec.stochastic_delta.get(sym)
+            if matrix is None:
+                raise MachineError(f"no stochastic matrix for symbol {sym!r}")
+            end = sym == RIGHT_MARKER
+            self.op, self.fixed = _OP_PFA, tuple(
+                ((_decision(spec, s) or CATEGORY_CONTINUE) if end else None, s, 1, None, p)
+                for s, p in zip(matrix.order, matrix.rows[matrix.order.index(cstate)])
+                if p
+            )
+            return
+        self.op, self.arg = (
+            (_OP_NONE, None) if action is None
+            else (_OP_UNITARY, action.matrix) if isinstance(action, UnitaryAction)
+            else (_OP_ROTATE, action.angle) if isinstance(action, RotateAction)
+            else (_OP_MEASURE, action.measurement) if isinstance(action, MeasureAction)
+            else (_OP_MEASURE_ROTATION, _BASIS_2)
+        )
+        steps = {label: spec.classical_delta.get((cstate, sym, label)) for label in spec.outcome_labels(action)}
+        self.exits = {
+            label: (_decision(spec, step.state), step.state, _MOVE_OFFSET[step.move]) if step is not None
+            else f"no classical transition for ({cstate!r}, {sym!r}, {label!r})"
+            for label, step in steps.items()
+        }
+        self.fixed = self.exits.get(UNIT_OUTCOME)
 
-    def resolve(self, cstate: str, sym: str, reg: Register) -> tuple:
-        spec = self.spec
+    def resolve(self, reg: Register, bits: int) -> tuple:
+        """The successors of ``reg``, certified at ``bits`` (see ``_Kernel``)."""
+        op = self.op
+        if op < _OP_MEASURE:
+            if op == _OP_PFA:
+                return self.fixed
+            if op == _OP_UNITARY:
+                reg = self.arg.apply(reg)
+            elif op == _OP_ROTATE:
+                reg = reg.rotated(self.arg)
+            if self.fixed.__class__ is str:
+                raise MachineError(self.fixed)
+            return ((*self.fixed, reg, _UNIT),)
         out = []
-        total = Fraction(0)
-        for label, reg2, p in _quantum_outcomes(spec, cstate, sym, reg, self.precision_bits):
-            step = spec.classical_delta.get((cstate, sym, label))
-            if step is None:
-                if not spec.stochastic_delta:
-                    raise MachineError(f"no classical transition for ({cstate!r}, {sym!r}, {label!r})")
-                category = (_decision(spec, label) or CATEGORY_CONTINUE) if sym == RIGHT_MARKER else None
-                out.append((category, label, 1, reg2, p))
-                continue
+        total = 0
+        for label, reg2, p in self.outcomes(reg, bits):
+            exit = self.exits[label]
+            if exit.__class__ is str:
+                raise MachineError(exit)
             if isinstance(p, Fraction):
                 total += p
                 if p == 1:
                     p = _UNIT
             else:
                 total += p.as_interval().lo
-            out.append((_decision(spec, step.state), step.state, _MOVE_OFFSET[step.move], reg2, p))
+            out.append((*exit, reg2, p))
         if total > 1:
             raise MachineError("measurement branches exceed total mass")
         return tuple(out)
+
+    def outcomes(self, reg: Register, bits: int) -> "list[tuple[str, Register, Union[Fraction, ApproxProb]]]":
+        """(label, register, probability) of each nonzero branch of a measuring or PFA square."""
+        if self.op == _OP_PFA:
+            return [(s, None, p) for _, s, _, _, p in self.fixed]
+        vec = reg
+        if self.op == _OP_MEASURE_ROTATION:
+            # Exact when the angle is a quarter turn, interval-valued otherwise.
+            if not reg.is_exact():
+                if self.pre is not None:
+                    raise ExactnessError("rotation measurement with a pre-unitary requires an exactly known angle")
+                pairs = zip(("1", "2"), (ROTATION_AT_ZERO, ROTATION_AT_ONE), reg.outcome_probabilities(bits))
+                return [(label, post, p.value if p.is_exact() else p) for label, post, p in pairs if p != PROB_ZERO]
+            vec = reg.exact_vector()
+        if self.pre is not None:
+            vec = self.pre.apply(vec)
+        branches = self.arg.measure(vec)
+        if self.op == _OP_MEASURE:
+            return [(b.outcome, b.vector, b.probability) for b in branches]
+        return [(b.outcome, ROTATION_AT_ZERO if b.outcome == "1" else ROTATION_AT_ONE, b.probability) for b in branches]
+
+
+class _Kernel:
+    """Square transitions of one machine at a fixed precision.
+
+    ``successors(cstate, sym, reg)`` gives a ``(category, next_state,
+    offset, reg2, p)`` per nonzero branch: ``category`` is None for a live
+    branch, ``offset`` the head move, and ``p`` the shared ``_UNIT`` when
+    the branch is certain; a PFA's never is, so sampling draws once on
+    every PFA square. The spec keeps its compiled squares in its
+    ``__dict__``, as ``QMatrix`` keeps its integer rows: one per (state,
+    tape symbol) met, and no register. Squares that do register work are
+    memoized for one run in a ``_Memo``.
+    """
+
+    def __init__(self, spec: MachineSpec, precision_bits: int):
+        self.spec = spec
+        self.precision_bits = precision_bits
+        self._squares = spec.__dict__.setdefault("_squares", {})
+        self._memo = _Memo()
+
+    def square(self, cstate: str, sym: str) -> _Square:
+        square = self._squares.get((cstate, sym))
+        if square is None:
+            square = self._squares[cstate, sym] = _Square(self.spec, cstate, sym)
+        return square
+
+    def successors(self, cstate: str, sym: str, reg: Register) -> tuple:
+        square = self._squares.get((cstate, sym)) or self.square(cstate, sym)
+        if square.op <= _OP_PFA:
+            return square.resolve(reg, self.precision_bits)
+        key = (cstate, sym, reg)
+        out = self._memo.get(key)
+        if out is None:
+            out = square.resolve(reg, self.precision_bits)
+            self._memo.offer(key, out)
+        return out
 
 
 def _is_deterministic(successors: tuple) -> bool:
@@ -484,9 +522,11 @@ def _advance_blocks(kernel: _Kernel, branches: dict, block: str, reps: int, mass
     return branches, _empty_masses(), 1, 1
 
 
-# The most squares ``_unary_end`` walks on one branch before it leaves
-# the run to the block loop.
+# The most squares ``_unary_end`` walks on one branch, and the most bits
+# of register integers it keeps, before it leaves the run to the block
+# loop, which keeps only hashes.
 UNARY_WALK_LIMIT = 1 << 22
+UNARY_WALK_BITS = 1 << 22
 
 
 def _advance_unary(kernel: _Kernel, branches: dict, sym: str, reps: int, masses: dict) -> Optional[dict]:
@@ -517,21 +557,22 @@ def _unary_end(kernel: _Kernel, key: tuple, sym: str, reps: int):
     A self-looping rotation state turns by its angle times ``reps``. Any
     other branch walks until its configuration recurs, and skips the
     rest in whole cycles; the walk gives up at a square that is not
-    deterministic, or past ``UNARY_WALK_LIMIT`` squares.
+    deterministic, past ``UNARY_WALK_LIMIT`` squares, or once the
+    registers it keeps pass ``UNARY_WALK_BITS``.
     """
     cstate, reg = key
-    action = kernel.spec.quantum_delta.get((cstate, sym))
-    step = kernel.spec.classical_delta.get((cstate, sym, "1"))
-    if isinstance(action, RotateAction) and step is not None and step.state == cstate:
-        return cstate, reg.rotated(action.angle.scale(reps))
+    square = kernel.square(cstate, sym)
+    if square.op == _OP_ROTATE and square.fixed == (None, cstate, 1):
+        return cstate, reg.rotated(square.arg.scale(reps))
     # The keys walked, in order, each with its square count.
     seen = {key: 0}
+    bits = 0
     while len(seen) <= reps:
-        if len(seen) > UNARY_WALK_LIMIT:
+        if len(seen) > UNARY_WALK_LIMIT or bits > UNARY_WALK_BITS:
             return None
         # The walk stops at its first repeated configuration, so a memo
         # could never hit here.
-        successors = kernel.resolve(cstate, sym, reg)
+        successors = kernel.square(cstate, sym).resolve(reg, kernel.precision_bits)
         if not _is_deterministic(successors):
             return None
         category, cstate, _, reg, _ = successors[0]
@@ -542,6 +583,11 @@ def _unary_end(kernel: _Kernel, key: tuple, sym: str, reps: int):
             start = seen[key]
             return list(seen)[start + (reps - start) % (len(seen) - start)]
         seen[key] = len(seen)
+        # The bits of the integers each kept register holds.
+        if isinstance(reg, QVector):
+            bits += reg.den.bit_length() + sum(a.bit_length() + b.bit_length() for a, b in reg.nums)
+        elif isinstance(reg, RotationRegister):
+            bits += reg.angle.coeff.numerator.bit_length() + reg.angle.coeff.denominator.bit_length()
     return key
 
 
@@ -995,15 +1041,14 @@ class _CompiledMachine:
 
     def _stoch_node(self, key, successors: tuple) -> _StochNode:
         pos, cstate, reg = key
-        sym = self.tape[pos]
-        spec = self.kernel.spec
+        square = self.kernel.square(cstate, self.tape[pos])
         targets = [
             _terminal(category, state2)
             if category is not None
             else ("node", (_moved(pos, offset, self.last), state2, reg2))
             for category, state2, offset, reg2, _ in successors
         ]
-        return _StochNode(key, targets, lambda bits: _quantum_outcomes(spec, cstate, sym, reg, bits))
+        return _StochNode(key, targets, lambda bits: square.outcomes(reg, bits))
 
     def resolve(self, node):
         """Follow deterministic steps from node; returns (kind, payload, steps).
@@ -1012,8 +1057,8 @@ class _CompiledMachine:
         square. kind "restart": steps include the right end-marker. kind
         "stoch": payload is a _StochNode and steps stop just before it.
         """
-        chain = []
-        seen = set()
+        # The nodes walked through, each with the steps taken before it.
+        chain = {}
         steps = 0
         cur = node
         while True:
@@ -1022,9 +1067,8 @@ class _CompiledMachine:
                 kind, payload, extra = hit
                 steps += extra
                 break
-            if cur in seen:
+            if cur in chain:
                 raise NonterminatingError("deterministic loop never reaches a decision")
-            seen.add(cur)
             if len(chain) > max(4096, 16 * len(self.tape)):
                 raise NonterminatingError("deterministic run exceeded the step budget")
             pos, cstate, reg = cur
@@ -1039,10 +1083,10 @@ class _CompiledMachine:
                 steps += 1
                 self._memo[cur] = (kind, payload, 1)
                 break
-            chain.append((cur, steps))
+            chain[cur] = steps
             steps += 1
             cur = (_moved(pos, offset, self.last), state2, reg2)
-        for n, before in chain:
+        for n, before in chain.items():
             self._memo[n] = (kind, payload, steps - before)
         return kind, payload, steps
 

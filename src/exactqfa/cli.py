@@ -89,6 +89,11 @@ def _check_length(length: int) -> None:
         raise UsageError(f"input length {length} exceeds the cap of {MAX_INPUT_LENGTH} symbols")
 
 
+def _check_count(flag: str, value: int, least: int) -> None:
+    if value < least:
+        raise UsageError(f"{flag} must be at least {least}, got {value}")
+
+
 def _input_runs(text: str) -> List[Tuple[str, int]]:
     """Parse the run-length shorthand into (letter, count) runs: a letter
     followed by a decimal count repeats it, so "a8" is eight a's and
@@ -307,12 +312,14 @@ def cmd_analyze(args) -> int:
             if spec.model_class != MODEL_SWEEPING:
                 raise UsageError(f"mode sweep needs a sweeping machine, not {spec.model_class}")
             if args.max_sweeps is not None:
+                _check_count("--max-sweeps", args.max_sweeps, 0)
                 result = run_exact_sweeping(spec, word, args.max_sweeps, args.precision_bits)
             else:
                 result = analyze_sweeping(spec, word, args.precision_bits, tick_cap=args.tick_cap)
         else:
             if args.trials is None or args.seed is None:
                 raise UsageError("mode mc needs --trials and --seed")
+            _check_count("--trials", args.trials, 1)
             result = run_monte_carlo(
                 spec,
                 word,
@@ -433,6 +440,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_game_magic(args) -> int:
+    _check_count("--rounds", args.rounds, 1)
     if args.strategy == "quantum":
         strategy = QuantumBell()
     else:
@@ -453,6 +461,7 @@ def cmd_game_magic(args) -> int:
 
 
 def cmd_game_memory(args) -> int:
+    _check_count("--Q", args.Q, 1)
     if args.bob == "quantum":
         responder = QuantumQubit()
     else:

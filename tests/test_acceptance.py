@@ -6,55 +6,49 @@ pass/fail line per guarantee. Suites are shared through session fixtures
 to keep the whole gate fast.
 """
 
-import time
-
 import pytest
-
-from exactqfa import verify
 
 CONTEXTUALITY_SEED = "acceptance"
 
 
-def _run_suite(fn, *args):
-    start = time.perf_counter()
-    checks = fn(*args)
-    elapsed = time.perf_counter() - start
+def _run_suite(suite_run, name, *args):
+    checks, elapsed = suite_run(name, *args)
     return {check.name: check for check in checks}, elapsed
 
 
 @pytest.fixture(scope="session")
-def awpal():
-    return _run_suite(verify.suite_awpal)
+def awpal(suite_run):
+    return _run_suite(suite_run, "awpal")
 
 
 @pytest.fixture(scope="session")
-def twinpal():
-    return _run_suite(verify.suite_twinpal)
+def twinpal(suite_run):
+    return _run_suite(suite_run, "twinpal")
 
 
 @pytest.fixture(scope="session")
-def lasvegas():
-    return _run_suite(verify.suite_lasvegas)
+def lasvegas(suite_run):
+    return _run_suite(suite_run, "lasvegas")
 
 
 @pytest.fixture(scope="session")
-def eq():
-    return _run_suite(verify.suite_eq)
+def eq(suite_run):
+    return _run_suite(suite_run, "eq")
 
 
 @pytest.fixture(scope="session")
-def evenodd():
-    return _run_suite(verify.suite_evenodd)
+def evenodd(suite_run):
+    return _run_suite(suite_run, "evenodd")
 
 
 @pytest.fixture(scope="session")
-def witnesses():
-    return _run_suite(verify.suite_witnesses)
+def witnesses(suite_run):
+    return _run_suite(suite_run, "witnesses")
 
 
 @pytest.fixture(scope="session")
-def contextuality():
-    return _run_suite(verify.suite_contextuality, CONTEXTUALITY_SEED)
+def contextuality(suite_run):
+    return _run_suite(suite_run, "contextuality", CONTEXTUALITY_SEED)
 
 
 def _assert_check(checks, name):

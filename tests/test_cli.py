@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from exactqfa import cli
+from exactqfa import cli, verify
 from exactqfa.analysis import MAX_PRECISION_BITS
 from exactqfa.exactnum import MIN_PRECISION_BITS, one_minus_inv_e_bracket
 from exactqfa.machines import emit_spec, parse_spec, validate
@@ -865,3 +865,119 @@ def test_unary_exact_stdout_is_pinned(capsys, tmp_path):
         code, out, _ = run_cli(capsys, "analyze", *argv, "--mode", "exact")
         digest.update(f"{code}\n{out}".encode())
     assert digest.hexdigest() == "600b259fbd8c1b6a9da832a9302be13d1f20840ad4085560a143482e7a776564"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("analyze", "AW_PAL", "--input", "abcab", "--mode", "mc", "--trials", "0", "--seed", "1"),
+            "--trials must be at least 1, got 0",
+        ),
+        (
+            ("analyze", "EXACT_PAL_SWEEPING", "--input", "abcab", "--mode", "sweep", "--max-sweeps", "-1"),
+            "--max-sweeps must be at least 0, got -1",
+        ),
+        (
+            ("game", "magic-square", "--strategy", "quantum", "--rounds", "0", "--seed", "1"),
+            "--rounds must be at least 1, got 0",
+        ),
+        (("game", "memory", "--bob", "quantum", "--Q", "0", "--seed", "1"), "--Q must be at least 1, got 0"),
+    ],
+)
+def test_out_of_range_count_is_usage_error(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+# Each built-in machine with the inputs it runs on in every mode: promise
+# instances, inputs outside the promise, a unary power that ends in a
+# table hole, and a symbol outside the alphabet.
+BUILTIN_RUNS = (
+    (
+        ("AW_PAL",),
+        [
+            ("--input", "abcab"),
+            ("--input", "abbacabab"),
+            ("--problem", "PromisePAL", "--u", "aab", "--v", "aba"),
+            ("--input", "a2000"),
+            ("--input", "abcd"),
+        ],
+    ),
+    (
+        ("EXACT_PAL_SWEEPING",),
+        [
+            ("--input", "abcab"),
+            ("--input", "abacabb"),
+            ("--problem", "PromisePAL", "--u", "ab", "--v", "ba"),
+            ("--input", "a40"),
+        ],
+    ),
+    (
+        ("EXACT_TWINPAL",),
+        [
+            ("--problem", "PromiseTWINPAL", "--u", "aa", "--v", "ab"),
+            ("--problem", "PromiseTWINPAL", "--u", "ab", "--v", "ab"),
+            ("--input", "acac"),
+            ("--input", "a50"),
+        ],
+    ),
+    (
+        ("LV_EXPTWINPAL",),
+        [
+            ("--problem", "EXPPromiseTWINPAL", "--u", "ab", "--v", "aa", "--t", "5"),
+            ("--problem", "EXPPromiseTWINPAL", "--u", "ab", "--v", "ab", "--t", "25"),
+            ("--input", "abcabcbacbac"),
+        ],
+    ),
+    (
+        ("EXACT_EXPTWINPAL",),
+        [
+            ("--problem", "EXPPromiseTWINPAL", "--u", "ab", "--v", "aa", "--t", "5"),
+            ("--problem", "EXPPromiseTWINPAL", "--u", "ba", "--v", "ba", "--t", "3"),
+            ("--input", "a9"),
+        ],
+    ),
+    (
+        ("AW_EQ_PHASE",),
+        [
+            ("--input", "a3ba3"),
+            ("--input", "a2ba5"),
+            ("--problem", "PromiseEQ", "--blocks", "1,2,3"),
+        ],
+    ),
+    (
+        ("EXACT_EQ_RESTARTING",),
+        [
+            ("--problem", "PromiseEQ", "--blocks", "3,3,1"),
+            ("--problem", "PromiseEQ", "--blocks", "2,3,4"),
+            ("--input", "a2ba2"),
+        ],
+    ),
+    (("EVENODD_MCQFA", "--k", "2"), [("--input", "a8"), ("--input", "a12"), ("--input", "a7")]),
+    (("EVENODD_DFA", "--k", "2"), [("--input", "a8"), ("--input", "a12"), ("--input", "a7")]),
+)
+MODE_ARGS = (
+    ("--mode", "exact"),
+    ("--mode", "restart"),
+    ("--mode", "sweep"),
+    ("--mode", "sweep", "--max-sweeps", "3"),
+    ("--mode", "mc", "--trials", "40", "--seed", "1"),
+    ("--mode", "mc", "--trials", "40", "--seed", "2", "--step-cap", "30"),
+)
+
+
+def test_builtin_machine_stdout_is_pinned(capsys, monkeypatch, suite_run):
+    # One SHA-256 over the exit code and stdout of `verify all` and of
+    # every run above in every mode, recorded before squares were compiled
+    # once per machine. The suites run once per session (see conftest).
+    for name in verify.SUITES:
+        monkeypatch.setitem(verify.SUITES, name, lambda *args, name=name: suite_run(name, *args)[0])
+    digest = hashlib.sha256()
+    code, out, _ = run_cli(capsys, "verify", "all", "--seed", "1")
+    digest.update(f"{code}\n{out}".encode())
+    for machine, inputs in BUILTIN_RUNS:
+        for instance in inputs:
+            for mode in MODE_ARGS:
+                code, out, _ = run_cli(capsys, "analyze", *machine, *instance, *mode, "--allow-unpromised")
+                digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == "9276c9e52c0b8d6e8c57b4ad92bbc8359a7bf99a6f38a66d265664139090ca81"

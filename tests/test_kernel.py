@@ -1,0 +1,306 @@
+"""The compiled squares of ``analysis._Kernel`` against the square
+transitions they replaced, kept here as an oracle."""
+
+import dataclasses
+import itertools
+import tracemalloc
+from fractions import Fraction
+
+import pytest
+
+from exactqfa import analysis
+from exactqfa.analysis import (
+    MachineError,
+    run_exact_realtime,
+    run_exact_sweeping,
+    run_monte_carlo,
+)
+from exactqfa.constructions import CONSTRUCTION_IDS, build, build_aw_pal
+from exactqfa.exactnum import ExactnessError
+from exactqfa.machines import (
+    RIGHT_MARKER,
+    MeasureAction,
+    MeasureRotationAction,
+    RotateAction,
+    UnitaryAction,
+)
+from exactqfa.qstate import QVector, RotationRegister
+from test_analysis import (
+    ROT,
+    block_counter_machine,
+    bouncing_pfa,
+    coin_turn_machine,
+    fair_coin_pfa,
+    first_b_rejecter,
+    mod_dfa,
+    residual_pfa,
+    spin_machine,
+    split_turns_machine,
+    turn_machine,
+    two_letter_pfa,
+    walk_or_toss_machine,
+)
+from test_sampling import _thirds_pfa
+
+ORACLE_UNIT = Fraction(1)
+
+
+def oracle_outcomes(spec, cstate, sym, reg, precision_bits):
+    """Every nonzero measurement branch of one square, as the kernel
+    computed it before squares were compiled."""
+    action = spec.quantum_delta.get((cstate, sym))
+    if action is None:
+        if not spec.stochastic_delta:
+            return [("1", reg, Fraction(1))]
+        matrix = spec.stochastic_delta.get(sym)
+        if matrix is None:
+            raise MachineError(f"no stochastic matrix for symbol {sym!r}")
+        row = matrix.rows[matrix.order.index(cstate)]
+        return [(state, None, p) for state, p in zip(matrix.order, row) if p]
+    if isinstance(action, UnitaryAction):
+        return [("1", action.matrix.apply(reg), Fraction(1))]
+    if isinstance(action, RotateAction):
+        return [("1", reg.rotated(action.angle), Fraction(1))]
+    if isinstance(action, MeasureAction):
+        vec = reg if action.pre is None else action.pre.apply(reg)
+        return [(b.outcome, b.vector, b.probability) for b in action.measurement.measure(vec)]
+    if reg.is_exact():
+        vec = reg.exact_vector()
+        if action.pre is not None:
+            vec = action.pre.apply(vec)
+        return [
+            (b.outcome, analysis.ROTATION_AT_ZERO if b.outcome == "1" else analysis.ROTATION_AT_ONE, b.probability)
+            for b in analysis._BASIS_2.measure(vec)
+        ]
+    if action.pre is not None:
+        raise ExactnessError("rotation measurement with a pre-unitary requires an exactly known angle")
+    p_zero, p_one = reg.outcome_probabilities(precision_bits)
+    out = []
+    for label, post, p in (("1", analysis.ROTATION_AT_ZERO, p_zero), ("2", analysis.ROTATION_AT_ONE, p_one)):
+        if p.is_exact():
+            if p.value:
+                out.append((label, post, p.value))
+        else:
+            out.append((label, post, p))
+    return out
+
+
+def oracle_resolve(spec, cstate, sym, reg, precision_bits):
+    """One square's successors, as the kernel resolved them before."""
+    out = []
+    total = Fraction(0)
+    for label, reg2, p in oracle_outcomes(spec, cstate, sym, reg, precision_bits):
+        step = spec.classical_delta.get((cstate, sym, label))
+        if step is None:
+            if not spec.stochastic_delta:
+                raise MachineError(f"no classical transition for ({cstate!r}, {sym!r}, {label!r})")
+            category = (
+                (analysis._decision(spec, label) or analysis.CATEGORY_CONTINUE) if sym == RIGHT_MARKER else None
+            )
+            out.append((category, label, 1, reg2, p))
+            continue
+        if isinstance(p, Fraction):
+            total += p
+            if p == 1:
+                p = ORACLE_UNIT
+        else:
+            total += p.as_interval().lo
+        out.append((analysis._decision(spec, step.state), step.state, analysis._MOVE_OFFSET[step.move], reg2, p))
+    if total > 1:
+        raise MachineError("measurement branches exceed total mass")
+    return tuple(out)
+
+
+@dataclasses.dataclass(frozen=True)
+class Raised:
+    kind: type
+    text: str
+
+
+def outcome_of(call):
+    """What a call returns, or the type and text of what it raises."""
+    try:
+        return call()
+    except (MachineError, ExactnessError, ValueError) as exc:
+        return Raised(type(exc), str(exc))
+
+
+def certain_flags(result, unit):
+    return None if isinstance(result, Raised) else [branch[-1] is unit for branch in result]
+
+
+def without_classical(spec, *keys):
+    delta = {key: step for key, step in spec.classical_delta.items() if key not in keys}
+    return dataclasses.replace(spec, name=spec.name + "-holed", classical_delta=delta)
+
+
+def holed_machines():
+    """Machines whose tables have holes that some inputs reach."""
+    # Outcome 2 of the end measurement is a hole: "" measures e1 and never
+    # takes it, while "a" takes it with 16/25.
+    spin = without_classical(spin_machine(), ("s1", RIGHT_MARKER, "2"))
+    # A unitary square with a hole, and a rotation square with one.
+    spun = without_classical(spin_machine(), ("s1", "a", "1"))
+    turned = without_classical(turn_machine(), ("s1", "a", "1"))
+    coin = fair_coin_pfa()
+    no_letter = dataclasses.replace(
+        coin, name="no-letter", stochastic_delta={s: m for s, m in coin.stochastic_delta.items() if s != "a"}
+    )
+    # A pre-unitary before measuring an angle that is not a quarter turn.
+    pre_on_turn = turn_machine(extra=[({("s1", RIGHT_MARKER): MeasureRotationAction(pre=ROT)}, {})])
+    return [spin, spun, turned, no_letter, pre_on_turn, block_counter_machine()]
+
+
+def machines():
+    built = [build(cid, 2 if cid.startswith("EVENODD") else None) for cid in CONSTRUCTION_IDS]
+    built += [build("EVENODD_MCQFA", 1), build("EVENODD_DFA", 0)]
+    hand = [
+        spin_machine(),
+        turn_machine(),
+        mod_dfa(3),
+        split_turns_machine(),
+        split_turns_machine("rotation"),
+        walk_or_toss_machine(),
+        coin_turn_machine(),
+        first_b_rejecter(),
+        first_b_rejecter(halt_on_left=True),
+    ]
+    pfas = [fair_coin_pfa(), _thirds_pfa(), bouncing_pfa(), residual_pfa(), two_letter_pfa()]
+    return built + hand + pfas + holed_machines()
+
+
+PROMISE_WORDS = ("abcab", "abcba", "aacaacabcab", "abcabcbacbac" * 3, "aabaabaa", "aaabaaabaaa", "a" * 8, "ab" * 5)
+
+
+def inputs(spec):
+    short = ["".join(w) for n in range(4) for w in itertools.product(spec.alphabet, repeat=n)]
+    return short + [w for w in PROMISE_WORDS if set(w) <= set(spec.alphabet)]
+
+
+def reached_squares(monkeypatch):
+    """Run every machine on its inputs in each mode that fits, and collect
+    every (spec, state, symbol, register) that the kernel was asked about."""
+    reached, owners = {}, {}
+    successors, square, resolve = analysis._Kernel.successors, analysis._Kernel.square, analysis._Square.resolve
+
+    def record(spec, cstate, sym, reg):
+        reached.setdefault((id(spec), cstate, sym, reg), (spec, cstate, sym, reg))
+
+    def asked(kernel, cstate, sym, reg):
+        record(kernel.spec, cstate, sym, reg)
+        return successors(kernel, cstate, sym, reg)
+
+    def owned(kernel, cstate, sym):
+        compiled = square(kernel, cstate, sym)
+        owners[id(compiled)] = (kernel.spec, cstate, sym)
+        return compiled
+
+    def walked(compiled, reg, bits):
+        record(*owners[id(compiled)], reg)
+        return resolve(compiled, reg, bits)
+
+    # Runs ask ``successors``; a unary walk resolves the squares it gets.
+    monkeypatch.setattr(analysis._Kernel, "successors", asked)
+    monkeypatch.setattr(analysis._Kernel, "square", owned)
+    monkeypatch.setattr(analysis._Square, "resolve", walked)
+    for spec in machines():
+        for word in inputs(spec):
+            if spec.is_realtime():
+                outcome_of(lambda: run_exact_realtime(spec, word))
+            else:
+                outcome_of(lambda: run_exact_sweeping(spec, word, 3))
+            outcome_of(lambda: run_monte_carlo(spec, word, 4, seed=1, step_cap=300))
+    monkeypatch.undo()
+    return list(reached.values())
+
+
+def test_compiled_squares_match_the_oracle(monkeypatch):
+    reached = reached_squares(monkeypatch)
+    assert len(reached) > 500
+    kinds = {type(reg) for _, _, _, reg in reached}
+    assert kinds == {QVector, RotationRegister, type(None)}
+    raised = []
+    for spec, cstate, sym, reg in reached:
+        kernel = analysis._Kernel(spec, 64)
+        got = outcome_of(lambda: kernel.square(cstate, sym).resolve(reg, 64))
+        want = outcome_of(lambda: oracle_resolve(spec, cstate, sym, reg, 64))
+        assert got == want, (spec.name, cstate, sym)
+        assert certain_flags(got, analysis._UNIT) == certain_flags(want, ORACLE_UNIT), (spec.name, cstate, sym)
+        if isinstance(got, Raised):
+            raised.append(got)
+        square = outcome_of(lambda: kernel.square(cstate, sym))
+        if isinstance(square, analysis._Square) and square.op in (
+            analysis._OP_PFA,
+            analysis._OP_MEASURE,
+            analysis._OP_MEASURE_ROTATION,
+        ):
+            for bits in (64, 128):
+                got = outcome_of(lambda: square.outcomes(reg, bits))
+                want = outcome_of(lambda: oracle_outcomes(spec, cstate, sym, reg, bits))
+                assert got == want, (spec.name, cstate, sym)
+    # Holes, a missing PFA matrix and a pre-unitary on an inexact angle.
+    assert {(r.kind, r.text[:20]) for r in raised} == {
+        (MachineError, "no classical transit"),
+        (MachineError, "no stochastic matrix"),
+        (ExactnessError, "rotation measurement"),
+    }
+
+
+def test_a_hole_raises_only_when_a_branch_reaches_it():
+    spin = holed_machines()[0]
+    assert run_exact_realtime(spin, "").p_accept.value == 1
+    with pytest.raises(MachineError, match=r"no classical transition for \('s1', '\$', '2'\)"):
+        run_exact_realtime(spin, "a")
+
+
+def test_the_square_table_is_bounded_by_the_machine():
+    specs = [build_aw_pal(), build("EXACT_TWINPAL"), build("EXACT_PAL_SWEEPING"), build("LV_EXPTWINPAL")]
+    words = ["".join(w) for n in range(1, 4) for w in itertools.product("ab", repeat=n)]
+    # Inputs outside a promise may end in a table hole or never halt.
+    for u, v in itertools.product(words, repeat=2):
+        outcome_of(lambda: run_exact_realtime(specs[0], f"{u}c{v}"))
+        outcome_of(lambda: analysis.analyze_restarting(specs[1], f"{u}c{u}c{v}c{v}"))
+        outcome_of(lambda: analysis.analyze_sweeping(specs[2], f"{u}c{v}"))
+    for w in words:
+        run_exact_realtime(specs[3], f"{w}c{w}c{w}c{w}c" * 3, precision_bits=128)
+        run_monte_carlo(specs[0], f"{w}c{w[::-1]}", 3, seed=w)
+    for spec in specs:
+        table = spec.__dict__["_squares"]
+        assert 0 < len(table) <= len(spec.states) * len(spec.tape_symbols)
+        for square in table.values():
+            assert not isinstance(square.arg, (QVector, RotationRegister))
+
+
+def test_certain_squares_never_reach_the_outcome_path(monkeypatch):
+    reached, offered = [], []
+    outcomes = analysis._Square.outcomes
+    monkeypatch.setattr(
+        analysis._Square, "outcomes", lambda square, *a: reached.append(square.op) or outcomes(square, *a)
+    )
+    offer = analysis._Memo.offer
+    monkeypatch.setattr(analysis._Memo, "offer", lambda memo, key, out: offered.append(key) or offer(memo, key, out))
+    aw_pal = build_aw_pal()
+    run_exact_realtime(aw_pal, "abbacabba")
+    # Only squares that do register work reach the run's memo.
+    squares = aw_pal.__dict__["_squares"]
+    assert offered and all(squares[key[:2]].op > analysis._OP_PFA for key in offered)
+    assert any(square.op == analysis._OP_NONE for square in squares.values())
+    run_exact_realtime(spin_machine(), "aaaaaaa")
+    run_exact_realtime(mod_dfa(3), "aaaa")
+    run_monte_carlo(build_aw_pal(), "abcba", 20, seed=3)
+    assert reached and set(reached) <= {analysis._OP_MEASURE, analysis._OP_MEASURE_ROTATION}
+
+
+def test_a_unary_walk_keeps_bounded_registers():
+    # AW_PAL's registers on a^n never recur and grow with n, so the cycle
+    # walk hands the run to the block loop, which keeps only hashes; the
+    # run still ends in the same table hole.
+    spec = build_aw_pal()
+    tracemalloc.start()
+    try:
+        with pytest.raises(MachineError, match="no classical transition"):
+            run_exact_realtime(spec, "a" * 2000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_500_000
