@@ -42,6 +42,7 @@ from .exactnum import (
     ApproxProb,
     ExactnessError,
     ExactProb,
+    MAX_PRECISION_BITS,
     PROB_ONE,
     PROB_ZERO,
     ProbValue,
@@ -273,12 +274,15 @@ class _Square:
         vec = reg
         if self.op == _OP_MEASURE_ROTATION:
             # Exact when the angle is a quarter turn, interval-valued otherwise.
-            if not reg.is_exact():
+            try:
+                vec = reg.exact_vector()
+            except ExactnessError:
                 if self.pre is not None:
-                    raise ExactnessError("rotation measurement with a pre-unitary requires an exactly known angle")
+                    raise ExactnessError(
+                        "rotation measurement with a pre-unitary requires an exactly known angle"
+                    ) from None
                 pairs = zip(("1", "2"), (ROTATION_AT_ZERO, ROTATION_AT_ONE), reg.outcome_probabilities(bits))
                 return [(label, post, p.value if p.is_exact() else p) for label, post, p in pairs if p != PROB_ZERO]
-            vec = reg.exact_vector()
         if self.pre is not None:
             vec = self.pre.apply(vec)
         branches = self.arg.measure(vec)
@@ -940,8 +944,6 @@ class MonteCarloResult:
 
 CATEGORY_CAPPED = "capped"
 _TRIAL_CATEGORIES = CATEGORIES + (CATEGORY_CAPPED,)
-
-MAX_PRECISION_BITS = 1 << 16
 
 
 class _StochNode:

@@ -22,7 +22,6 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .analysis import (
-    MAX_PRECISION_BITS,
     MachineError,
     NonterminatingError,
     analyze_restarting,
@@ -44,7 +43,7 @@ from .contextuality import (
     report_to_json_text,
     transcript_to_json_text,
 )
-from .exactnum import MIN_PRECISION_BITS, ExactnessError, format_rational
+from .exactnum import MAX_PRECISION_BITS, MIN_PRECISION_BITS, ExactnessError, format_rational
 from .machines import (
     MODEL_RESTARTING,
     MODEL_SWEEPING,

@@ -13,6 +13,7 @@ certified bound check, never a sampled float comparison.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,6 +23,11 @@ DYADIC_PI = "DyadicPi"
 SQRT2_PI = "Sqrt2Pi"
 
 MIN_PRECISION_BITS = 16
+# The largest precision an enclosure is asked for. A Sqrt2Pi coefficient
+# whose numerator or denominator is longer is refused: the working
+# precision grows with its length, and so does the cost, faster than
+# linearly.
+MAX_PRECISION_BITS = 1 << 16
 
 
 class ExactnessError(ValueError):
@@ -43,12 +49,18 @@ def reduced_over(num: int, den: int, base: int) -> Fraction:
     gcd on the full-size integers. Otherwise this is Fraction(num, den).
     """
     if math.gcd(num % base, base) == 1:
-        # Both slots are set, as Fraction.__new__ sets them for a reduced pair.
-        value = object.__new__(Fraction)
-        value._numerator = num
-        value._denominator = den
-        return value
+        return _reduced(num, den)
     return Fraction(num, den)
+
+
+def _reduced(num: int, den: int) -> Fraction:
+    """num/den for a pair already in lowest terms with den > 0, built
+    without Fraction's gcd."""
+    # Both slots are set, as Fraction.__new__ sets them for a reduced pair.
+    value = object.__new__(Fraction)
+    value._numerator = num
+    value._denominator = den
+    return value
 
 
 def parse_rational(text: str) -> Fraction:
@@ -326,13 +338,41 @@ def cut_points(bounds: "Sequence[tuple[Fraction, Fraction]]", scale_bits: int) -
     return cuts
 
 
-def _mpf_tuple_to_fraction(t) -> Fraction:
+def _mpf_to_fraction(t, shift: int = 0) -> Fraction:
+    """The finite mpmath mpf tuple ``t`` times 2^shift, as a Fraction.
+
+    A nonzero mpf is normalised to an odd mantissa, so man / 2^k is in
+    lowest terms and the Fraction is built without a gcd.
+    """
     sign, man, exp, _ = t
-    man = int(man)
-    if man == 0:
+    if not man:
         return Fraction(0)
-    value = Fraction(man * 2 ** exp) if exp >= 0 else Fraction(man, 2 ** (-exp))
-    return -value if sign else value
+    man = -int(man) if sign else int(man)
+    exp += shift
+    if exp >= 0:
+        return Fraction(man << exp)
+    return _reduced(man, 1 << -exp)
+
+
+# Working precisions whose 2*pi and 2*pi*sqrt(2) enclosures are kept. The
+# enclosures of c*sqrt(2)*pi for c <= 10^4 at 64 bits start at 14.
+_CONSTANT_PRECISIONS = 64
+
+
+@functools.lru_cache(maxsize=_CONSTANT_PRECISIONS)
+def _two_pi_intervals(work: int) -> tuple:
+    """(2*pi, 2*pi*sqrt(2)) as mpmath interval tuples at ``work`` bits.
+
+    pi is enclosed by its floor and ceiling, as the ``iv`` context's
+    constant is, and pi*sqrt(2) is one interval product. Doubling an
+    endpoint is exact in binary, so these equal the doubled ``iv`` values.
+    """
+    from mpmath import libmp
+
+    pi = (libmp.mpf_pi(work, libmp.round_floor), libmp.mpf_pi(work, libmp.round_ceiling))
+    two = (libmp.from_int(2), libmp.from_int(2))
+    pi_root2 = libmp.mpi_mul(pi, libmp.mpi_sqrt(two, work), work)
+    return libmp.mpi_mul(two, pi, work), libmp.mpi_mul(two, pi_root2, work)
 
 
 def _interval_sin_squared(angle: SymbolicAngle, precision_bits: int) -> RationalInterval:
@@ -342,40 +382,46 @@ def _interval_sin_squared(angle: SymbolicAngle, precision_bits: int) -> Rational
     the working precision raised until the requested width is met. The
     result is intersected with [0, 1], which preserves containment because
     the true value always lies in [0, 1].
+
+    The endpoints are bit for bit those of mpmath's ``iv`` context, which
+    evaluated ``(1 - iv.cos(2 * (iv.pi * iv.sqrt(2) * c))) / 2``, with
+    ``c = iv.mpf(num) / iv.mpf(den)`` and no sqrt(2) for DyadicPi, at
+    ``iv.prec`` set to the working precision. That context calls these
+    same ``mpmath.libmp`` kernels, and here they are called in the same
+    order at the same precision, with no global context to save and
+    restore. Each kernel rounds outward to the working precision, and
+    scaling an endpoint by a power of two, or dividing it by 1, is exact in
+    binary and commutes with that rounding. So the factor 2 sits in the
+    cached constant, a denominator of 1 is not divided by, and the final
+    halving is a shift of the exponent, and no endpoint moves.
     """
     # Imported here: only irrational-angle enclosures need mpmath, and the
     # import costs more than most runs that never reach this point.
-    import mpmath
+    from mpmath import libmp
 
     coeff = angle.coeff
     if angle.kind == DYADIC_PI:
         # sin^2(c*pi) has period 1 in c; exact reduction keeps arguments small.
         coeff = coeff % 1
-    target_width = Fraction(1, 2 ** precision_bits)
-    iv = mpmath.iv
-    saved_prec = iv.prec
-    try:
-        # Guard bits cover the argument magnitude plus rounding slack.
-        magnitude_bits = max(abs(coeff.numerator), 1).bit_length() + 4
-        work = precision_bits + magnitude_bits + 16
-        while True:
-            iv.prec = work
-            coeff_iv = iv.mpf(coeff.numerator) / iv.mpf(coeff.denominator)
-            if angle.kind == DYADIC_PI:
-                arg = iv.pi * coeff_iv
-            else:
-                arg = iv.pi * iv.sqrt(2) * coeff_iv
-            result = (iv.mpf(1) - iv.cos(2 * arg)) / 2
-            lo_t, hi_t = result._mpi_
-            lo = _mpf_tuple_to_fraction(lo_t)
-            hi = _mpf_tuple_to_fraction(hi_t)
-            lo = max(lo, Fraction(0))
-            hi = min(hi, Fraction(1))
-            if hi >= lo and hi - lo <= target_width:
-                return RationalInterval(lo, hi)
-            work *= 2
-    finally:
-        iv.prec = saved_prec
+    num, den = coeff.numerator, coeff.denominator
+    floor, ceiling, from_int = libmp.round_floor, libmp.round_ceiling, libmp.from_int
+    one = (libmp.fone, libmp.fone)
+    target_width = Fraction(1, 1 << precision_bits)
+    # Guard bits cover the argument magnitude plus rounding slack.
+    magnitude_bits = max(abs(num), 1).bit_length() + 4
+    work = precision_bits + magnitude_bits + 16
+    while True:
+        coeff_iv = (from_int(num, work, floor), from_int(num, work, ceiling))
+        if den != 1:
+            coeff_iv = libmp.mpi_div(coeff_iv, (from_int(den, work, floor), from_int(den, work, ceiling)), work)
+        two_pi, two_pi_root2 = _two_pi_intervals(work)
+        arg = libmp.mpi_mul(two_pi if angle.kind == DYADIC_PI else two_pi_root2, coeff_iv, work)
+        lo_t, hi_t = libmp.mpi_sub(one, libmp.mpi_cos(arg, work), work)
+        lo = max(_mpf_to_fraction(lo_t, -1), Fraction(0))
+        hi = min(_mpf_to_fraction(hi_t, -1), Fraction(1))
+        if hi >= lo and hi - lo <= target_width:
+            return RationalInterval(lo, hi)
+        work *= 2
 
 
 def angle_probability(angle: SymbolicAngle, precision_bits: int = 64) -> ProbValue:
@@ -384,16 +430,34 @@ def angle_probability(angle: SymbolicAngle, precision_bits: int = 64) -> ProbVal
     Returns ExactProb exactly when the value is forced to 0 or 1: a
     DyadicPi angle whose coefficient is an integer multiple of 1/2, or the
     zero angle of either kind. Every other case returns ApproxProb with a
-    certified enclosure of width at most 2^-precision_bits.
+    certified enclosure of width at most 2^-precision_bits. A Sqrt2Pi
+    coefficient with a numerator or denominator over MAX_PRECISION_BITS
+    bits raises ExactnessError.
     """
     if precision_bits < MIN_PRECISION_BITS:
         raise ValueError(f"precision_bits must be >= {MIN_PRECISION_BITS}, got {precision_bits}")
     if angle.coeff == 0:
         return ExactProb(Fraction(0))
+    if angle.kind == SQRT2_PI:
+        size = max(abs(angle.coeff.numerator), angle.coeff.denominator).bit_length()
+        if size > MAX_PRECISION_BITS:
+            raise ExactnessError(
+                f"a Sqrt2Pi angle coefficient of {size} bits is over the cap of "
+                f"{MAX_PRECISION_BITS} bits for a certified enclosure"
+            )
     if angle.kind == DYADIC_PI and (2 * angle.coeff).denominator == 1:
         # Half-integer multiples of pi: sin^2 is 0 at integers, 1 at halves.
         return ExactProb(Fraction(0) if angle.coeff.denominator == 1 else Fraction(1))
     return ApproxProb(_interval_sin_squared(angle, precision_bits))
+
+
+# (cos, sin) after 0, 1, 2 and 3 quarter turns.
+_QUARTER_TURNS = (
+    (Fraction(1), Fraction(0)),
+    (Fraction(0), Fraction(1)),
+    (Fraction(-1), Fraction(0)),
+    (Fraction(0), Fraction(-1)),
+)
 
 
 def cos_sin_exact(angle: SymbolicAngle) -> "tuple[Fraction, Fraction]":
@@ -402,18 +466,12 @@ def cos_sin_exact(angle: SymbolicAngle) -> "tuple[Fraction, Fraction]":
     Only DyadicPi angles with half-integer coefficients qualify. Raises
     ExactnessError otherwise.
     """
-    if angle.coeff == 0:
-        return Fraction(1), Fraction(0)
-    if angle.kind != DYADIC_PI or (2 * angle.coeff).denominator != 1:
+    coeff = angle.coeff
+    if coeff == 0:
+        return _QUARTER_TURNS[0]
+    if angle.kind != DYADIC_PI or coeff.denominator > 2:
         raise ExactnessError(f"cos/sin of {angle} is not exactly representable")
-    quarter_turns = int(2 * angle.coeff) % 4
-    table = {
-        0: (Fraction(1), Fraction(0)),
-        1: (Fraction(0), Fraction(1)),
-        2: (Fraction(-1), Fraction(0)),
-        3: (Fraction(0), Fraction(-1)),
-    }
-    return table[quarter_turns]
+    return _QUARTER_TURNS[2 * coeff.numerator // coeff.denominator % 4]
 
 
 # Taylor terms of e summed by ``one_minus_inv_e_bracket``.

@@ -13,7 +13,7 @@ from exactqfa import cli, verify
 from exactqfa.analysis import MAX_PRECISION_BITS
 from exactqfa.exactnum import MIN_PRECISION_BITS, one_minus_inv_e_bracket
 from exactqfa.machines import emit_spec, parse_spec, validate
-from test_analysis import fair_coin_pfa
+from test_analysis import fair_coin_pfa, turn_machine
 from test_sampling import _thirds_pfa
 
 
@@ -169,6 +169,23 @@ class TestAnalyze:
             '      "capped": 0,\n      "continue": 0,\n      "dont_know": 0,\n      "reject": 162\n'
             '    },\n    "mean_rounds": "1/1",\n    "mean_steps": "9/1",\n    "trials": 300\n  }\n}\n'
         )
+
+    def test_a_rotation_count_past_the_precision_cap_exits_2(self, capsys, tmp_path):
+        # Each 'a' turns by sqrt(2)*pi, so the final angle's coefficient is
+        # the count itself: 20,000 nines are 66,439 bits.
+        path = tmp_path / "turn.json"
+        path.write_text(emit_spec(turn_machine()) + "\n", encoding="utf-8")
+        argv = ("analyze", "--spec-file", str(path), "--mode", "exact", "--input")
+        code, out, err = run_cli(capsys, *argv, "a" + "9" * 20000)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: a Sqrt2Pi angle coefficient of 66439 bits is over the cap of "
+            f"{MAX_PRECISION_BITS} bits for a certified enclosure\n"
+        )
+        code, out, _ = run_cli(capsys, *argv, "a" + "9" * 100)
+        assert code == 0
+        assert json.loads(out)["input_length"] == 10 ** 100 - 1
 
     def test_spec_file_with_a_repeated_matrix_state_exits_2(self, capsys, tmp_path):
         doc = json.loads(emit_spec(fair_coin_pfa()))

@@ -9,18 +9,25 @@ produce its own expected values.
 from __future__ import annotations
 
 import fractions
+import hashlib
 import math
 import os
+import random
 import subprocess
 import sys
 import types
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath import libmp
 
+from exactqfa import exactnum
 from exactqfa.exactnum import (
+    DYADIC_PI,
+    MAX_PRECISION_BITS,
     ApproxProb,
     ExactnessError,
     ExactProb,
@@ -178,6 +185,148 @@ def test_mpmath_is_imported_only_for_an_enclosure() -> None:
     )
 
 
+def iv_sin_squared(angle: SymbolicAngle, precision_bits: int, work=None) -> RationalInterval:
+    """The enclosure as mpmath's ``iv`` context computes it: the oracle
+    that the libmp kernels must match endpoint for endpoint. ``work``, when
+    given, replaces the first working precision."""
+
+    def to_fraction(t) -> Fraction:
+        sign, man, exp, _ = t
+        man = int(man)
+        if man == 0:
+            return Fraction(0)
+        value = Fraction(man * 2 ** exp) if exp >= 0 else Fraction(man, 2 ** (-exp))
+        return -value if sign else value
+
+    coeff = angle.coeff
+    if angle.kind == DYADIC_PI:
+        coeff = coeff % 1
+    target_width = Fraction(1, 2 ** precision_bits)
+    iv = mpmath.iv
+    saved_prec = iv.prec
+    try:
+        magnitude_bits = max(abs(coeff.numerator), 1).bit_length() + 4
+        if work is None:
+            work = precision_bits + magnitude_bits + 16
+        while True:
+            iv.prec = work
+            coeff_iv = iv.mpf(coeff.numerator) / iv.mpf(coeff.denominator)
+            if angle.kind == DYADIC_PI:
+                arg = iv.pi * coeff_iv
+            else:
+                arg = iv.pi * iv.sqrt(2) * coeff_iv
+            result = (iv.mpf(1) - iv.cos(2 * arg)) / 2
+            lo_t, hi_t = result._mpi_
+            lo = max(to_fraction(lo_t), Fraction(0))
+            hi = min(to_fraction(hi_t), Fraction(1))
+            if hi >= lo and hi - lo <= target_width:
+                return RationalInterval(lo, hi)
+            work *= 2
+    finally:
+        iv.prec = saved_prec
+
+
+def seeded_angles(seed: int, per_kind: int) -> "list[tuple[SymbolicAngle, int]]":
+    """``per_kind`` signed Sqrt2Pi angles with any denominator and as many
+    DyadicPi angles, at each of 16, 64, 128, 200 and 1000 bits."""
+    rng = random.Random(seed)
+    cases = []
+    for bits in (16, 64, 128, 200, 1000):
+        for _ in range(per_kind):
+            num = rng.choice((-1, 1)) * rng.getrandbits(rng.randint(1, 64)) or 1
+            cases.append((sqrt2_pi(Fraction(num, rng.randint(1, 2 ** rng.randint(1, 40)))), bits))
+            cases.append((dyadic_pi(Fraction(rng.randint(-(2 ** 70), 2 ** 70), 2 ** rng.randint(0, 80))), bits))
+    return cases
+
+
+def endpoint_digest(cases) -> str:
+    digest = hashlib.sha256()
+    for angle, bits in cases:
+        box = angle_probability(angle, bits).as_interval()
+        digest.update(f"{format_rational(box.lo)} {format_rational(box.hi)}\n".encode())
+    return digest.hexdigest()
+
+
+def test_enclosures_keep_their_pinned_endpoints() -> None:
+    # Both digests were recorded with the enclosure computed in mpmath's
+    # iv context (mpmath 1.3.0). A new mpmath release may move them.
+    eq_angles = ((sqrt2_pi(c), 64) for c in range(1, 10 ** 4 + 1))
+    assert endpoint_digest(eq_angles) == "c9c8d3245db585fa57593b725f17af1e45b99703152dbc0446db7281306cc6ef"
+    assert endpoint_digest(seeded_angles(14, 40)) == (
+        "953036124ea77a86b95bf915433e1d973d0a8f0d1f1436b34d17ca647ffca2cb"
+    )
+
+
+def test_enclosures_equal_the_iv_context() -> None:
+    for angle, bits in seeded_angles(15, 20):
+        if angle_probability(angle, bits).is_exact():
+            continue
+        assert exactnum._interval_sin_squared(angle, bits) == iv_sin_squared(angle, bits)
+
+
+def test_an_escalating_enclosure_equals_the_iv_context_at_the_doubled_precision(monkeypatch) -> None:
+    # No angle met so far needs a second pass, so the first pass is made to
+    # fail: its cosine is widened to all of [-1, 1].
+    precisions = []
+    mpi_cos = libmp.mpi_cos
+
+    def widened_once(x, prec):
+        precisions.append(prec)
+        return (libmp.fnone, libmp.fone) if len(precisions) == 1 else mpi_cos(x, prec)
+
+    monkeypatch.setattr(libmp, "mpi_cos", widened_once)
+    mp_prec, iv_prec = mpmath.mp.prec, mpmath.iv.prec
+    for angle, bits in ((sqrt2_pi(Fraction(-7, 3)), 64), (dyadic_pi(Fraction(5, 16)), 200)):
+        precisions.clear()
+        box = exactnum._interval_sin_squared(angle, bits)
+        assert len(precisions) == 2 and precisions[1] == 2 * precisions[0]
+        assert box == iv_sin_squared(angle, bits, work=precisions[1])
+    assert (mpmath.mp.prec, mpmath.iv.prec) == (mp_prec, iv_prec)
+
+
+def test_enclosures_leave_mpmath_global_state_alone() -> None:
+    mp_prec, iv_prec = mpmath.mp.prec, mpmath.iv.prec
+    for angle, bits in seeded_angles(16, 3):
+        angle_probability(angle, bits)
+    assert (mpmath.mp.prec, mpmath.iv.prec) == (mp_prec, iv_prec)
+    maxsize = exactnum._two_pi_intervals.cache_info().maxsize
+    assert isinstance(maxsize, int) and exactnum._two_pi_intervals.cache_info().currsize <= maxsize
+
+
+@pytest.mark.parametrize(
+    "t, shift",
+    [
+        (libmp.fzero, -1),
+        (libmp.from_man_exp(-3, -5), 0),
+        (libmp.from_man_exp(-3, -5), -1),
+        (libmp.from_man_exp(5, 3), 0),
+        (libmp.from_man_exp(5, 0), -1),
+        (libmp.from_man_exp(12, 7), -1),
+    ],
+)
+def test_mpf_to_fraction_is_the_reduced_dyadic(t, shift) -> None:
+    sign, man, exp, _ = t
+    k = exp + shift
+    want = Fraction((-1) ** sign * int(man) * 2 ** max(k, 0), 2 ** max(-k, 0))
+    got = exactnum._mpf_to_fraction(t, shift)
+    assert type(got) is Fraction
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    assert hash(got) == hash(want)
+
+
+def test_an_oversize_sqrt2_coefficient_is_refused_before_any_enclosure(monkeypatch) -> None:
+    enclosed = []
+    monkeypatch.setattr(exactnum, "_interval_sin_squared", lambda angle, bits: enclosed.append(angle))
+    at_cap = 2 ** MAX_PRECISION_BITS - 1
+    for coeff in (Fraction(at_cap), Fraction(-at_cap, at_cap - 2), Fraction(1, at_cap)):
+        angle_probability(sqrt2_pi(coeff))
+    assert len(enclosed) == 3
+    for coeff in (Fraction(at_cap + 2), Fraction(-1, at_cap + 1), Fraction(3 * at_cap, at_cap + 1)):
+        with pytest.raises(ExactnessError, match="over the cap of 65536 bits"):
+            angle_probability(sqrt2_pi(coeff))
+    assert len(enclosed) == 3
+
+
 @given(st.fractions(min_value=Fraction(-50), max_value=Fraction(50), max_denominator=997))
 @settings(max_examples=40, deadline=None)
 def test_angle_probability_precision_nesting(coeff: Fraction) -> None:
@@ -196,9 +345,11 @@ def test_cos_sin_exact_table() -> None:
     assert cos_sin_exact(dyadic_pi(1)) == (Fraction(-1), Fraction(0))
     assert cos_sin_exact(dyadic_pi(Fraction(3, 2))) == (Fraction(0), Fraction(-1))
     assert cos_sin_exact(dyadic_pi(Fraction(-1, 2))) == (Fraction(0), Fraction(-1))
-    with pytest.raises(ExactnessError):
+    assert cos_sin_exact(dyadic_pi(Fraction(-3, 2))) == (Fraction(0), Fraction(1))
+    assert cos_sin_exact(dyadic_pi(-7)) == (Fraction(-1), Fraction(0))
+    with pytest.raises(ExactnessError, match="is not exactly representable"):
         cos_sin_exact(dyadic_pi(Fraction(1, 4)))
-    with pytest.raises(ExactnessError):
+    with pytest.raises(ExactnessError, match="is not exactly representable"):
         cos_sin_exact(sqrt2_pi(1))
 
 
