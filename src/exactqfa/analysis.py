@@ -418,24 +418,44 @@ def _run_blocks(kernel: _Kernel, block: str, reps: int) -> OutcomeDistribution:
     transfer matrices once their block-boundary configurations recur
     (see ``_advance_blocks``). Two blocks are stepped square by square:
     a block row is kept from its key's second sighting, so the first
-    jump can come at the third block. The masses a jump leaves over its
-    big denominator are reduced through the denominator's small base
-    (``reduced_over``), so the run ends without a gcd on integers the
-    size of the answer.
+    jump can come at the third block. A jump leaves its masses as
+    integers over one big denominator, and the run ends on integers
+    scaled by it (``_scaled_distribution``), so it ends without a gcd on
+    integers the size of the answer.
     """
     branches = {(kernel.spec.initial_state, initial_register(kernel.spec)): Fraction(1)}
     masses = _empty_masses()
     branches = _step(kernel, branches, LEFT_MARKER, masses)
     branches, ends, den, base = _advance_blocks(kernel, branches, block, reps, masses)
-    # After a jump the weights and ``ends`` are over ``den``: the right
-    # end-marker's masses join them, and each category is divided once.
+    # After a jump the weights and ``ends`` are over ``den``, and the
+    # right end-marker's masses join ``ends``.
     branches = _step(kernel, branches, RIGHT_MARKER, masses if den == 1 else ends)
-    for category, values in ends.items():
-        if values:
-            masses[category].append(_divided(prob_sum(values), den, base))
     if branches:
         raise MachineError("live branches remain after the right end-marker")
-    return _masses_to_distribution(masses)
+    if den == 1:
+        return _masses_to_distribution(masses)
+    return _scaled_distribution(masses, ends, den, base)
+
+
+def _scaled_distribution(masses: dict, ends: dict, den: int, base: int) -> OutcomeDistribution:
+    """The distribution of ``masses`` plus ``ends`` / den, where every
+    prime of ``den`` divides ``base``.
+
+    ``masses`` hold the small-denominator masses decided before a jump,
+    and ``ends`` the numerators over ``den`` it left. Each category sums
+    its masses while their denominators are small, scales the sum by
+    ``den`` and adds its ends. The total-mass check asks whether the
+    scaled total contains ``den``, so no sum adds fractions over the big
+    denominator. Last, each category is divided once (``_divided``).
+    """
+    sums = [
+        prob_sum([prob_scale(prob_sum(masses[cat]), den), *ends[cat]] if masses[cat] else ends[cat])
+        for cat in CATEGORIES
+    ]
+    total = prob_sum(sums).as_interval()
+    if not total.contains(den):
+        raise MachineError(f"total terminal mass {total.scale(Fraction(1, den))} does not cover 1")
+    return OutcomeDistribution(*(_divided(value, den, base) for value in sums))
 
 
 def _divided(total: ProbValue, den: int, base: int) -> ProbValue:
@@ -625,7 +645,10 @@ def _jump(rows: _Memo, keys: list, branches: dict, blocks: int) -> tuple:
     M = [[T, D], [0, I]]: T holds the live-to-live weights over ``keys``,
     D the decided mass, one column per category and one more for the
     upper end of each category whose mass is an interval, and I carries
-    the decided mass on unchanged. Returns the live weights and the
+    the decided mass on unchanged. When every kept key returns only to
+    itself, T is diagonal and the power has a closed form
+    (``_self_loop_power``); any other T is raised by ``_matrix_power``.
+    Both give the same integers. Returns the live weights and the
     decided masses by category as integers over the denominator
     v_den·den^blocks, and last that denominator's base v_den·den, which
     has every prime the power has: one reduction per category at the end
@@ -658,11 +681,13 @@ def _jump(rows: _Memo, keys: list, branches: dict, blocks: int) -> tuple:
     bits = blocks * (den.bit_length() - 1) + v_den.bit_length()
     if bits > MAX_JUMP_BITS:
         raise MachineError(f"a jump's answer needs at least {bits} bits, over the cap of {MAX_JUMP_BITS}")
-    (scaled,) = _matrix_power(
-        [[x.numerator * (den // x.denominator) for x in row] for row in matrix],
-        blocks,
-        ([x.numerator * (v_den // x.denominator) for x in start],),
-    )
+    scaled_rows = [[x.numerator * (den // x.denominator) for x in row] for row in matrix]
+    scaled_start = [x.numerator * (v_den // x.denominator) for x in start]
+    if all(key2 == key for key in keys for key2 in rows[key][0]):
+        scaled, den_power = _self_loop_power(scaled_rows, n, den, blocks, scaled_start)
+    else:
+        (scaled,) = _matrix_power(scaled_rows, blocks, (scaled_start,))
+        den_power = den**blocks
     sums = dict(zip(columns, scaled[n:]))
     ends = _empty_masses()
     for c in cats:
@@ -673,7 +698,37 @@ def _jump(rows: _Memo, keys: list, branches: dict, blocks: int) -> tuple:
                 ExactProb(lo) if lo == hi else ApproxProb(RationalInterval(Fraction(lo), Fraction(hi)))
             )
     live = {key: w for key, w in zip(keys, scaled) if w}
-    return live, ends, v_den * den**blocks, v_den * den
+    return live, ends, v_den * den_power, v_den * den
+
+
+def _self_loop_power(rows, n: int, den: int, exponent: int, start) -> tuple:
+    """start @ rows^exponent, with den^exponent, for an integer matrix
+    rows = [[diag(a), D], [0, den·I]] whose first ``n`` rows are live.
+
+    Live entry i is s_i·a_i^b. Decided column j keeps its start value
+    times den^b and gains s_i·d_ij·(den^b - a_i^b)/(den - a_i) from each
+    live row i: the sum of a_i^k·den^(b-1-k) over k < b, which is an
+    exact integer division, and b·den^(b-1) when a_i = den. These are
+    the integers ``_matrix_power`` returns, from one power of den and
+    one per live row instead of about 2·log2(b) matrix products.
+    """
+    den_power = den**exponent
+    out = [0] * n + [s * den_power for s in start[n:]]
+    for i in range(n):
+        s, row = start[i], rows[i]
+        if not s:
+            continue
+        a = row[i]
+        if a == den:
+            a_power, geometric = den_power, exponent * (den_power // den)
+        else:
+            a_power = a**exponent
+            geometric = (den_power - a_power) // (den - a)
+        out[i] = s * a_power
+        for j in range(n, len(out)):
+            if row[j]:
+                out[j] += s * row[j] * geometric
+    return tuple(out), den_power
 
 
 @dataclass(frozen=True)

@@ -24,9 +24,9 @@ SQRT2_PI = "Sqrt2Pi"
 
 MIN_PRECISION_BITS = 16
 # The largest precision an enclosure is asked for. A Sqrt2Pi coefficient
-# whose numerator or denominator is longer is refused: the working
-# precision grows with its length, and so does the cost, faster than
-# linearly.
+# whose numerator or denominator is longer is refused, and so is a
+# DyadicPi coefficient whose value mod 1 has one: the working precision
+# grows with its length, and so does the cost, faster than linearly.
 MAX_PRECISION_BITS = 1 << 16
 
 
@@ -39,17 +39,39 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+# The most passes ``reduced_over`` makes to divide out a shared odd
+# factor before it leaves the rest to Fraction's gcd.
+REDUCE_PASSES = 4
+
+
 def reduced_over(num: int, den: int, base: int) -> Fraction:
     """num/den in lowest terms, for den > 0 and base > 0 such that every
     prime of ``den`` divides ``base``.
 
-    A prime common to num and den divides base, so it divides
-    gcd(num % base, base); when that small gcd is 1 the pair is already
-    coprime, and the Fraction is built from it without Fraction's own
-    gcd on the full-size integers. Otherwise this is Fraction(num, den).
+    The power of 2 the pair shares is shifted out of both, after which at
+    most one of them is even. Any prime still common to num and den is
+    odd and divides base's odd part ``odd``, so it divides
+    shared = gcd(gcd(num % odd, odd), den), which takes a division of
+    each full-size integer by a small one. When shared is 1 the pair is
+    coprime, and the Fraction is built from it without Fraction's own gcd
+    on the full-size integers; otherwise shared is divided out of both
+    and the test runs again. After REDUCE_PASSES passes this is
+    Fraction(num, den).
     """
-    if math.gcd(num % base, base) == 1:
-        return _reduced(num, den)
+    if not num:
+        return Fraction(0)
+    if not (num & 1 or den & 1):
+        # x & -x is the lowest set bit of x, for a negative x too.
+        shift = min((num & -num).bit_length(), (den & -den).bit_length()) - 1
+        num, den = num >> shift, den >> shift
+    odd = base >> ((base & -base).bit_length() - 1)
+    for _ in range(REDUCE_PASSES):
+        shared = math.gcd(num % odd, odd)
+        if shared != 1:
+            shared = math.gcd(den % shared, shared)
+        if shared == 1:
+            return _reduced(num, den)
+        num, den = num // shared, den // shared
     return Fraction(num, den)
 
 
@@ -432,22 +454,28 @@ def angle_probability(angle: SymbolicAngle, precision_bits: int = 64) -> ProbVal
     zero angle of either kind. Every other case returns ApproxProb with a
     certified enclosure of width at most 2^-precision_bits. A Sqrt2Pi
     coefficient with a numerator or denominator over MAX_PRECISION_BITS
-    bits raises ExactnessError.
+    bits raises ExactnessError, and so does a DyadicPi coefficient whose
+    value mod 1 has one.
     """
     if precision_bits < MIN_PRECISION_BITS:
         raise ValueError(f"precision_bits must be >= {MIN_PRECISION_BITS}, got {precision_bits}")
-    if angle.coeff == 0:
+    coeff = angle.coeff
+    if coeff == 0:
         return ExactProb(Fraction(0))
-    if angle.kind == SQRT2_PI:
-        size = max(abs(angle.coeff.numerator), angle.coeff.denominator).bit_length()
-        if size > MAX_PRECISION_BITS:
-            raise ExactnessError(
-                f"a Sqrt2Pi angle coefficient of {size} bits is over the cap of "
-                f"{MAX_PRECISION_BITS} bits for a certified enclosure"
-            )
-    if angle.kind == DYADIC_PI and (2 * angle.coeff).denominator == 1:
-        # Half-integer multiples of pi: sin^2 is 0 at integers, 1 at halves.
-        return ExactProb(Fraction(0) if angle.coeff.denominator == 1 else Fraction(1))
+    if angle.kind == DYADIC_PI:
+        if (2 * coeff).denominator == 1:
+            # Half-integer multiples of pi: sin^2 is 0 at integers, 1 at halves.
+            return ExactProb(Fraction(0) if coeff.denominator == 1 else Fraction(1))
+        # The enclosure reads c mod 1, whose numerator is below its
+        # denominator, which is c's.
+        size = coeff.denominator.bit_length()
+    else:
+        size = max(abs(coeff.numerator), coeff.denominator).bit_length()
+    if size > MAX_PRECISION_BITS:
+        raise ExactnessError(
+            f"a {angle.kind} angle coefficient of {size} bits is over the cap of "
+            f"{MAX_PRECISION_BITS} bits for a certified enclosure"
+        )
     return ApproxProb(_interval_sin_squared(angle, precision_bits))
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import fractions
 import math
+import random
 import time
 import types
 from fractions import Fraction
@@ -1018,10 +1019,13 @@ def test_key_seen_in_consecutive_blocks_is_walked_once(monkeypatch, build, u, v)
     assert walked and len(walked) == len(set(walked))
 
 
-def test_block_path_ends_without_a_full_size_gcd(monkeypatch):
-    # gcd(a, b) descends from the smaller operand's size to the result's;
-    # that descent is the quadratic part. gcd(x, x) or gcd(x, 5) on a big
-    # x costs a division at most.
+def _gcd_descents(monkeypatch) -> list:
+    """The descent of each gcd that Fraction runs from here on.
+
+    gcd(a, b) descends from the smaller operand's size to the result's;
+    that descent is the quadratic part. gcd(x, x) or gcd(x, 5) on a big
+    x costs a division at most.
+    """
     descents = []
     shim = types.SimpleNamespace(**vars(math))
 
@@ -1032,9 +1036,107 @@ def test_block_path_ends_without_a_full_size_gcd(monkeypatch):
 
     shim.gcd = gcd
     monkeypatch.setattr(fractions, "math", shim)
+    return descents
+
+
+def test_block_path_ends_without_a_full_size_gcd(monkeypatch):
+    descents = _gcd_descents(monkeypatch)
     dist = run_exact_realtime(build_lv_exptwinpal(), _twin_blocks("ab", "aa", 625))
     assert dist.p_reject.value.denominator.bit_length() > 10_000
     assert descents and max(descents) <= 2000
+
+
+def test_interval_block_path_ends_without_a_full_size_gcd(monkeypatch):
+    # The sin^2 endpoints are dyadic, so the interval ends share a long
+    # power of two with the jump's denominator.
+    descents = _gcd_descents(monkeypatch)
+    dist = run_exact_realtime(coin_turn_machine(), "ab" * 2000)
+    for p in (dist.p_accept, dist.p_reject):
+        assert not p.is_exact() and p.interval.lo.denominator.bit_length() > 9000
+    assert descents and max(descents) <= 200
+
+
+LONG_PERIODIC_PAIRS = [(u, v) for u in ("aa", "ab", "ba", "bb") for v in ("aa", "ab", "ba", "bb") if u != v]
+
+
+def _power_calls(monkeypatch) -> list:
+    """The name of each power a jump takes from here on."""
+    calls = []
+    for name in ("_self_loop_power", "_matrix_power"):
+        power = getattr(analysis, name)
+        monkeypatch.setattr(analysis, name, lambda *a, name=name, power=power: calls.append(name) or power(*a))
+    return calls
+
+
+def test_self_looping_keys_take_the_closed_form(monkeypatch):
+    # Every LV_EXPTWINPAL key returns only to itself at block ends; the
+    # coin-turn machine's keys reach each other.
+    calls = _power_calls(monkeypatch)
+    for u, v in LONG_PERIODIC_PAIRS:
+        run_exact_realtime(build_lv_exptwinpal(), _twin_blocks(u, v, 625))
+    assert calls and set(calls) == {"_self_loop_power"}
+    calls.clear()
+    run_exact_realtime(coin_turn_machine(), "ab" * 64)
+    assert calls == ["_matrix_power"]
+
+
+def _random_self_loop_case(rng, den: int):
+    """rows = [[diag(a), D], [0, den·I]] and a start vector, with a_i in
+    {0, den, other}, zero start weights, and exact and (lo, hi) columns."""
+    n = rng.randint(1, 4)
+    exact_cols, wide_cols = rng.randint(0, 3), rng.randint(0, 2)
+    rows = []
+    for i in range(n):
+        a = rng.choice((0, den, rng.randint(0, den)))
+        exact = [rng.randint(0, den) for _ in range(exact_cols)]
+        lo = [rng.randint(0, den) for _ in range(wide_cols)]
+        hi = [x + rng.randint(0, 3) for x in lo]
+        rows.append([a if j == i else 0 for j in range(n)] + exact + lo + hi)
+    width = len(rows[0])
+    rows += [[den if j == i else 0 for j in range(width)] for i in range(n, width)]
+    start = [rng.choice((0, rng.randint(1, 50))) for _ in range(n)] + [rng.randint(0, 9) for _ in range(n, width)]
+    return rows, n, start
+
+
+@pytest.mark.parametrize("den", [1, 2, 25, 390625, 3 * 2 ** 20])
+def test_self_loop_power_matches_the_matrix_power(den):
+    rng = random.Random(den)
+    for _ in range(12):
+        rows, n, start = _random_self_loop_case(rng, den)
+        for blocks in (1, 2, 3, 625):
+            (want,) = analysis._matrix_power(rows, blocks, (start,))
+            assert analysis._self_loop_power(rows, n, den, blocks, start) == (want, den ** blocks)
+
+
+def _losing(category: str):
+    """Kernel.successors without the branches that decide ``category``."""
+    successors = analysis._Kernel.successors
+    return lambda kernel, *args: tuple(s for s in successors(kernel, *args) if s[0] != category)
+
+
+LOSSY_RUNS = [
+    # Two blocks are stepped square by square.
+    (build_lv_exptwinpal, _twin_blocks("ab", "aa", 2), False),
+    # A jump, after which the check runs on integers scaled by its
+    # denominator, with exact and with interval masses.
+    (build_lv_exptwinpal, _twin_blocks("ab", "aa", 625), True),
+    (coin_turn_machine, "ab" * 64, True),
+]
+
+
+@pytest.mark.parametrize("build, word, jumped", LOSSY_RUNS, ids=["squares", "jump", "interval-jump"])
+def test_lost_mass_fails_the_total_mass_check(monkeypatch, build, word, jumped):
+    monkeypatch.setattr(analysis._Kernel, "successors", _losing("reject"))
+    jumps = []
+    jump = analysis._jump
+    monkeypatch.setattr(analysis, "_jump", lambda *a: jumps.append(a[3]) or jump(*a))
+    spec = build()
+    total = prob_sum(reference_realtime(spec, word).by_category().values()).as_interval()
+    assert total.hi < 1
+    with pytest.raises(MachineError) as exc:
+        run_exact_realtime(spec, word)
+    assert str(exc.value) == f"total terminal mass {total} does not cover 1"
+    assert bool(jumps) == jumped
 
 
 @pytest.mark.parametrize("word", ["ab?c" * 1000, "?abc" * 1000, "abcc" * 1000 + "?"])

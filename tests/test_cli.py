@@ -187,6 +187,21 @@ class TestAnalyze:
         assert code == 0
         assert json.loads(out)["input_length"] == 10 ** 100 - 1
 
+    def test_a_dyadic_angle_past_the_precision_cap_exits_2(self, capsys):
+        # Each 'a' turns by pi / 2^(k+1), so an odd count n ends at the angle
+        # (n / 2^(k+1)) pi, whose coefficient mod 1 keeps the k + 2-bit
+        # denominator. 45,000 ones are an odd count of about 149,487 bits.
+        argv = ("analyze", "EVENODD_MCQFA", "--mode", "exact", "--k")
+        code, out, err = run_cli(capsys, *argv, "150000", "--input", "a" + "1" * 45000)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: a DyadicPi angle coefficient of 150002 bits is over the cap of "
+            f"{MAX_PRECISION_BITS} bits for a certified enclosure\n"
+        )
+        code, out, _ = run_cli(capsys, *argv, "65000", "--input", "a3")
+        assert code == 0
+        assert not json.loads(out)["result"]["p_accept"]["lo"].endswith("/1")
+
     def test_spec_file_with_a_repeated_matrix_state_exits_2(self, capsys, tmp_path):
         doc = json.loads(emit_spec(fair_coin_pfa()))
         doc["stochastic_delta"]["a"]["order"] = ["s1", "s1", "s_r"]

@@ -327,6 +327,23 @@ def test_an_oversize_sqrt2_coefficient_is_refused_before_any_enclosure(monkeypat
     assert len(enclosed) == 3
 
 
+def test_an_oversize_dyadic_coefficient_is_refused_before_any_enclosure(monkeypatch) -> None:
+    # The cap reads the coefficient mod 1, whose denominator is the
+    # coefficient's: a long numerator alone is no reason to refuse.
+    enclosed = []
+    monkeypatch.setattr(exactnum, "_interval_sin_squared", lambda angle, bits: enclosed.append(angle))
+    at_cap = 2 ** (MAX_PRECISION_BITS - 1)
+    for coeff in (Fraction(1, at_cap), Fraction(-(5 * at_cap ** 4 + 3), at_cap), Fraction(at_cap - 1, at_cap)):
+        angle_probability(dyadic_pi(coeff))
+    assert len(enclosed) == 3
+    # A half-integer stays exact at any size.
+    assert angle_probability(dyadic_pi(Fraction(2 * at_cap ** 4 + 1, 2))) == ExactProb(Fraction(1))
+    for coeff in (Fraction(1, 2 * at_cap), Fraction(-(at_cap ** 4) - 1, 2 * at_cap), Fraction(3, 2 ** 100000)):
+        with pytest.raises(ExactnessError, match=r"a DyadicPi angle coefficient of \d+ bits is over the cap of 65536"):
+            angle_probability(dyadic_pi(coeff))
+    assert len(enclosed) == 3
+
+
 @given(st.fractions(min_value=Fraction(-50), max_value=Fraction(50), max_denominator=997))
 @settings(max_examples=40, deadline=None)
 def test_angle_probability_precision_nesting(coeff: Fraction) -> None:
@@ -428,5 +445,33 @@ def test_reduced_over_skips_fractions_gcd_on_a_coprime_pair(monkeypatch) -> None
     # 3^5000 ends in 1, so 3^5000 + 2 is prime to 10.
     assert reduced_over(3 ** 5000 + 2, den, 10).denominator == den
     assert calls == []
-    assert reduced_over(5 * (3 ** 5000 + 2), den, 10).denominator == den // 5
+    # A shared power of two is shifted out, and each pass divides out the
+    # shared part of base's odd part, here 5.
+    assert reduced_over(2 ** 7 * 5 * (3 ** 5000 + 2), den, 10).denominator == den // (2 ** 7 * 5)
+    assert calls == []
+    # Each pass divides out one 5 here, so one more than the passes leaves
+    # a 5 shared, which Fraction's gcd takes.
+    fives = 5 ** (exactnum.REDUCE_PASSES + 1)
+    assert reduced_over(fives * (3 ** 5000 + 2), den, 10).denominator == den // fives
     assert len(calls) == 1
+
+
+@given(
+    st.integers(-(2 ** 300), 2 ** 300),
+    st.tuples(st.integers(0, 3000), st.integers(0, 3000)),
+    st.tuples(st.integers(0, 12), st.integers(0, 12)),
+    st.tuples(st.integers(1, 3), st.integers(1, 3)),
+)
+@settings(max_examples=200, deadline=None)
+@example(-(3 ** 12), (2900, 3000), (12, 12), (1, 1))
+@example(2 ** 3000 - 1, (0, 3000), (0, 12), (3, 1))
+def test_reduced_over_strips_shared_powers(num, twos, threes, base_powers) -> None:
+    # Long shared runs of 2, and shared powers of 3 that may take more
+    # passes than reduced_over makes, against Fraction(num, den).
+    num *= 2 ** twos[0] * 3 ** threes[0]
+    den = 2 ** twos[1] * 3 ** threes[1]
+    base = 2 ** base_powers[0] * 3 ** base_powers[1] if threes[1] else 2 ** base_powers[0]
+    got, want = reduced_over(num, den, base), Fraction(num, den)
+    assert type(got) is Fraction
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    assert hash(got) == hash(want)
