@@ -40,6 +40,7 @@ from typing import Callable, Optional, Union
 
 from .exactnum import (
     ApproxProb,
+    Document,
     ExactnessError,
     ExactProb,
     MAX_PRECISION_BITS,
@@ -48,11 +49,11 @@ from .exactnum import (
     ProbValue,
     RationalInterval,
     cut_points,
-    format_rational,
     prob_reciprocal,
     prob_scale,
     prob_sum,
     reduced_over,
+    to_json,
 )
 from .machines import (
     LEFT_MARKER,
@@ -96,15 +97,12 @@ class NonterminatingError(ValueError):
     round, or no reachable halting decision."""
 
 
-def prob_to_json(p: ProbValue):
-    if p.is_exact():
-        return format_rational(p.value)
-    iv = p.as_interval()
-    return {"hi": format_rational(iv.hi), "lo": format_rational(iv.lo)}
+# The shared writer, by the name perfbench's certified-rotation text calls.
+prob_to_json = to_json
 
 
 @dataclass(frozen=True)
-class OutcomeDistribution:
+class OutcomeDistribution(Document):
     """Terminal mass of one pass over the input, by decision category.
 
     ``p_continue`` holds restart mass for a restarting machine, the
@@ -125,9 +123,6 @@ class OutcomeDistribution:
             CATEGORY_DONT_KNOW: self.p_dont_know,
             CATEGORY_CONTINUE: self.p_continue,
         }
-
-    def to_json(self) -> dict:
-        return {f"p_{k}": prob_to_json(v) for k, v in self.by_category().items()}
 
 
 def _empty_masses() -> "dict[str, list[ProbValue]]":
@@ -732,7 +727,7 @@ def _self_loop_power(rows, n: int, den: int, exponent: int, start) -> tuple:
 
 
 @dataclass(frozen=True)
-class RestartAnalysis:
+class RestartAnalysis(Document):
     """Closed-form behavior of a restarting machine run to termination."""
 
     per_round: OutcomeDistribution
@@ -741,16 +736,6 @@ class RestartAnalysis:
     overall_dont_know: ProbValue
     expected_rounds: ProbValue
     expected_steps: ProbValue
-
-    def to_json(self) -> dict:
-        return {
-            "expected_rounds": prob_to_json(self.expected_rounds),
-            "expected_steps": prob_to_json(self.expected_steps),
-            "overall_accept": prob_to_json(self.overall_accept),
-            "overall_dont_know": prob_to_json(self.overall_dont_know),
-            "overall_reject": prob_to_json(self.overall_reject),
-            "per_round": self.per_round.to_json(),
-        }
 
 
 def _halting_ratio(part: ProbValue, others: "list[ProbValue]") -> ProbValue:
@@ -864,7 +849,7 @@ def run_exact_sweeping(
 
 
 @dataclass(frozen=True)
-class SweepingAnalysis:
+class SweepingAnalysis(Document):
     """Closed-form behavior of a sweeping machine whose live mass returns
     to the initial configuration after each undecided iteration."""
 
@@ -874,16 +859,6 @@ class SweepingAnalysis:
     expected_iterations: ProbValue
     expected_sweeps: ProbValue
     expected_steps: ProbValue
-
-    def to_json(self) -> dict:
-        return {
-            "expected_iterations": prob_to_json(self.expected_iterations),
-            "expected_steps": prob_to_json(self.expected_steps),
-            "expected_sweeps": prob_to_json(self.expected_sweeps),
-            "overall_accept": prob_to_json(self.overall_accept),
-            "overall_reject": prob_to_json(self.overall_reject),
-            "per_iteration": self.per_iteration.to_json(),
-        }
 
 
 def analyze_sweeping(
@@ -980,21 +955,13 @@ class SplittableRng:
 
 
 @dataclass(frozen=True)
-class MonteCarloResult:
+class MonteCarloResult(Document):
     """Aggregated trial outcomes of a sampled execution."""
 
     trials: int
     counts: "dict[str, int]"
     mean_steps: Optional[Fraction]
     mean_rounds: Optional[Fraction]
-
-    def to_json(self) -> dict:
-        return {
-            "counts": dict(sorted(self.counts.items())),
-            "mean_rounds": None if self.mean_rounds is None else format_rational(self.mean_rounds),
-            "mean_steps": None if self.mean_steps is None else format_rational(self.mean_steps),
-            "trials": self.trials,
-        }
 
 
 CATEGORY_CAPPED = "capped"

@@ -18,7 +18,7 @@ import json
 import re
 import sys
 import time
-from fractions import Fraction
+from dataclasses import fields
 from typing import List, Optional, Tuple
 
 from .analysis import (
@@ -43,7 +43,14 @@ from .contextuality import (
     report_to_json_text,
     transcript_to_json_text,
 )
-from .exactnum import MAX_PRECISION_BITS, MIN_PRECISION_BITS, ExactnessError, format_rational
+from .exactnum import (
+    MAX_PRECISION_BITS,
+    MIN_PRECISION_BITS,
+    Document,
+    ExactnessError,
+    decimal,
+    to_json,
+)
 from .machines import (
     MODEL_RESTARTING,
     MODEL_SWEEPING,
@@ -122,42 +129,24 @@ def _unary_input_length(args, spec: MachineSpec) -> Optional[int]:
     return sum(n for _, n in runs)
 
 
-def _decimal_of_json_value(value) -> str:
-    """15-significant-digit decimal for a serialized probability:
-    point rationals directly, intervals by their midpoint."""
-    if isinstance(value, str) and "/" in value:
-        return format(float(Fraction(value)), ".15g")
-    if isinstance(value, dict) and set(value) == {"lo", "hi"}:
-        mid = (Fraction(value["lo"]) + Fraction(value["hi"])) / 2
-        return format(float(mid), ".15g")
-    return ""
-
-
-def _flatten_doc(doc: dict, prefix: str = "") -> "List[Tuple[str, object]]":
-    rows: List[Tuple[str, object]] = []
+def _csv_lines(doc, prefix: str = "") -> "List[str]":
+    """One "name,value,decimal" line per leaf of a result document, in key
+    order: dicts and Documents open into dotted names, and an interval is
+    written lo..hi."""
+    if isinstance(doc, Document):
+        doc = {f.name: getattr(doc, f.name) for f in fields(doc)}
+    lines = []
     for key in sorted(doc):
-        value = doc[key]
-        name = f"{prefix}{key}"
-        if isinstance(value, dict) and set(value) != {"lo", "hi"}:
-            rows.extend(_flatten_doc(value, prefix=f"{name}."))
-        else:
-            rows.append((name, value))
-    return rows
-
-
-def _doc_to_csv(doc: dict) -> str:
-    lines = ["field,value,value_decimal"]
-    for name, value in _flatten_doc(doc):
-        if isinstance(value, dict) and set(value) == {"lo", "hi"}:
-            rendered = f"{value['lo']}..{value['hi']}"
-        elif isinstance(value, (dict, list)):
-            rendered = json.dumps(value, sort_keys=True)
-        else:
-            rendered = str(value)
+        value, name = doc[key], f"{prefix}{key}"
+        if isinstance(value, (dict, Document)):
+            lines.extend(_csv_lines(value, f"{name}."))
+            continue
+        text = to_json(value)
+        rendered = f"{text['lo']}..{text['hi']}" if isinstance(text, dict) else str(text)
         if "," in rendered or '"' in rendered:
             rendered = '"' + rendered.replace('"', '""') + '"'
-        lines.append(f"{name},{rendered},{_decimal_of_json_value(value)}")
-    return "\n".join(lines) + "\n"
+        lines.append(f"{name},{rendered},{decimal(value)}")
+    return lines
 
 
 def _write_output(text: str, path: Optional[str]) -> None:
@@ -341,7 +330,7 @@ def cmd_analyze(args) -> int:
         "input_length": length,
         "machine": spec.name,
         "mode": mode,
-        "result": result.to_json(),
+        "result": result,
     }
     if length <= 200:
         doc["input"] = word
@@ -349,9 +338,9 @@ def cmd_analyze(args) -> int:
         doc["promise_status"] = status
         doc["problem"] = args.problem
     if args.format == "csv":
-        _write_output(_doc_to_csv(doc), args.output)
+        _write_output("\n".join(["field,value,value_decimal", *_csv_lines(doc)]) + "\n", args.output)
     else:
-        _write_output(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.output)
+        _write_output(json.dumps(to_json(doc), sort_keys=True, indent=2) + "\n", args.output)
     return 0
 
 
@@ -446,12 +435,10 @@ def cmd_game_magic(args) -> int:
         _, strategy = best_classical_strategy()
     transcript = play_magic_square(strategy, args.rounds, args.seed)
     if args.format == "csv":
-        wins = transcript.wins
-        value = format_rational(transcript.value)
-        decimal = format(float(transcript.value), ".15g")
+        value = transcript.value
         text = (
             "strategy,rounds,wins,value,value_decimal\n"
-            f"{args.strategy},{args.rounds},{wins},{value},{decimal}\n"
+            f"{args.strategy},{args.rounds},{transcript.wins},{to_json(value)},{decimal(value)}\n"
         )
         _write_output(text, args.output)
     else:

@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import analysis
 from .constructions import build_evenodd_mcqfa
-from .exactnum import GR_ZERO, GaussianRational, cut_points, format_rational, prob_exact
+from .exactnum import GR_ZERO, Document, GaussianRational, cut_points, decimal, prob_exact, to_json
 from .machines import MachineSpec
 from .qstate import QMatrix, QVector
 
@@ -235,27 +235,13 @@ class GameRound:
 
 
 @dataclass(frozen=True)
-class GameTranscript:
+class GameTranscript(Document):
     rounds: Tuple[GameRound, ...]
     wins: int
     value: Fraction
 
     def to_json(self) -> dict:
-        return {
-            "rounds": [
-                {
-                    "alice": list(r.alice),
-                    "bob": list(r.bob),
-                    "i": r.i,
-                    "j": r.j,
-                    "win": r.win,
-                }
-                for r in self.rounds
-            ],
-            "rounds_played": len(self.rounds),
-            "value": format_rational(self.value),
-            "wins": self.wins,
-        }
+        return {**super().to_json(), "rounds_played": len(self.rounds)}
 
 
 def _round_wins(i: int, j: int, alice_out, bob_out) -> bool:
@@ -429,7 +415,7 @@ class MemoryRound:
 
 
 @dataclass(frozen=True)
-class InequalityReport:
+class InequalityReport(Document):
     responder: str
     memory_states: Optional[int]
     rounds_played: int
@@ -439,27 +425,10 @@ class InequalityReport:
     expected_value: Fraction
 
     def to_json(self) -> dict:
-        return {
-            "expected_value": format_rational(self.expected_value),
-            "memory_states": self.memory_states,
-            "responder": self.responder,
-            "rounds": [
-                {
-                    "expected_term": format_rational(r.expected_term),
-                    "k": r.k,
-                    "no_answer": r.no_answer,
-                    "no_multiplier": r.no_multiplier,
-                    "round": r.round_index,
-                    "term": format_rational(r.term),
-                    "yes_answer": r.yes_answer,
-                    "yes_multiplier": r.yes_multiplier,
-                }
-                for r in self.per_round
-            ],
-            "rounds_played": self.rounds_played,
-            "schedule": list(self.schedule),
-            "value": format_rational(self.value),
-        }
+        # The document names the rounds "rounds", and each one's index "round".
+        doc = super().to_json()
+        doc["rounds"] = [{"round": r.pop("round_index"), **r} for r in doc.pop("per_round")]
+        return doc
 
 
 _MULTIPLIER_RANGE = 16
@@ -560,10 +529,9 @@ def memory_game_summary_csv(reports: Sequence[InequalityReport]) -> str:
     lines = ["problem,model,memory,value,value_decimal"]
     for report in reports:
         memory = "1 qubit" if report.memory_states is None else f"{report.memory_states} states"
-        decimal = format(float(report.value), ".15g")
         lines.append(
             f"parity-of-multiples,{report.responder},{memory},"
-            f"{format_rational(report.value)},{decimal}"
+            f"{to_json(report.value)},{decimal(report.value)}"
         )
     return "\n".join(lines) + "\n"
 

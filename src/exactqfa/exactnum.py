@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -37,6 +37,55 @@ class ExactnessError(ValueError):
 def format_rational(value: Fraction) -> str:
     """Serialize as "p/q" with q > 0 and gcd(p, q) == 1, e.g. "-3/5", "1/1"."""
     return f"{value.numerator}/{value.denominator}"
+
+
+class Document:
+    """A dataclass whose document is its fields, each written by ``to_json``."""
+
+    def to_json(self) -> dict:
+        return {f.name: to_json(getattr(self, f.name)) for f in fields(self)}
+
+
+def to_json(value):
+    """The document form of a value, the one place exact values are written.
+
+    A Fraction is "p/q" and an exact probability is its value; an
+    interval, or a probability known only as one, is {"lo", "hi"}. A
+    Document writes its own document, any other dataclass its fields,
+    and a dict, list or tuple is written item by item. Anything else
+    (str, int, bool, None) is its own document.
+    """
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    if isinstance(value, ExactProb):
+        return format_rational(value.value)
+    if isinstance(value, ApproxProb):
+        value = value.interval
+    if isinstance(value, RationalInterval):
+        return {"hi": format_rational(value.hi), "lo": format_rational(value.lo)}
+    if isinstance(value, Document):
+        return value.to_json()
+    if is_dataclass(value):
+        return Document.to_json(value)
+    if isinstance(value, dict):
+        return {key: to_json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [to_json(item) for item in value]
+    return value
+
+
+def decimal(value) -> str:
+    """The CSV decimal of a value: 15 significant digits of a Fraction or
+    exact probability, or of an interval's midpoint; "" for anything else."""
+    if isinstance(value, ExactProb):
+        value = value.value
+    elif isinstance(value, ApproxProb):
+        value = value.interval
+    if isinstance(value, RationalInterval):
+        value = (value.lo + value.hi) / 2
+    if isinstance(value, Fraction):
+        return format(float(value), ".15g")
+    return ""
 
 
 # The most passes ``reduced_over`` makes to divide out a shared odd
@@ -152,7 +201,7 @@ def parse_gaussian(text: str) -> GaussianRational:
 
 
 @dataclass(frozen=True)
-class SymbolicAngle:
+class SymbolicAngle(Document):
     """An angle of one of exactly two symbolic kinds.
 
     DyadicPi represents coeff * pi where coeff is a dyadic rational
@@ -192,9 +241,6 @@ class SymbolicAngle:
 
     def scale(self, factor: int) -> "SymbolicAngle":
         return SymbolicAngle(self.kind, self.coeff * factor)
-
-    def to_json(self) -> dict:
-        return {"coeff": format_rational(self.coeff), "kind": self.kind}
 
     @staticmethod
     def from_json(doc: dict) -> "SymbolicAngle":

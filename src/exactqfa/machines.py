@@ -30,11 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
-from .exactnum import (
-    SymbolicAngle,
-    format_rational,
-    parse_rational,
-)
+from .exactnum import Document, SymbolicAngle, parse_rational
 from .qstate import ProjectiveMeasurement, QMatrix
 
 LEFT_MARKER = "¢"
@@ -123,7 +119,7 @@ class ClassicalStep:
 
 
 @dataclass(frozen=True)
-class StochasticMatrix:
+class StochasticMatrix(Document):
     """Row-stochastic transition matrix over an ordered classical state list."""
 
     order: "tuple[str, ...]"
@@ -140,12 +136,6 @@ class StochasticMatrix:
                 raise ValueError(f"negative transition probability from {state}")
             if sum(row) != 1:
                 raise ValueError(f"row for {state} does not sum to 1")
-
-    def to_json(self) -> dict:
-        return {
-            "order": list(self.order),
-            "rows": [[format_rational(p) for p in row] for row in self.rows],
-        }
 
     @staticmethod
     def from_json(doc: dict) -> "StochasticMatrix":

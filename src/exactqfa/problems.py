@@ -28,6 +28,7 @@ from math import gcd
 from random import Random
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from .exactnum import Document
 from .machines import (
     LEFT_MARKER,
     MODEL_RTDFA,
@@ -55,21 +56,13 @@ PROBLEM_IDS = (
 
 
 @dataclass(frozen=True)
-class PromiseInstance:
+class PromiseInstance(Document):
     """One classified input string with its generation parameters."""
 
     problem: str
     string: str
     status: str
     params: Dict[str, int] = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {
-            "params": dict(sorted(self.params.items())),
-            "problem": self.problem,
-            "status": self.status,
-            "string": self.string,
-        }
 
 
 def instances_to_jsonl(instances: Iterable[PromiseInstance]) -> str:
@@ -493,11 +486,6 @@ def _walk_cycle(dfa: MachineSpec) -> Tuple[List[str], CycleStructure]:
             decisions = tuple(_dfa_verdict(dfa, s) for s in path[tail:])
             return path, CycleStructure(tail=tail, period=len(path) - tail, decisions=decisions)
         seen[state] = len(seen)
-
-
-def extract_cycle_structure(dfa: MachineSpec) -> CycleStructure:
-    """Walk the unary machine until a state repeats."""
-    return _walk_cycle(dfa)[1]
 
 
 def unary_cycle_check(dfa: MachineSpec, k: int) -> CycleCheckResult:

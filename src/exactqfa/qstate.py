@@ -26,7 +26,6 @@ from .exactnum import (
     GR_ONE,
     GR_ZERO,
     ZERO_ANGLE,
-    ExactnessError,
     GaussianRational,
     SymbolicAngle,
     angle_probability,
@@ -413,14 +412,6 @@ class RotationRegister:
 
     def rotated(self, delta: SymbolicAngle) -> "RotationRegister":
         return RotationRegister(self.angle + delta)
-
-    def is_exact(self) -> bool:
-        """True when cos and sin of the angle are exactly known (in {-1,0,1})."""
-        try:
-            cos_sin_exact(self.angle)
-        except ExactnessError:
-            return False
-        return True
 
     def exact_vector(self) -> QVector:
         """The state as a 2-dim vector; requires an exactly known angle."""

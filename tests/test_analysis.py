@@ -444,6 +444,30 @@ def test_analyze_sweeping_closed_form_oracle():
     assert analysis.expected_steps.value == 3 + Fraction(80, 9)
 
 
+def test_analyze_sweeping_when_every_branch_decides_in_one_pass():
+    # The bounce machine with its retry branch rejecting at the right
+    # marker instead: no mass is live after the first pass.
+    bounce = bounce_machine()
+    delta = {key: step for key, step in bounce.classical_delta.items() if key[0] != "back"}
+    delta[("fwd_b", RIGHT_MARKER, "1")] = ClassicalStep("s_r", MOVE_RIGHT)
+    spec = dataclasses.replace(
+        bounce,
+        name="one-pass",
+        states=bounce.states - {"back"},
+        quantum_delta={("s1", LEFT_MARKER): bounce.quantum_delta[("s1", LEFT_MARKER)]},
+        classical_delta=delta,
+    )
+    assert validate(spec) == []
+    analysis = analyze_sweeping(spec, "a")
+    assert analysis.per_iteration.p_continue == ExactProb(Fraction(0))
+    assert analysis.expected_iterations == ExactProb(Fraction(1))
+    assert analysis.overall_accept == ExactProb(Fraction(9, 25))
+    assert analysis.overall_reject == ExactProb(Fraction(16, 25))
+    # Both branches decide on the third square, at the end of one sweep.
+    assert analysis.expected_steps == ExactProb(Fraction(3))
+    assert analysis.expected_sweeps == ExactProb(Fraction(1))
+
+
 def _within_five_sigma(count: int, trials: int, p_lo: Fraction, p_hi: Fraction) -> bool:
     emp = Fraction(count, trials)
     var = max(p_lo * (1 - p_lo), p_hi * (1 - p_hi), Fraction(1, 10**6))

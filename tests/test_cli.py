@@ -11,6 +11,7 @@ import pytest
 
 from exactqfa import cli, verify
 from exactqfa.analysis import MAX_PRECISION_BITS
+from exactqfa.constructions import CONSTRUCTION_IDS, PARAMETRIC_BUILDERS, build
 from exactqfa.exactnum import MIN_PRECISION_BITS, one_minus_inv_e_bracket
 from exactqfa.machines import emit_spec, parse_spec, validate
 from test_analysis import fair_coin_pfa, turn_machine
@@ -169,6 +170,20 @@ class TestAnalyze:
             '      "capped": 0,\n      "continue": 0,\n      "dont_know": 0,\n      "reject": 162\n'
             '    },\n    "mean_rounds": "1/1",\n    "mean_steps": "9/1",\n    "trials": 300\n  }\n}\n'
         )
+
+    def test_csv_of_a_machine_named_with_a_slash(self, capsys, tmp_path):
+        # The machine's name reads like "p/q" but is not a number, so its
+        # row has an empty decimal cell.
+        doc = json.loads(emit_spec(build("EVENODD_DFA", k=1)))
+        doc["name"] = "mod4/even"
+        path = tmp_path / "mod4.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, _ = run_cli(
+            capsys, "analyze", "--spec-file", str(path), "--input", "a4", "--mode", "exact", "--format", "csv"
+        )
+        assert code == 0
+        assert "machine,mod4/even,\n" in out
+        assert "result.p_accept,1/1,1\n" in out
 
     def test_a_rotation_count_past_the_precision_cap_exits_2(self, capsys, tmp_path):
         # Each 'a' turns by sqrt(2)*pi, so the final angle's coefficient is
@@ -842,6 +857,15 @@ def _run_module(*argv):
     )
 
 
+def test_sweep_analysis_past_its_tick_cap_exits_2(capsys):
+    code, out, err = run_cli(
+        capsys, "analyze", "EXACT_PAL_SWEEPING", "--input", "abcab", "--mode", "sweep",
+        "--tick-cap", "5", "--allow-unpromised",
+    )
+    assert (code, out) == (2, "")
+    assert "no iteration structure detected within the tick cap" in err
+
+
 def test_capped_sweep_run_with_a_large_budget_finishes():
     result = _run_module(
         "analyze", "EXACT_PAL_SWEEPING", "--mode", "sweep", "--input", "abaabcaabab", "--max-sweeps", "200"
@@ -1013,3 +1037,43 @@ def test_builtin_machine_stdout_is_pinned(capsys, monkeypatch, suite_run):
                 code, out, _ = run_cli(capsys, "analyze", *machine, *instance, *mode, "--allow-unpromised")
                 digest.update(f"{code}\n{out}".encode())
     assert digest.hexdigest() == "9276c9e52c0b8d6e8c57b4ad92bbc8359a7bf99a6f38a66d265664139090ca81"
+
+
+GENERATE_ARGS = (
+    ("--problem", "PromisePAL", "--count", "6", "--seed", "3"),
+    ("--problem", "PromiseTWINPAL", "--count", "6", "--seed", "3", "--statuses", "Yes,No,OutsidePromise"),
+    ("--problem", "EXPPromiseTWINPAL", "--count", "2", "--seed", "3", "--t", "625"),
+    ("--problem", "PromiseEQ", "--count", "6", "--seed", "3", "--size", "4"),
+    ("--problem", "EVENODD", "--count", "6", "--seed", "3", "--k", "2", "--size", "3"),
+)
+GAME_ARGS = (
+    ("magic-square", "--strategy", "quantum", "--rounds", "12", "--seed", "1"),
+    ("magic-square", "--strategy", "classical-best", "--rounds", "12", "--seed", "1"),
+    ("memory", "--bob", "quantum", "--Q", "3", "--seed", "1"),
+    ("memory", "--bob", "classical", "--N", "64", "--Q", "3", "--seed", "1"),
+)
+
+
+def test_csv_construct_generate_and_game_stdout_is_pinned(capsys):
+    # One SHA-256 over the exit code and stdout of every CSV run of the
+    # built-in machines above, every construction, and the generate and
+    # game documents in both formats, recorded while the CLI still
+    # computed its CSV decimals from the JSON text.
+    digest = hashlib.sha256()
+
+    def record(*argv):
+        code, out, _ = run_cli(capsys, *argv)
+        digest.update(f"{code}\n{out}".encode())
+
+    for machine, inputs in BUILTIN_RUNS:
+        for instance in inputs:
+            for mode in MODE_ARGS:
+                record("analyze", *machine, *instance, *mode, "--allow-unpromised", "--format", "csv")
+    for machine_id in CONSTRUCTION_IDS:
+        record("construct", machine_id, *(("--k", "3") if machine_id in PARAMETRIC_BUILDERS else ()))
+    for fmt in ("json", "csv"):
+        for argv in GENERATE_ARGS:
+            record("generate", *argv, "--format", fmt)
+        for argv in GAME_ARGS:
+            record("game", *argv, "--format", fmt)
+    assert digest.hexdigest() == "c10d728c1a049a99ad1fe4ac84efaef06ef5cea449e18058157240849bd09c11"

@@ -51,6 +51,19 @@ rationals = st.fractions(
 )
 
 
+def test_to_json_and_decimal_write_every_exact_form() -> None:
+    interval = RationalInterval(Fraction(1, 3), Fraction(1, 2))
+    assert exactnum.to_json(Fraction(-3, 6)) == "-1/2"
+    assert exactnum.to_json(ExactProb(Fraction(2, 4))) == "1/2"
+    assert exactnum.to_json(ApproxProb(interval)) == exactnum.to_json(interval) == {"hi": "1/2", "lo": "1/3"}
+    assert exactnum.to_json({"a": (Fraction(1), None, "x/y", 3)}) == {"a": ["1/1", None, "x/y", 3]}
+    assert exactnum.to_json(dyadic_pi(Fraction(1, 4))) == {"coeff": "1/4", "kind": DYADIC_PI}
+    assert exactnum.decimal(Fraction(1, 3)) == exactnum.decimal(ExactProb(Fraction(1, 3))) == "0.333333333333333"
+    # An interval's decimal is its midpoint's, here 5/12.
+    assert exactnum.decimal(ApproxProb(interval)) == "0.416666666666667"
+    assert [exactnum.decimal(v) for v in ("1/2", 7, None)] == ["", "", ""]
+
+
 def test_format_rational_canonical() -> None:
     assert format_rational(Fraction(1)) == "1/1"
     assert format_rational(Fraction(-3, 6)) == "-1/2"

@@ -16,7 +16,7 @@ from exactqfa.analysis import (
     run_monte_carlo,
 )
 from exactqfa.constructions import CONSTRUCTION_IDS, build, build_aw_pal
-from exactqfa.exactnum import ExactnessError
+from exactqfa.exactnum import ExactnessError, cos_sin_exact
 from exactqfa.machines import (
     RIGHT_MARKER,
     MeasureAction,
@@ -64,7 +64,11 @@ def oracle_outcomes(spec, cstate, sym, reg, precision_bits):
     if isinstance(action, MeasureAction):
         vec = reg if action.pre is None else action.pre.apply(reg)
         return [(b.outcome, b.vector, b.probability) for b in action.measurement.measure(vec)]
-    if reg.is_exact():
+    try:
+        cos_sin_exact(reg.angle)
+    except ExactnessError:
+        pass
+    else:
         vec = reg.exact_vector()
         if action.pre is not None:
             vec = action.pre.apply(vec)

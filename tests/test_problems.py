@@ -22,7 +22,6 @@ from exactqfa.problems import (
     InfeasibleParameters,
     PromiseInstance,
     build_dissimilarity_witness,
-    extract_cycle_structure,
     generate,
     instances_to_jsonl,
     membership,
@@ -381,7 +380,7 @@ class TestCycleCheck:
             alphabet=("a",),
             classical_delta=classical,
         )
-        structure = extract_cycle_structure(dfa)
+        structure = unary_cycle_check(dfa, 0).structure
         assert structure.tail == 2
         assert structure.period == 3
         assert structure.decisions == ("reject", "reject", "reject")
