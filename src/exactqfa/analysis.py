@@ -116,14 +116,6 @@ class OutcomeDistribution(Document):
     p_dont_know: ProbValue
     p_continue: ProbValue
 
-    def by_category(self) -> "dict[str, ProbValue]":
-        return {
-            CATEGORY_ACCEPT: self.p_accept,
-            CATEGORY_REJECT: self.p_reject,
-            CATEGORY_DONT_KNOW: self.p_dont_know,
-            CATEGORY_CONTINUE: self.p_continue,
-        }
-
 
 def _empty_masses() -> "dict[str, list[ProbValue]]":
     return {cat: [] for cat in CATEGORIES}
@@ -541,20 +533,13 @@ def _advance_blocks(kernel: _Kernel, branches: dict, block: str, reps: int, mass
     return branches, _empty_masses(), 1, 1
 
 
-# The most squares ``_unary_end`` walks on one branch, and the most bits
-# of register integers it keeps, before it leaves the run to the block
-# loop, which keeps only hashes.
-UNARY_WALK_LIMIT = 1 << 22
-UNARY_WALK_BITS = 1 << 22
-
-
 def _advance_unary(kernel: _Kernel, branches: dict, sym: str, reps: int, masses: dict) -> Optional[dict]:
     """The live branches after ``reps`` squares of ``sym``, by closed forms.
 
     Each branch ends where ``_unary_end`` puts it, and branches that end
     on equal keys merge; a branch that halts on the way adds its weight
-    to ``masses``. When one branch has no closed form, this returns None
-    and leaves ``masses`` as it was.
+    to ``masses``. When a branch meets a square that is not
+    deterministic, this returns None and leaves ``masses`` as it was.
     """
     ends = [(_unary_end(kernel, key, sym, reps), weight) for key, weight in branches.items()]
     if any(end is None for end, _ in ends):
@@ -571,26 +556,23 @@ def _advance_unary(kernel: _Kernel, branches: dict, sym: str, reps: int, masses:
 
 def _unary_end(kernel: _Kernel, key: tuple, sym: str, reps: int):
     """The key of the branch at ``key`` after ``reps`` squares of ``sym``,
-    the category it halts in on the way, or None without a closed form.
+    the category it halts in on the way, or None at a square that is not
+    deterministic.
 
     A self-looping rotation state turns by its angle times ``reps``. Any
-    other branch walks until its configuration recurs, and skips the
-    rest in whole cycles; the walk gives up at a square that is not
-    deterministic, past ``UNARY_WALK_LIMIT`` squares, or once the
-    registers it keeps pass ``UNARY_WALK_BITS``.
+    other branch walks by Brent's cycle search, which keeps two
+    configurations: the head, and a ``mark`` that moves to the head after
+    1, 2, 4, ... squares. When the head meets the mark, it has gone round
+    a cycle of ``lap`` squares, and it steps only the rest of ``reps``
+    modulo ``lap``.
     """
     cstate, reg = key
     square = kernel.square(cstate, sym)
     if square.op == _OP_ROTATE and square.fixed == (None, cstate, 1):
         return cstate, reg.rotated(square.arg.scale(reps))
-    # The keys walked, in order, each with its square count.
-    seen = {key: 0}
-    bits = 0
-    while len(seen) <= reps:
-        if len(seen) > UNARY_WALK_LIMIT or bits > UNARY_WALK_BITS:
-            return None
-        # The walk stops at its first repeated configuration, so a memo
-        # could never hit here.
+    mark, lap, power, done = key, 0, 1, 0
+    while done < reps:
+        # The run's memo would keep every configuration the walk meets.
         successors = kernel.square(cstate, sym).resolve(reg, kernel.precision_bits)
         if not _is_deterministic(successors):
             return None
@@ -598,15 +580,12 @@ def _unary_end(kernel: _Kernel, key: tuple, sym: str, reps: int):
         if category is not None:
             return category
         key = (cstate, reg)
-        if key in seen:
-            start = seen[key]
-            return list(seen)[start + (reps - start) % (len(seen) - start)]
-        seen[key] = len(seen)
-        # The bits of the integers each kept register holds.
-        if isinstance(reg, QVector):
-            bits += reg.den.bit_length() + sum(a.bit_length() + b.bit_length() for a, b in reg.nums)
-        elif isinstance(reg, RotationRegister):
-            bits += reg.angle.coeff.numerator.bit_length() + reg.angle.coeff.denominator.bit_length()
+        done += 1
+        lap += 1
+        if key == mark:
+            reps = done + (reps - done) % lap
+        elif lap == power:
+            mark, lap, power = key, 0, 2 * power
     return key
 
 

@@ -92,6 +92,9 @@ COIN_TILT = QMatrix.from_rows(
 QUBIT_SWAP = QMatrix.from_rows([[0, 1], [1, 0]])
 
 EVENODD_DFA_MAX_K = 20
+# EVENODD_MCQFA turns by pi / 2^(k+1), whose denominator has k + 2 bits;
+# at the cap its spec prints in about 2 s.
+EVENODD_MCQFA_MAX_K = 1 << 20
 
 
 def pal_double_scan_state(word: str) -> QVector:
@@ -525,6 +528,11 @@ def build_evenodd_mcqfa(k: int) -> MachineSpec:
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
+    if k > EVENODD_MCQFA_MAX_K:
+        raise ValueError(
+            f"k={k} exceeds the supported cap {EVENODD_MCQFA_MAX_K} "
+            f"(the machine turns by pi/2^(k+1))"
+        )
     quantum = {
         ("count", "a"): RotateAction(dyadic_pi(Fraction(1, 2 ** (k + 1)))),
         ("count", RIGHT_MARKER): MeasureRotationAction(),

@@ -123,7 +123,7 @@ def bell_pair_state() -> QVector:
     entries = [GaussianRational(Fraction(0))] * 16
     for index in (0, 3, 12, 15):
         entries[index] = GaussianRational(_HALF)
-    return QVector.from_entries(entries)
+    return QVector(entries)
 
 
 ALICE_QUBITS = (0, 2)

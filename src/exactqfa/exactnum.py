@@ -274,10 +274,6 @@ class RationalInterval:
         value = Fraction(value)
         return RationalInterval(value, value)
 
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
     def contains(self, value: Fraction) -> bool:
         return self.lo <= value <= self.hi
 

@@ -114,18 +114,10 @@ class QVector:
         return f"QVector(den={self.den}, nums={self.nums})"
 
     @staticmethod
-    def from_entries(entries: Iterable[EntryLike]) -> "QVector":
-        return QVector(entries)
-
-    @staticmethod
     def basis(dim: int, index: int) -> "QVector":
         if not 0 <= index < dim:
             raise ValueError(f"basis index {index} out of range for dimension {dim}")
         return QVector._make(1, tuple((1, 0) if i == index else (0, 0) for i in range(dim)))
-
-    @staticmethod
-    def zero(dim: int) -> "QVector":
-        return QVector._make(1, ((0, 0),) * dim)
 
     @property
     def dim(self) -> int:
@@ -168,19 +160,6 @@ class QVector:
 
     def is_zero(self) -> bool:
         return not any(a or b for a, b in self.nums)
-
-    def kron(self, other: "QVector") -> "QVector":
-        return _reduced(
-            self.den * other.den,
-            [(a * c - b * d, a * d + b * c) for a, b in self.nums for c, d in other.nums],
-        )
-
-    def to_json(self) -> "list[str]":
-        return [format_gaussian(a) for a in self.amplitudes]
-
-    @staticmethod
-    def from_json(doc: "list[str]") -> "QVector":
-        return QVector(parse_gaussian(t) for t in doc)
 
     def _check_dim(self, other: "QVector") -> None:
         if self.dim != other.dim:
@@ -293,10 +272,6 @@ class QMatrix:
             out.append(tuple(new_row))
         return QMatrix(tuple(out))
 
-    def scale(self, factor: EntryLike) -> "QMatrix":
-        g = _as_gaussian(factor)
-        return QMatrix(tuple(tuple(e * g for e in row) for row in self.rows))
-
     def conj_transpose(self) -> "QMatrix":
         return QMatrix(
             tuple(
@@ -386,16 +361,6 @@ class ProjectiveMeasurement:
             branches.append(MeasurementBranch(label, post, Fraction(mass, total), renormalized))
         return branches
 
-    def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "outcomes": {label: sorted(ix) for label, ix in self.outcomes},
-        }
-
-    @staticmethod
-    def from_json(doc: dict) -> "ProjectiveMeasurement":
-        return ProjectiveMeasurement.from_partition(doc["dim"], doc["outcomes"])
-
 
 @dataclass(frozen=True)
 class RotationRegister:
@@ -416,7 +381,7 @@ class RotationRegister:
     def exact_vector(self) -> QVector:
         """The state as a 2-dim vector; requires an exactly known angle."""
         c, s = cos_sin_exact(self.angle)
-        return QVector.from_entries([c, s])
+        return QVector([c, s])
 
     def outcome_probabilities(self, precision_bits: int = 64):
         """(P(observe |0>), P(observe |1>)) as exact or interval values."""

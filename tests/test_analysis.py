@@ -5,6 +5,7 @@ import fractions
 import math
 import random
 import time
+import tracemalloc
 import types
 from fractions import Fraction
 
@@ -29,6 +30,7 @@ from exactqfa.analysis import (
 )
 from exactqfa.constructions import (
     build_aw_pal,
+    build_counter_dfa,
     build_evenodd_dfa,
     build_evenodd_mcqfa,
     build_exact_eq_restarting,
@@ -181,7 +183,7 @@ def test_rotation_interval_probabilities():
     assert not dist.p_reject.is_exact()
     iv = dist.p_reject.as_interval()
     assert Fraction(9291, 10000) < iv.lo and iv.hi < Fraction(9292, 10000)
-    total = prob_sum(dist.by_category().values()).as_interval()
+    total = prob_sum(vars(dist).values()).as_interval()
     assert total.contains(Fraction(1))
 
 
@@ -593,7 +595,7 @@ def test_unary_fast_path_huge_lengths():
     # Rotation closed form: angle accumulates symbolically.
     dist = run_unary_length(turn_machine(), 10**9)
     assert not dist.p_reject.is_exact()
-    assert prob_sum(dist.by_category().values()).as_interval().contains(Fraction(1))
+    assert prob_sum(vars(dist).values()).as_interval().contains(Fraction(1))
 
 
 R90 = QMatrix.from_rows([[0, -1], [1, 0]])
@@ -670,7 +672,14 @@ def test_split_unary_branches_match_the_stepped_run(monkeypatch, register, lengt
     # Both branches take a closed form, so no block row is ever built.
     spec = split_turns_machine(register)
     assert validate(spec) == []
-    expected = [stepped_unary(spec, n) for n in lengths]
+    oracle_lengths = lengths
+    if register == REGISTER_MATRIX:
+        # R90 and its inverse have order 4, so from n = 8 on the stepped
+        # run at n is the stepped run at n mod 4 + 8.
+        for turn in (R90, R90.conj_transpose()):
+            assert turn @ turn @ turn @ turn == QMatrix.identity(2)
+        oracle_lengths = [n if n < 10 else n % 4 + 8 for n in lengths]
+    expected = [stepped_unary(spec, n) for n in oracle_lengths]
     monkeypatch.setattr(analysis, "_block_row", None)
     assert [run_unary_length(spec, n) for n in lengths] == expected
     assert expected[0] != expected[1]
@@ -730,6 +739,111 @@ def test_long_unary_power_takes_the_closed_form(build, k):
     assert time.process_time() - start < 0.5
     assert dist == run_unary_length(spec, len(word))
     assert dist.p_accept == ExactProb(Fraction(1))
+
+
+def lasso_dfa(tail: int, cycle: int, accepts) -> MachineSpec:
+    """A unary DFA whose states q0, q1, ... walk a tail of ``tail`` states
+    into a cycle of ``cycle`` states; the end-marker accepts on ``accepts``."""
+    size = tail + cycle
+    classical = {("q0", LEFT_MARKER, "1"): ClassicalStep("q0", MOVE_RIGHT)}
+    for i in range(size):
+        classical[(f"q{i}", "a", "1")] = ClassicalStep(f"q{i + 1 if i + 1 < size else tail}", MOVE_RIGHT)
+        classical[(f"q{i}", RIGHT_MARKER, "1")] = ClassicalStep("s_a" if i in accepts else "s_r", MOVE_RIGHT)
+    return MachineSpec(
+        name=f"lasso-{tail}-{cycle}",
+        model_class=MODEL_RTDFA,
+        register=REGISTER_CLASSICAL,
+        quantum_dim=1,
+        states=frozenset({f"q{i}" for i in range(size)} | {"s_a", "s_r"}),
+        initial_state="q0",
+        accept_state="s_a",
+        reject_state="s_r",
+        dont_know_state=None,
+        alphabet=("a",),
+        classical_delta=classical,
+    )
+
+
+@pytest.mark.parametrize("tail", range(12))
+def test_the_cycle_walk_lands_where_the_lasso_does(tail):
+    # After n letters the lasso is in state n on its tail, and in state
+    # tail + (n - tail) mod cycle past it.
+    rng = random.Random(tail)
+    for cycle in range(1, 12):
+        size = tail + cycle
+        accepts = {i for i in range(size) if rng.random() < 0.5}
+        spec = lasso_dfa(tail, cycle, accepts)
+        assert validate(spec) == []
+        for n in [*range(3 * size + 6), 10**12, 10**12 + 1, 2**40 - 1, 2**40]:
+            state = n if n < tail else tail + (n - tail) % cycle
+            accepted = Fraction(state in accepts)
+            expected = OutcomeDistribution(*map(ExactProb, (accepted, 1 - accepted, Fraction(0), Fraction(0))))
+            assert run_unary_length(spec, n) == expected, (tail, cycle, n)
+
+
+def matrix_lasso(tail: int) -> MachineSpec:
+    """A matrix register turned by ROT on a tail of ``tail`` states, then by
+    R90 in "spin" for ever; the end-marker measures it in every state."""
+    names = [f"t{i}" for i in range(tail)] + ["spin"]
+    quantum = {(name, RIGHT_MARKER): MeasureAction(BASIS2) for name in names}
+    classical = {("s1", LEFT_MARKER, "1"): ClassicalStep(names[0], MOVE_RIGHT)}
+    for name, after in zip(names, names[1:] + ["spin"]):
+        quantum[(name, "a")] = UnitaryAction(R90 if name == "spin" else ROT)
+        classical[(name, "a", "1")] = ClassicalStep(after, MOVE_RIGHT)
+        classical[(name, RIGHT_MARKER, "1")] = ClassicalStep("s_a", MOVE_RIGHT)
+        classical[(name, RIGHT_MARKER, "2")] = ClassicalStep("s_r", MOVE_RIGHT)
+    return MachineSpec(
+        name=f"matrix-lasso-{tail}",
+        model_class=MODEL_RTQCFA,
+        register=REGISTER_MATRIX,
+        quantum_dim=2,
+        states=frozenset({"s1", *names, "s_a", "s_r"}),
+        initial_state="s1",
+        accept_state="s_a",
+        reject_state="s_r",
+        dont_know_state=None,
+        alphabet=("a",),
+        quantum_delta=quantum,
+        classical_delta=classical,
+    )
+
+
+@pytest.mark.parametrize("tail", [0, 1, 5])
+def test_the_cycle_walk_lands_where_a_matrix_lasso_does(tail):
+    # The register cycles with period 4 once "spin" turns it by R90, so
+    # 10**12 letters end where tail + 4 + (10**12 - tail) mod 4 do.
+    spec = matrix_lasso(tail)
+    assert validate(spec) == []
+    for n in range(tail + 12):
+        assert run_unary_length(spec, n) == stepped_unary(spec, n), n
+    assert run_unary_length(spec, 10**12) == stepped_unary(spec, tail + 4 + (10**12 - tail) % 4)
+
+
+def test_a_walk_that_never_recurs_applies_each_square_once(monkeypatch):
+    # AW_PAL's register on a^n never recurs, so the walk steps the 3,000
+    # squares once and nothing walks them again; the run still ends in the
+    # table hole at the end-marker.
+    applied = []
+    apply = QMatrix.apply
+    monkeypatch.setattr(QMatrix, "apply", lambda matrix, vec: applied.append(matrix) or apply(matrix, vec))
+    with pytest.raises(MachineError, match=r"no classical transition for \('scan', '\$', '1'\)"):
+        run_exact_realtime(build_aw_pal(), "a" * 3000)
+    assert len(applied) == 3000
+
+
+def test_a_warm_cycle_skip_keeps_two_configurations():
+    # 4,097 live states; the first run compiles their squares, so the
+    # second keeps only the walk's head and mark.
+    spec = build_counter_dfa("MOD4097", 4097, {0})
+    run_unary_length(spec, 10**12)
+    tracemalloc.start()
+    try:
+        dist = run_unary_length(spec, 10**12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dist.p_accept == ExactProb(Fraction(10**12 % 4097 == 0))
+    assert peak < 64 * 1024
 
 
 def test_restart_ratio_of_interval_masses_is_an_enclosure():
@@ -949,7 +1063,7 @@ def test_periodic_run_matches_square_by_square_reference(spec, word):
 def test_periodic_reference_cases_cover_continue_and_interval_masses():
     results = [outcome(reference_realtime, spec, word) for spec, word in PERIODIC_CASES]
     dists = [r for r in results if isinstance(r, OutcomeDistribution)]
-    values = [p for d in dists for p in d.by_category().values()]
+    values = [p for d in dists for p in vars(d).values()]
     assert any(not p.is_exact() for p in values)
     assert any(d.p_continue != ExactProb(0) for d in dists)
     # AW_PAL reads u c v, so (ab)^t runs through every block and then
@@ -1155,7 +1269,7 @@ def test_lost_mass_fails_the_total_mass_check(monkeypatch, build, word, jumped):
     jump = analysis._jump
     monkeypatch.setattr(analysis, "_jump", lambda *a: jumps.append(a[3]) or jump(*a))
     spec = build()
-    total = prob_sum(reference_realtime(spec, word).by_category().values()).as_interval()
+    total = prob_sum(vars(reference_realtime(spec, word)).values()).as_interval()
     assert total.hi < 1
     with pytest.raises(MachineError) as exc:
         run_exact_realtime(spec, word)

@@ -11,7 +11,7 @@ import pytest
 
 from exactqfa import cli, verify
 from exactqfa.analysis import MAX_PRECISION_BITS
-from exactqfa.constructions import CONSTRUCTION_IDS, PARAMETRIC_BUILDERS, build
+from exactqfa.constructions import CONSTRUCTION_IDS, EVENODD_MCQFA_MAX_K, PARAMETRIC_BUILDERS, build
 from exactqfa.exactnum import MIN_PRECISION_BITS, one_minus_inv_e_bracket
 from exactqfa.machines import emit_spec, parse_spec, validate
 from test_analysis import fair_coin_pfa, turn_machine
@@ -47,6 +47,26 @@ class TestConstruct:
         code, _, err = run_cli(capsys, "construct", "EVENODD_DFA", "--k", "25")
         assert code == 2
         assert "cap" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("construct", "EVENODD_MCQFA", "--k", "100000000"),
+            ("analyze", "EVENODD_MCQFA", "--k", "1000000000000", "--input", "a", "--mode", "exact"),
+        ],
+    )
+    def test_a_huge_k_fails_before_allocating(self, capsys, argv):
+        # The machine turns by pi/2^(k+1), so k is refused before 2^(k+1)
+        # is built.
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, *argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == ""
+        assert f"exceeds the supported cap {EVENODD_MCQFA_MAX_K}" in err
+        assert peak < 1_000_000
 
     def test_missing_parameter_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "construct", "EVENODD_DFA")

@@ -36,7 +36,7 @@ from exactqfa.contextuality import (
 from exactqfa.qstate import QMatrix, QVector
 
 I4 = QMatrix.identity(4)
-MINUS_I4 = I4.scale(-1)
+MINUS_I4 = QMatrix.from_rows([[-1 if i == j else 0 for j in range(4)] for i in range(4)])
 
 
 def verify_grid(grid):

@@ -152,7 +152,7 @@ def test_angle_probability_dyadic_quarter() -> None:
     p = angle_probability(dyadic_pi(Fraction(1, 4)), precision_bits=64)
     assert isinstance(p, ApproxProb)
     assert p.interval.contains(Fraction(1, 2))
-    assert p.interval.width <= Fraction(1, 2 ** 64)
+    assert p.interval.hi - p.interval.lo <= Fraction(1, 2 ** 64)
 
 
 def test_angle_probability_sqrt2_oracles() -> None:
@@ -161,7 +161,7 @@ def test_angle_probability_sqrt2_oracles() -> None:
     assert isinstance(p1, ApproxProb)
     assert p1.interval.lo > Fraction(9291, 10000)
     assert p1.interval.hi < Fraction(9292, 10000)
-    assert p1.interval.width <= Fraction(1, 2 ** 64)
+    assert p1.interval.hi - p1.interval.lo <= Fraction(1, 2 ** 64)
     # Oracle: sin^2(2 sqrt(2) pi) = 0.2634649786560654... (50-digit mpmath).
     p2 = angle_probability(sqrt2_pi(2), precision_bits=64)
     assert p2.as_interval().lo > Fraction(2634, 10000)
@@ -366,7 +366,7 @@ def test_angle_probability_precision_nesting(coeff: Fraction) -> None:
     narrow = angle_probability(angle, precision_bits=128).as_interval()
     assert wide.lo <= narrow.lo and narrow.hi <= wide.hi
     assert Fraction(0) <= wide.lo and wide.hi <= Fraction(1)
-    assert narrow.width <= Fraction(1, 2 ** 128)
+    assert narrow.hi - narrow.lo <= Fraction(1, 2 ** 128)
 
 
 def test_cos_sin_exact_table() -> None:
@@ -411,7 +411,7 @@ def test_one_minus_inv_e_bracket() -> None:
     box = one_minus_inv_e_bracket()
     assert box.lo > Fraction(79, 125)
     assert box.hi < Fraction(3161, 5000)
-    assert box.width < Fraction(1, 10 ** 20)
+    assert box.hi - box.lo < Fraction(1, 10 ** 20)
 
 
 @st.composite

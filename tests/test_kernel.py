@@ -296,9 +296,9 @@ def test_certain_squares_never_reach_the_outcome_path(monkeypatch):
 
 
 def test_a_unary_walk_keeps_bounded_registers():
-    # AW_PAL's registers on a^n never recur and grow with n, so the cycle
-    # walk hands the run to the block loop, which keeps only hashes; the
-    # run still ends in the same table hole.
+    # AW_PAL's registers on a^n never recur and grow with n; the cycle
+    # walk keeps two of them, its head and its mark, and the run still
+    # ends in the same table hole.
     spec = build_aw_pal()
     tracemalloc.start()
     try:
