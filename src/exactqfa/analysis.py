@@ -238,24 +238,16 @@ class _Square:
                 raise MachineError(self.fixed)
             return ((*self.fixed, reg, _UNIT),)
         out = []
-        total = 0
         for label, reg2, p in self.outcomes(reg, bits):
             exit = self.exits[label]
             if exit.__class__ is str:
                 raise MachineError(exit)
-            if isinstance(p, Fraction):
-                total += p
-                if p == 1:
-                    p = _UNIT
-            else:
-                total += p.as_interval().lo
             out.append((*exit, reg2, p))
-        if total > 1:
-            raise MachineError("measurement branches exceed total mass")
         return tuple(out)
 
     def outcomes(self, reg: Register, bits: int) -> "list[tuple[str, Register, Union[Fraction, ApproxProb]]]":
-        """(label, register, probability) of each nonzero branch of a measuring or PFA square."""
+        """(label, register, probability) of each nonzero branch of a measuring or PFA square.
+        A measurement's are its integer masses over one total, ``_UNIT`` when certain."""
         if self.op == _OP_PFA:
             return [(s, None, p) for _, s, _, _, p in self.fixed]
         vec = reg
@@ -272,10 +264,10 @@ class _Square:
                 return [(label, post, p.value if p.is_exact() else p) for label, post, p in pairs if p != PROB_ZERO]
         if self.pre is not None:
             vec = self.pre.apply(vec)
-        branches = self.arg.measure(vec)
-        if self.op == _OP_MEASURE:
-            return [(b.outcome, b.vector, b.probability) for b in branches]
-        return [(b.outcome, ROTATION_AT_ZERO if b.outcome == "1" else ROTATION_AT_ONE, b.probability) for b in branches]
+        total, parts = self.arg.split(vec)
+        if self.op == _OP_MEASURE_ROTATION:
+            parts = [(label, ROTATION_AT_ZERO if label == "1" else ROTATION_AT_ONE, mass) for label, _, mass in parts]
+        return [(label, post, _UNIT if mass == total else Fraction(mass, total)) for label, post, mass in parts]
 
 
 class _Kernel:
@@ -288,7 +280,7 @@ class _Kernel:
     every PFA square. The spec keeps its compiled squares in its
     ``__dict__``, as ``QMatrix`` keeps its integer rows: one per (state,
     tape symbol) met, and no register. Squares that do register work are
-    memoized for one run in a ``_Memo``.
+    memoized for one run in a ``_Memo``; block rows, kept per key, skip it.
     """
 
     def __init__(self, spec: MachineSpec, precision_bits: int):
@@ -403,9 +395,9 @@ def _run_blocks(kernel: _Kernel, block: str, reps: int) -> OutcomeDistribution:
 
     The blocks are walked a block at a time, and advanced by block
     transfer matrices once their block-boundary configurations recur
-    (see ``_advance_blocks``). Two blocks are stepped square by square:
-    a block row is kept from its key's second sighting, so the first
-    jump can come at the third block. A jump leaves its masses as
+    (see ``_advance_blocks``). A block row is kept from its key's second
+    sighting, and the rows walked in the previous block count too, so the
+    first jump can come at the second block. A jump leaves its masses as
     integers over one big denominator, and the run ends on integers
     scaled by it (``_scaled_distribution``), so it ends without a gcd on
     integers the size of the answer.
@@ -473,13 +465,51 @@ def _step(kernel: _Kernel, branches: dict, sym: str, masses: dict) -> dict:
 
 
 def _block_row(kernel: _Kernel, key: tuple, block: str) -> tuple:
-    """One block from ``key`` at weight one: the live keys at the block's
-    end with their weights, and the decided mass by category."""
-    branches = {key: Fraction(1)}
-    masses = _empty_masses()
-    for sym in block:
-        branches = _step(kernel, branches, sym, masses)
-    return branches, {cat: prob_sum(values) for cat, values in masses.items() if values}
+    """One block from ``key`` at weight one, as (den, live, decided) in
+    lowest terms: ``live`` maps each key at the block's end to its weight
+    times den, ``decided`` each category to its mass's (lo, hi) times den.
+    The walk follows the one live branch without the run's memo (rows are
+    kept per key); from a square with more live branches, ``_step`` goes on."""
+    (cstate, reg), bits, squares = key, kernel.precision_bits, kernel._squares
+    num, den, sums = 1, 1, {}
+    for i, sym in enumerate(block):
+        successors = (squares.get((cstate, sym)) or kernel.square(cstate, sym)).resolve(reg, bits)
+        if len(successors) == 1 and successors[0][0] is None and successors[0][4] is _UNIT:
+            cstate, reg = successors[0][1], successors[0][3]
+            continue
+        if sum(s[0] is None for s in successors) > 1:
+            masses = {c: [_mass(*sums[c], den)] if c in sums else [] for c in CATEGORIES}
+            branches = {(cstate, reg): Fraction(num, den)}
+            for later in block[i:]:
+                branches = _step(kernel, branches, later, masses)
+            decided = {c: prob_sum(values).as_interval() for c, values in masses.items() if values}
+            fractions = [*branches.values(), *(x for iv in decided.values() for x in (iv.lo, iv.hi))]
+            den = math.lcm(*(x.denominator for x in fractions))
+            nums = iter([x.numerator * (den // x.denominator) for x in fractions])
+            return den, {k: next(nums) for k in branches}, {c: (next(nums), next(nums)) for c in decided}
+        # q times each probability here is an integer.
+        ends = [(p, p) if p.__class__ is Fraction else (p.interval.lo, p.interval.hi) for *_, p in successors]
+        q = math.lcm(*(x.denominator for pair in ends for x in pair))
+        weight, num, den = num, 0, den * q
+        sums = {c: (lo * q, hi * q) for c, (lo, hi) in sums.items()}
+        for (category, state2, _, reg2, p), pair in zip(successors, ends):
+            lo, hi = (weight * x.numerator * (q // x.denominator) for x in pair)
+            if category is not None:
+                lo0, hi0 = sums.get(category, (0, 0))
+                sums[category] = (lo0 + lo, hi0 + hi)
+            elif p.__class__ is Fraction:
+                cstate, reg, num = state2, reg2, lo
+            else:
+                raise ExactnessError("interval-valued measurement outcome must halt or restart")
+        if not num:
+            break
+    g = math.gcd(den, num, *(x for pair in sums.values() for x in pair))
+    return den // g, {(cstate, reg): num // g} if num else {}, {c: (lo // g, hi // g) for c, (lo, hi) in sums.items()}
+
+
+def _mass(lo: int, hi: int, den: int) -> ProbValue:
+    """The mass from lo/den to hi/den, exact when the ends are equal."""
+    return ExactProb(Fraction(lo, den)) if lo == hi else ApproxProb(RationalInterval(Fraction(lo, den), Fraction(hi, den)))
 
 
 def _advance_blocks(kernel: _Kernel, branches: dict, block: str, reps: int, masses: dict) -> tuple:
@@ -489,8 +519,9 @@ def _advance_blocks(kernel: _Kernel, branches: dict, block: str, reps: int, mass
     when every live branch has one. Otherwise the run walks block by
     block, combining the rows (``_block_row``) of the live keys; a row is
     kept under the second-sighting rule, and a key seen in two blocks in
-    a row is walked once. Once the kept rows close over the keys the live
-    ones reach, the remaining blocks are taken in one step by ``_jump``;
+    a row is walked once. Once the kept rows and the previous block's
+    close over the keys the live ones reach, the remaining blocks are
+    taken in one step by ``_jump``;
     once every branch has halted, the rest is skipped. Exact weights make
     the result equal to the square-by-square run's, interval ends included.
 
@@ -510,9 +541,9 @@ def _advance_blocks(kernel: _Kernel, branches: dict, block: str, reps: int, mass
     for done in range(reps):
         if not branches:
             break
-        keys = _closed_keys(rows, branches)
-        if keys is not None:
-            return _jump(rows, keys, branches, reps - done)
+        closed = _closed_keys(lambda key: rows.get(key) or recent.get(key), branches)
+        if closed is not None:
+            return _jump(closed, list(closed), branches, reps - done)
         new_branches: "dict[tuple[str, Register], Fraction]" = {}
         seen_now = {}
         for key, weight in branches.items():
@@ -521,13 +552,14 @@ def _advance_blocks(kernel: _Kernel, branches: dict, block: str, reps: int, mass
                 row = recent.get(key) or _block_row(kernel, key, block)
                 rows.offer(key, row)
                 seen_now[key] = row
-            live, decided = row
+            den, live, decided = row
+            num, den = weight.numerator, weight.denominator * den
             for key2, w in live.items():
-                share = weight * w
+                share = Fraction(num * w, den)
                 merged = new_branches.get(key2)
                 new_branches[key2] = share if merged is None else merged + share
-            for category, mass in decided.items():
-                masses[category].append(prob_scale(mass, weight))
+            for category, (lo, hi) in decided.items():
+                masses[category].append(_mass(num * lo, num * hi, den))
         branches = new_branches
         recent = seen_now
     return branches, _empty_masses(), 1, 1
@@ -589,23 +621,22 @@ def _unary_end(kernel: _Kernel, key: tuple, sym: str, reps: int):
     return key
 
 
-def _closed_keys(rows: _Memo, branches: dict) -> "Optional[list]":
-    """The keys reachable from ``branches`` through kept rows, or None
-    while one of them has no kept row."""
-    keys: list = []
-    found = set()
+def _closed_keys(row_of: Callable, branches: dict) -> "Optional[dict]":
+    """The row of each key reachable from ``branches`` through rows, by
+    key, or None while one of them has no row; ``row_of`` gives a key's
+    row, or None."""
+    found: dict = {}
     stack = list(branches)
     while stack:
         key = stack.pop()
         if key in found:
             continue
-        row = rows.get(key)
+        row = row_of(key)
         if row is None:
             return None
-        found.add(key)
-        keys.append(key)
-        stack.extend(row[0])
-    return keys
+        found[key] = row
+        stack.extend(row[1])
+    return found
 
 
 # The largest denominator, in bits, that ``_jump`` builds. Every product
@@ -613,64 +644,53 @@ def _closed_keys(rows: _Memo, branches: dict) -> "Optional[list]":
 MAX_JUMP_BITS = 1 << 25
 
 
-def _jump(rows: _Memo, keys: list, branches: dict, blocks: int) -> tuple:
+def _jump(rows: dict, keys: list, branches: dict, blocks: int) -> tuple:
     """Advance ``branches`` over ``blocks`` blocks as v·M^blocks.
 
-    M = [[T, D], [0, I]]: T holds the live-to-live weights over ``keys``,
-    D the decided mass, one column per category and one more for the
-    upper end of each category whose mass is an interval, and I carries
-    the decided mass on unchanged. When every kept key returns only to
+    M = [[T, D], [0, I]] is built from the integer rows over ``keys``,
+    scaled to den, the lcm of their denominators: T holds the live-to-live
+    weights, D the decided mass, one column per category and one more for
+    the upper end of each category whose mass is an interval, and I
+    carries the decided mass on. When every kept key returns only to
     itself, T is diagonal and the power has a closed form
     (``_self_loop_power``); any other T is raised by ``_matrix_power``.
-    Both give the same integers. Returns the live weights and the
-    decided masses by category as integers over the denominator
-    v_den·den^blocks, and last that denominator's base v_den·den, which
-    has every prime the power has: one reduction per category at the end
-    costs less than one per entry, and the base makes it cheap.
+    Both give the same integers. Returns the live weights and the decided
+    masses by category as integers over v_den·den^blocks, and last its
+    base v_den·den, which has every prime the power has: one reduction
+    per category at the end costs less than one per entry.
     """
-    index = {key: i for i, key in enumerate(keys)}
-    decided = [rows[key][1] for key in keys]
-    cats = [c for c in CATEGORIES if any(c in d for d in decided)]
-    wide = [c for c in cats if any(c in d and not d[c].is_exact() for d in decided)]
-    columns = [(c, "lo") for c in cats] + [(c, "hi") for c in wide]
-    n = len(keys)
-    width = n + len(columns)
-    matrix = []
-    for key, d in zip(keys, decided):
-        row = [0] * width
-        for key2, w in rows[key][0].items():
-            row[index[key2]] = w
-        for j, (c, end) in enumerate(columns, n):
-            if c in d:
-                row[j] = getattr(d[c].as_interval(), end)
-        matrix.append(tuple(row))
-    for i in range(n, width):
-        matrix.append(tuple(int(i == j) for j in range(width)))
-    start = tuple(branches.get(key, 0) for key in keys) + (0,) * len(columns)
+    picked = [rows[key] for key in keys]
+    cats = [c for c in CATEGORIES if any(c in decided for _, _, decided in picked)]
+    wide = [c for c in cats if any(c in decided and decided[c][0] != decided[c][1] for _, _, decided in picked)]
+    columns = [(c, 0) for c in cats] + [(c, 1) for c in wide]
+    n, width = len(keys), len(keys) + len(columns)
     # The power runs on integers: M = N/den and v = w/v_den, so that
     # v·M^blocks = w·N^blocks / (v_den·den^blocks) needs no gcd until the end.
-    den = math.lcm(*(x.denominator for row in matrix for x in row))
+    den = math.lcm(*(row_den for row_den, _, _ in picked))
+    start = [branches.get(key, 0) for key in keys]
     v_den = math.lcm(*(x.denominator for x in start))
     # den^blocks has at least blocks * (den.bit_length() - 1) + 1 bits.
     bits = blocks * (den.bit_length() - 1) + v_den.bit_length()
     if bits > MAX_JUMP_BITS:
         raise MachineError(f"a jump's answer needs at least {bits} bits, over the cap of {MAX_JUMP_BITS}")
-    scaled_rows = [[x.numerator * (den // x.denominator) for x in row] for row in matrix]
-    scaled_start = [x.numerator * (v_den // x.denominator) for x in start]
-    if all(key2 == key for key in keys for key2 in rows[key][0]):
-        scaled, den_power = _self_loop_power(scaled_rows, n, den, blocks, scaled_start)
+    matrix = []
+    for row_den, live, decided in picked:
+        row = [live.get(key2, 0) for key2 in keys] + [decided[c][end] if c in decided else 0 for c, end in columns]
+        matrix.append([x * (den // row_den) for x in row])
+    matrix += [[den if i == j else 0 for j in range(width)] for i in range(n, width)]
+    scaled_start = [x.numerator * (v_den // x.denominator) for x in start] + [0] * len(columns)
+    if all(key2 == key for key in keys for key2 in rows[key][1]):
+        scaled, den_power = _self_loop_power(matrix, n, den, blocks, scaled_start)
     else:
-        (scaled,) = _matrix_power(scaled_rows, blocks, (scaled_start,))
+        (scaled,) = _matrix_power(matrix, blocks, (scaled_start,))
         den_power = den**blocks
     sums = dict(zip(columns, scaled[n:]))
     ends = _empty_masses()
     for c in cats:
-        lo = sums[(c, "lo")]
-        hi = sums.get((c, "hi"), lo)
+        lo = sums[(c, 0)]
+        hi = sums.get((c, 1), lo)
         if hi:
-            ends[c].append(
-                ExactProb(lo) if lo == hi else ApproxProb(RationalInterval(Fraction(lo), Fraction(hi)))
-            )
+            ends[c].append(ExactProb(lo) if lo == hi else ApproxProb(RationalInterval(Fraction(lo), Fraction(hi))))
     live = {key: w for key, w in zip(keys, scaled) if w}
     return live, ends, v_den * den_power, v_den * den
 

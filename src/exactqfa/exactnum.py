@@ -225,6 +225,15 @@ class SymbolicAngle(Document):
                     f"DyadicPi coefficient must have a power-of-two denominator, got {self.coeff}"
                 )
 
+    def __hash__(self) -> int:
+        # Registers are dict keys on every square, and a Fraction's hash
+        # takes a modular inverse, so the fields' hash is kept once made.
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = hash((self.kind, self.coeff))
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
     def is_zero(self) -> bool:
         return self.coeff == 0
 

@@ -338,16 +338,27 @@ class ProjectiveMeasurement:
         return ProjectiveMeasurement(outcomes, dim)
 
     def measure(self, vector: QVector) -> "list[MeasurementBranch]":
+        total, parts = self.split(vector)
+        return [
+            MeasurementBranch(label, post, Fraction(mass, total), math.isqrt(mass) ** 2 == mass)
+            for label, post, mass in parts
+        ]
+
+    def split(self, vector: QVector) -> "tuple[int, list[tuple[str, QVector, int]]]":
+        """The measurement in integers: (total, [(outcome, post, mass)]),
+        one entry per outcome of nonzero mass, whose probability is
+        mass/total. Masses are squared norms in units of 1/den^2, so they
+        sum to total exactly."""
         if vector.dim != self.dim:
             raise ValueError(f"vector dim {vector.dim} != measurement dim {self.dim}")
         nums = vector.nums
-        # Masses are squared norms in units of 1/den^2.
-        total = sum(a * a + b * b for a, b in nums)
+        squares = [a * a + b * b for a, b in nums]
+        total = sum(squares)
         if total == 0:
             raise ValueError("cannot measure the zero vector")
-        branches = []
+        parts = []
         for label, indices in self.outcomes:
-            mass = sum(nums[i][0] ** 2 + nums[i][1] ** 2 for i in indices)
+            mass = sum(squares[i] for i in indices)
             if mass == 0:
                 continue
             projected = [pair if i in indices else (0, 0) for i, pair in enumerate(nums)]
@@ -356,10 +367,9 @@ class ProjectiveMeasurement:
             # unit norm its denominator is then the root. Otherwise the
             # raw projection is kept.
             root = math.isqrt(mass)
-            renormalized = root * root == mass
-            post = canonical_phase(_reduced(root if renormalized else vector.den, projected))
-            branches.append(MeasurementBranch(label, post, Fraction(mass, total), renormalized))
-        return branches
+            post = canonical_phase(_reduced(root if root * root == mass else vector.den, projected))
+            parts.append((label, post, mass))
+        return total, parts
 
 
 @dataclass(frozen=True)
@@ -374,6 +384,14 @@ class RotationRegister:
     """
 
     angle: SymbolicAngle
+
+    def __hash__(self) -> int:
+        # The fields' hash, kept once made, as QVector keeps its own.
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = hash((self.angle,))
+            object.__setattr__(self, "_hash", cached)
+        return cached
 
     def rotated(self, delta: SymbolicAngle) -> "RotationRegister":
         return RotationRegister(self.angle + delta)

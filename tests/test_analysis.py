@@ -929,7 +929,8 @@ def reference_realtime(spec: MachineSpec, word: str) -> OutcomeDistribution:
                 if category is not None:
                     masses[category].append(ExactProb(weight * p) if exact else prob_scale(p, weight))
                     continue
-                assert exact
+                if not exact:
+                    raise ExactnessError("interval-valued measurement outcome must halt or restart")
                 key = (state2, reg2)
                 new_branches[key] = new_branches.get(key, 0) + weight * p
         branches = new_branches
@@ -1109,6 +1110,108 @@ def test_table_hole_in_third_block_raises_like_the_reference():
         assert str(exc.value) == message
 
 
+def mid_block_machine(hole: bool = False) -> MachineSpec:
+    """Reads blocks "abaab". ROT turns the register at each "a", and "b"
+    measures it. From "s" both outcomes stay live, so a block walk hands
+    its branch to ``_step`` at the first "b"; from "t" outcome "1"
+    rejects, so part of the mass halts at each "b" and the walk goes on.
+    With ``hole``, the live outcome of "t" at "b" is a table hole."""
+    classical = {
+        ("s", LEFT_MARKER, "1"): ClassicalStep("s", MOVE_RIGHT),
+        ("s", "a", "1"): ClassicalStep("s", MOVE_RIGHT),
+        ("t", "a", "1"): ClassicalStep("t", MOVE_RIGHT),
+        ("s", "b", "1"): ClassicalStep("s", MOVE_RIGHT),
+        ("s", "b", "2"): ClassicalStep("t", MOVE_RIGHT),
+        ("t", "b", "1"): ClassicalStep("s_r", MOVE_RIGHT),
+        ("s", RIGHT_MARKER, "1"): ClassicalStep("s_a", MOVE_RIGHT),
+        ("t", RIGHT_MARKER, "1"): ClassicalStep("s_r", MOVE_RIGHT),
+    }
+    if not hole:
+        classical[("t", "b", "2")] = ClassicalStep("t", MOVE_RIGHT)
+    return MachineSpec(
+        name="mid-block" + ("-holed" if hole else ""),
+        model_class=MODEL_RTQCFA,
+        register=REGISTER_MATRIX,
+        quantum_dim=2,
+        states=frozenset({"s", "t", "s_a", "s_r"}),
+        initial_state="s",
+        accept_state="s_a",
+        reject_state="s_r",
+        dont_know_state=None,
+        alphabet=("a", "b"),
+        quantum_delta={
+            (state, sym): UnitaryAction(ROT) if sym == "a" else MeasureAction(BASIS2)
+            for state in ("s", "t")
+            for sym in ("a", "b")
+        },
+        classical_delta=classical,
+    )
+
+
+def live_turn_machine() -> MachineSpec:
+    """Turns by sqrt(2) pi at "a" and measures at "b", whose outcome "1"
+    stays live: an interval-valued live branch."""
+    extra = [(
+        {("s1", "b"): MeasureRotationAction()},
+        {("s1", "b", "1"): ClassicalStep("s1", MOVE_RIGHT), ("s1", "b", "2"): ClassicalStep("s_r", MOVE_RIGHT)},
+    )]
+    return turn_machine(alphabet=("a", "b"), extra=extra)
+
+
+def halt_before_hole_machine() -> MachineSpec:
+    """The first-b rejecter with a table hole at "a": on (ba)^t every
+    branch halts at the first "b", so the hole is never reached."""
+    spec = first_b_rejecter()
+    classical = {k: v for k, v in spec.classical_delta.items() if k != ("q", "a", "1")}
+    return dataclasses.replace(spec, name="halt-before-hole", classical_delta=classical)
+
+
+WALK_ERRORS = {
+    "mid-block-holed": (MachineError, "no classical transition for ('t', 'b', '2')"),
+    "turn": (ExactnessError, "interval-valued measurement outcome must halt or restart"),
+}
+WALK_CASES = [
+    # A split mid-block, where the walk hands its branch to _step, and
+    # masses decided at two measurements of one straight-line walk.
+    *[(mid_block_machine(), "abaab" * t) for t in (3, 4, 40)],
+    # Interval-valued decided mass; in "ba" the split is a block's first square.
+    *[(coin_turn_machine(), word * 9) for word in ("ab", "ba")],
+    # Every branch halts mid-block, before a square that is a table hole.
+    (halt_before_hole_machine(), "ba" * 5),
+    # A table hole mid-block, and an interval-valued live branch.
+    (mid_block_machine(hole=True), "abaab" * 5),
+    (live_turn_machine(), "aab" * 5),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, word", WALK_CASES, ids=[f"{spec.name}-{word[:5]}-{len(word)}" for spec, word in WALK_CASES]
+)
+def test_block_walk_matches_the_reference(spec, word):
+    result = outcome(reference_realtime, spec, word)
+    assert outcome(run_exact_realtime, spec, word) == result
+    if spec.name in WALK_ERRORS:
+        assert result == WALK_ERRORS[spec.name]
+    elif spec.name == "coin-turn":
+        assert not result.p_accept.is_exact() and not result.p_reject.is_exact()
+    elif spec.name == "mid-block":
+        assert 0 < result.p_reject.value < 1 and 0 < result.p_accept.value < 1
+
+
+def test_a_split_mid_block_hands_the_branch_to_step(monkeypatch):
+    blocks, steps = [], []
+    block_row, step = analysis._block_row, analysis._step
+    monkeypatch.setattr(analysis, "_block_row", lambda k, key, b: blocks.append(key[0]) or block_row(k, key, b))
+    monkeypatch.setattr(analysis, "_step", lambda k, br, sym, m: steps.append(sym) or step(k, br, sym, m))
+    spec = mid_block_machine()
+    word = "abaab" * 40
+    assert run_exact_realtime(spec, word) == reference_realtime(spec, word)
+    # Each walk from "s" steps from its first "b" on; the end-markers are
+    # stepped too, and no walk from "t" calls _step.
+    assert "s" in blocks and "t" in blocks
+    assert steps == [LEFT_MARKER] + list("baab") * blocks.count("s") + [RIGHT_MARKER]
+
+
 def test_never_recurring_register_walks_every_block(monkeypatch):
     # ROT has infinite order, so no configuration recurs and the run
     # applies the rotation once per letter.
@@ -1155,6 +1258,19 @@ def test_key_seen_in_consecutive_blocks_is_walked_once(monkeypatch, build, u, v)
     word = _twin_blocks(u, v, 25)
     assert run_exact_realtime(spec, word) == reference_realtime(spec, word)
     assert walked and len(walked) == len(set(walked))
+
+
+def test_the_jump_reads_the_rows_walked_in_the_previous_block(monkeypatch):
+    # Block 1 walks the rows of both keys, and block 2 the row of the key
+    # that "rej_first" leads to. With the rows of block 2 they close over
+    # the live keys, so the jump comes after two stepped blocks.
+    jumps = []
+    jump = analysis._jump
+    monkeypatch.setattr(analysis, "_jump", lambda *a: jumps.append(a[3]) or jump(*a))
+    spec = build_lv_exptwinpal()
+    word = _twin_blocks("ab", "aa", 625)
+    assert run_exact_realtime(spec, word) == reference_realtime(spec, word)
+    assert jumps == [623]
 
 
 def _gcd_descents(monkeypatch) -> list:
@@ -1247,9 +1363,10 @@ def test_self_loop_power_matches_the_matrix_power(den):
 
 
 def _losing(category: str):
-    """Kernel.successors without the branches that decide ``category``."""
-    successors = analysis._Kernel.successors
-    return lambda kernel, *args: tuple(s for s in successors(kernel, *args) if s[0] != category)
+    """_Square.resolve without the branches that decide ``category``: every
+    runner reaches its squares through ``resolve``."""
+    resolve = analysis._Square.resolve
+    return lambda square, *args: tuple(s for s in resolve(square, *args) if s[0] != category)
 
 
 LOSSY_RUNS = [
@@ -1264,7 +1381,7 @@ LOSSY_RUNS = [
 
 @pytest.mark.parametrize("build, word, jumped", LOSSY_RUNS, ids=["squares", "jump", "interval-jump"])
 def test_lost_mass_fails_the_total_mass_check(monkeypatch, build, word, jumped):
-    monkeypatch.setattr(analysis._Kernel, "successors", _losing("reject"))
+    monkeypatch.setattr(analysis._Square, "resolve", _losing("reject"))
     jumps = []
     jump = analysis._jump
     monkeypatch.setattr(analysis, "_jump", lambda *a: jumps.append(a[3]) or jump(*a))

@@ -14,11 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exactqfa.exactnum import GR_ZERO, GaussianRational
+from exactqfa.exactnum import GR_ZERO, SQRT2_PI, GaussianRational, sqrt2_pi
 from exactqfa.qstate import (
     ProjectiveMeasurement,
     QMatrix,
     QVector,
+    RotationRegister,
     canonical_phase,
 )
 from test_exactnum import abs2
@@ -159,6 +160,24 @@ def test_kron_shapes_and_values() -> None:
 
 def test_matrix_json_round_trip() -> None:
     assert QMatrix.from_json(ROT_A.to_json()) == ROT_A
+
+
+def test_rotation_registers_hash_their_angle_once(monkeypatch) -> None:
+    left = RotationRegister(sqrt2_pi(Fraction(3, 7)))
+    right = RotationRegister(sqrt2_pi(1)).rotated(sqrt2_pi(Fraction(-4, 7)))
+    assert left == right and left.angle is not right.angle
+    # The kept hash is the one a frozen dataclass makes: that of its fields.
+    assert hash(left) == hash(right) == hash((left.angle,))
+    assert hash(left.angle) == hash(right.angle) == hash((SQRT2_PI, Fraction(3, 7)))
+    calls = []
+    fraction_hash = Fraction.__hash__
+    monkeypatch.setattr(Fraction, "__hash__", lambda x: calls.append(x) or fraction_hash(x))
+    fresh = RotationRegister(sqrt2_pi(Fraction(5, 9)))
+    table = {}
+    for _ in range(3):
+        table[fresh] = table.get(fresh, 0) + 1
+    assert table == {RotationRegister(fresh.angle): 3}
+    assert calls == [Fraction(5, 9)]
 
 
 def test_equal_vectors_from_different_routes_hash_equal() -> None:
