@@ -20,9 +20,11 @@ moves from one sampled square to the next along edges cached on the
 square, without building or hashing a configuration.
 
 Every runner drives one kernel, whose squares are compiled once per
-machine; a certain square makes no Fraction and skips the run's memo. A
-realtime PFA's square branches on each nonzero entry of its matrix row,
-and it decides only at the right end-marker.
+machine; a certain square makes no Fraction. Only a two-way run, whose
+head meets its configurations again on every sweep, memoizes the squares
+that do register work. A realtime PFA's square branches on each nonzero
+entry of its matrix row, and it decides only at the right end-marker.
+Every exact run ends on integer sums (``_masses_to_distribution``).
 
 A unary run takes the block path on its letter, where each live branch
 first tries a closed form: a self-looping rotation turns by its angle
@@ -121,12 +123,60 @@ def _empty_masses() -> "dict[str, list[ProbValue]]":
     return {cat: [] for cat in CATEGORIES}
 
 
-def _masses_to_distribution(masses: "dict[str, list[ProbValue]]") -> OutcomeDistribution:
-    sums = {cat: prob_sum(masses[cat]) for cat in CATEGORIES}
-    total = prob_sum(sums.values()).as_interval()
-    if not total.contains(Fraction(1)):
+def _ends(p: ProbValue) -> tuple:
+    """(lo, hi) of a mass; both are its value when it is exact."""
+    if p.__class__ is ExactProb:
+        return p.value, p.value
+    return p.interval.lo, p.interval.hi
+
+
+def _masses_to_distribution(
+    masses: "dict[str, list[ProbValue]]", ends: Optional[dict] = None, den: int = 1, base: int = 1
+) -> OutcomeDistribution:
+    """The distribution of ``masses`` plus ``ends`` / den, summed on integers.
+
+    Both ends (lo, hi) of every mass, exact or interval, are scaled to q,
+    the lcm of their denominators, and each category's ends are summed as
+    integers over q·den: its ``masses`` times den, plus its ``ends``. The
+    total-mass check asks whether lo_total <= q·den <= hi_total, and each
+    category is divided once, exact when its two sums agree.
+
+    After a jump, ``ends`` holds the masses it left as numerators over its
+    big denominator ``den``, and every prime of ``den`` divides ``base``,
+    so each division is ``reduced_over`` with base q·base: no gcd runs on
+    integers the size of the answer.
+    """
+    groups = [
+        ([_ends(p) for p in masses[cat]], [_ends(p) for p in ends[cat]] if ends else ())
+        for cat in CATEGORIES
+    ]
+    q = math.lcm(*{x.denominator for group in groups for pairs in group for pair in pairs for x in pair})
+    sums = []
+    for own, late in groups:
+        lo = hi = 0
+        for a, b in own:
+            lo += a.numerator * (q // a.denominator)
+            hi += b.numerator * (q // b.denominator)
+        lo, hi = lo * den, hi * den
+        for a, b in late:
+            lo += a.numerator * (q // a.denominator)
+            hi += b.numerator * (q // b.denominator)
+        sums.append((lo, hi))
+    scale = q * den
+    lo_total, hi_total = sum(lo for lo, _ in sums), sum(hi for _, hi in sums)
+    if not lo_total <= scale <= hi_total:
+        total = RationalInterval(Fraction(lo_total, scale), Fraction(hi_total, scale))
         raise MachineError(f"total terminal mass {total} does not cover 1")
-    return OutcomeDistribution(*(sums[cat] for cat in CATEGORIES))
+    if den == 1:
+        return OutcomeDistribution(*(_mass(lo, hi, q) for lo, hi in sums))
+    base *= q
+
+    def over(x: int) -> Fraction:
+        return reduced_over(x, scale, base)
+
+    return OutcomeDistribution(
+        *(ExactProb(over(lo)) if lo == hi else ApproxProb(RationalInterval(over(lo), over(hi))) for lo, hi in sums)
+    )
 
 
 _BASIS_2 = ProjectiveMeasurement.from_partition(2, {"1": [0], "2": [1]})
@@ -278,16 +328,19 @@ class _Kernel:
     branch, ``offset`` the head move, and ``p`` the shared ``_UNIT`` when
     the branch is certain; a PFA's never is, so sampling draws once on
     every PFA square. The spec keeps its compiled squares in its
-    ``__dict__``, as ``QMatrix`` keeps its integer rows: one per (state,
-    tape symbol) met, and no register. Squares that do register work are
-    memoized for one run in a ``_Memo``; block rows, kept per key, skip it.
+    ``__dict__``, as ``QMatrix`` keeps its compiled unitary: one per
+    (state, tape symbol) met, and no register. A two-way head meets its
+    configurations again on every sweep, so for a machine that is not
+    realtime the squares that do register work are memoized for one run
+    in a ``_Memo``. A realtime run reads each square once per live
+    branch, so its kernel keeps no memo and resolves every square.
     """
 
     def __init__(self, spec: MachineSpec, precision_bits: int):
         self.spec = spec
         self.precision_bits = precision_bits
         self._squares = spec.__dict__.setdefault("_squares", {})
-        self._memo = _Memo()
+        self._memo = None if spec.is_realtime() else _Memo()
 
     def square(self, cstate: str, sym: str) -> _Square:
         square = self._squares.get((cstate, sym))
@@ -297,13 +350,14 @@ class _Kernel:
 
     def successors(self, cstate: str, sym: str, reg: Register) -> tuple:
         square = self._squares.get((cstate, sym)) or self.square(cstate, sym)
-        if square.op <= _OP_PFA:
+        memo = self._memo
+        if memo is None or square.op <= _OP_PFA:
             return square.resolve(reg, self.precision_bits)
         key = (cstate, sym, reg)
-        out = self._memo.get(key)
+        out = memo.get(key)
         if out is None:
             out = square.resolve(reg, self.precision_bits)
-            self._memo.offer(key, out)
+            memo.offer(key, out)
         return out
 
 
@@ -399,8 +453,8 @@ def _run_blocks(kernel: _Kernel, block: str, reps: int) -> OutcomeDistribution:
     sighting, and the rows walked in the previous block count too, so the
     first jump can come at the second block. A jump leaves its masses as
     integers over one big denominator, and the run ends on integers
-    scaled by it (``_scaled_distribution``), so it ends without a gcd on
-    integers the size of the answer.
+    scaled by it (``_masses_to_distribution``), so it ends without a gcd
+    on integers the size of the answer.
     """
     branches = {(kernel.spec.initial_state, initial_register(kernel.spec)): Fraction(1)}
     masses = _empty_masses()
@@ -411,49 +465,18 @@ def _run_blocks(kernel: _Kernel, block: str, reps: int) -> OutcomeDistribution:
     branches = _step(kernel, branches, RIGHT_MARKER, masses if den == 1 else ends)
     if branches:
         raise MachineError("live branches remain after the right end-marker")
-    if den == 1:
-        return _masses_to_distribution(masses)
-    return _scaled_distribution(masses, ends, den, base)
-
-
-def _scaled_distribution(masses: dict, ends: dict, den: int, base: int) -> OutcomeDistribution:
-    """The distribution of ``masses`` plus ``ends`` / den, where every
-    prime of ``den`` divides ``base``.
-
-    ``masses`` hold the small-denominator masses decided before a jump,
-    and ``ends`` the numerators over ``den`` it left. Each category sums
-    its masses while their denominators are small, scales the sum by
-    ``den`` and adds its ends. The total-mass check asks whether the
-    scaled total contains ``den``, so no sum adds fractions over the big
-    denominator. Last, each category is divided once (``_divided``).
-    """
-    sums = [
-        prob_sum([prob_scale(prob_sum(masses[cat]), den), *ends[cat]] if masses[cat] else ends[cat])
-        for cat in CATEGORIES
-    ]
-    total = prob_sum(sums).as_interval()
-    if not total.contains(den):
-        raise MachineError(f"total terminal mass {total.scale(Fraction(1, den))} does not cover 1")
-    return OutcomeDistribution(*(_divided(value, den, base) for value in sums))
-
-
-def _divided(total: ProbValue, den: int, base: int) -> ProbValue:
-    """total / den in lowest terms, where every prime of ``den`` divides
-    ``base``. A sum S/q over q·den keeps that property with base q·base."""
-
-    def over(x: Fraction) -> Fraction:
-        return reduced_over(x.numerator, x.denominator * den, x.denominator * base)
-
-    if total.is_exact():
-        return ExactProb(over(total.value))
-    return ApproxProb(RationalInterval(over(total.interval.lo), over(total.interval.hi)))
+    return _masses_to_distribution(masses, ends, den, base)
 
 
 def _step(kernel: _Kernel, branches: dict, sym: str, masses: dict) -> dict:
-    """Push the live branches across one square; decided mass goes to ``masses``."""
+    """Push the live branches across one square; decided mass goes to ``masses``.
+    Only realtime runs step, and their kernel keeps no memo, so each
+    square is resolved directly."""
+    squares, bits = kernel._squares, kernel.precision_bits
     new_branches: "dict[tuple[str, Register], Fraction]" = {}
     for (cstate, reg), weight in branches.items():
-        for category, state2, _, reg2, p in kernel.successors(cstate, sym, reg):
+        square = squares.get((cstate, sym)) or kernel.square(cstate, sym)
+        for category, state2, _, reg2, p in square.resolve(reg, bits):
             if category is not None:
                 masses[category].append(_weighted(weight, p))
                 continue
@@ -468,8 +491,8 @@ def _block_row(kernel: _Kernel, key: tuple, block: str) -> tuple:
     """One block from ``key`` at weight one, as (den, live, decided) in
     lowest terms: ``live`` maps each key at the block's end to its weight
     times den, ``decided`` each category to its mass's (lo, hi) times den.
-    The walk follows the one live branch without the run's memo (rows are
-    kept per key); from a square with more live branches, ``_step`` goes on."""
+    The walk follows the one live branch; from a square with more live
+    branches, ``_step`` goes on."""
     (cstate, reg), bits, squares = key, kernel.precision_bits, kernel._squares
     num, den, sums = 1, 1, {}
     for i, sym in enumerate(block):
@@ -509,7 +532,9 @@ def _block_row(kernel: _Kernel, key: tuple, block: str) -> tuple:
 
 def _mass(lo: int, hi: int, den: int) -> ProbValue:
     """The mass from lo/den to hi/den, exact when the ends are equal."""
-    return ExactProb(Fraction(lo, den)) if lo == hi else ApproxProb(RationalInterval(Fraction(lo, den), Fraction(hi, den)))
+    if lo == hi:
+        return ExactProb(Fraction(lo, den)) if lo else PROB_ZERO
+    return ApproxProb(RationalInterval(Fraction(lo, den), Fraction(hi, den)))
 
 
 def _advance_blocks(kernel: _Kernel, branches: dict, block: str, reps: int, masses: dict) -> tuple:
@@ -604,8 +629,7 @@ def _unary_end(kernel: _Kernel, key: tuple, sym: str, reps: int):
         return cstate, reg.rotated(square.arg.scale(reps))
     mark, lap, power, done = key, 0, 1, 0
     while done < reps:
-        # The run's memo would keep every configuration the walk meets.
-        successors = kernel.square(cstate, sym).resolve(reg, kernel.precision_bits)
+        successors = kernel.successors(cstate, sym, reg)
         if not _is_deterministic(successors):
             return None
         category, cstate, _, reg, _ = successors[0]
@@ -654,7 +678,8 @@ def _jump(rows: dict, keys: list, branches: dict, blocks: int) -> tuple:
     carries the decided mass on. When every kept key returns only to
     itself, T is diagonal and the power has a closed form
     (``_self_loop_power``); any other T is raised by ``_matrix_power``.
-    Both give the same integers. Returns the live weights and the decided
+    Both give the same integers. Returns the live weights, in the order
+    the stepped blocks leave them (``_key_order``), and the decided
     masses by category as integers over v_den·den^blocks, and last its
     base v_den·den, which has every prime the power has: one reduction
     per category at the end costs less than one per entry.
@@ -691,8 +716,28 @@ def _jump(rows: dict, keys: list, branches: dict, blocks: int) -> tuple:
         hi = sums.get((c, 1), lo)
         if hi:
             ends[c].append(ExactProb(lo) if lo == hi else ApproxProb(RationalInterval(Fraction(lo), Fraction(hi))))
-    live = {key: w for key, w in zip(keys, scaled) if w}
+    weights = dict(zip(keys, scaled))
+    live = {key: weights[key] for key in _key_order(rows, tuple(branches), blocks)}
     return live, ends, v_den * den_power, v_den * den
+
+
+def _key_order(rows: dict, order: tuple, blocks: int) -> tuple:
+    """The live keys after ``blocks`` blocks from the keys ``order``, in
+    the order the stepped blocks give them: a block lists the keys of
+    ``rows[k][1]`` for each k in order, each at its first appearance. Only
+    keys are walked, and the orders recur, so the walk stops at the first
+    order it has met before and takes the rest of the blocks modulo that
+    cycle."""
+    history: "list[tuple]" = []
+    index: "dict[tuple, int]" = {}
+    while order not in index:
+        if len(history) == blocks:
+            return order
+        index[order] = len(history)
+        history.append(order)
+        order = tuple(dict.fromkeys(key2 for key in order for key2 in rows[key][1]))
+    first = index[order]
+    return history[first + (blocks - first) % (len(history) - first)]
 
 
 def _self_loop_power(rows, n: int, den: int, exponent: int, start) -> tuple:

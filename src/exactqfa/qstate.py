@@ -3,15 +3,20 @@
 A vector is stored fraction-free: one integer (re, im) pair per
 coordinate over a single positive common denominator, reduced so that
 equal vectors have equal representations. Matrices hold GaussianRational
-entries and cache their integer rows over one common denominator, so
-applying a matrix or measuring a vector is integer arithmetic with one
-gcd per result, and unitarity checks, inner products, and measurement
-probabilities are all big-integer exact. Projective measurement returns
-one branch per outcome with a probability that is relative to the
-squared norm of the measured vector; this keeps the semantics correct
-for unnormalized vectors, which arise whenever a post-measurement state
-has an irrational norm and cannot be rescaled inside the Gaussian
-rational field.
+entries and compile their unitary on first use: one straight-line
+function over the entries as integers on one common denominator, kept on
+the matrix. So applying a matrix or measuring a vector is integer
+arithmetic with one gcd per result, and unitarity checks, inner
+products, and measurement probabilities are all big-integer exact.
+Projective measurement returns one branch per outcome with a probability
+that is relative to the squared norm of the measured vector; this keeps
+the semantics correct for unnormalized vectors, which arise whenever a
+post-measurement state has an irrational norm and cannot be rescaled
+inside the Gaussian rational field.
+
+The runners in ``analysis`` build on this: only a two-way run memoizes
+the squares that apply these matrices, since only its configurations
+recur, and every exact run ends on integer sums of its decided masses.
 """
 
 from __future__ import annotations
@@ -19,8 +24,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
-from typing import Iterable, Sequence, Union
+from types import CodeType
+from typing import Callable, Iterable, Sequence, Union
 
 from .exactnum import (
     GR_ONE,
@@ -195,6 +202,82 @@ def canonical_phase(vector: QVector) -> QVector:
     return vector
 
 
+def _compile_apply(matrix: "QMatrix") -> "Callable[[QVector], QVector]":
+    """One straight-line function that applies ``matrix`` to a vector.
+
+    The entries are scaled to integers over their common denominator D.
+    The function unpacks each coordinate pair (x, y) of the input into
+    locals and computes, per output coordinate, re = sum(a*x - b*y) and
+    im = sum(a*y + b*x) over the nonzero entries a + bi of its row, with
+    the b terms only where b is nonzero and a factor of 1 left out. Then
+    it divides out the gcd of D times the input's denominator and the
+    outputs. The integers are bound as arguments of a factory the
+    generated source defines, never written into it, so the source holds
+    only generated names and operators.
+    """
+    rows = matrix.rows
+    den = _common_den([e for row in rows for e in row])
+    names: "dict[int, str]" = {}
+
+    def term(k: int, var: str) -> str:
+        magnitude = abs(k)
+        if magnitude == 1:
+            body = var
+        else:
+            name = names.get(magnitude)
+            if name is None:
+                name = names[magnitude] = f"k{len(names)}"
+            body = f"{name}*{var}"
+        return f"-{body}" if k < 0 else f"+{body}"
+
+    def total(terms: "list[str]") -> str:
+        return " ".join(terms).lstrip("+") if terms else "0"
+
+    body = []
+    for i, row in enumerate(rows):
+        re_terms, im_terms = [], []
+        for j, entry in enumerate(row):
+            if entry.is_zero():
+                continue
+            a, b = _pair(entry, den)
+            if a:
+                re_terms.append(term(a, f"x{j}"))
+                im_terms.append(term(a, f"y{j}"))
+            if b:
+                re_terms.append(term(-b, f"y{j}"))
+                im_terms.append(term(b, f"x{j}"))
+        body.append(f"r{i} = {total(re_terms)}")
+        body.append(f"i{i} = {total(im_terms)}")
+    targets = ", ".join(f"(x{j}, y{j})" for j in range(matrix.ncols))
+    outputs = [(f"r{i}", f"i{i}") for i in range(len(rows))]
+    flat = "".join(f", {r}, {m}" for r, m in outputs)
+    whole = "".join(f"({r}, {m}), " for r, m in outputs)
+    divided = "".join(f"({r} // g, {m} // g), " for r, m in outputs)
+    lines = [
+        f"def factory(_make, _gcd, D{''.join(f', {name}' for name in names.values())}):",
+        "    def apply(vector):",
+        f"        [{targets}] = vector.nums",
+        *(f"        {line}" for line in body),
+        "        den = D * vector.den",
+        f"        g = _gcd(den{flat})",
+        "        if g == 1:",
+        f"            return _make(den, ({whole}))",
+        f"        return _make(den // g, ({divided}))",
+        "    return apply",
+    ]
+    scope: dict = {}
+    exec(_compiled_source("\n".join(lines)), scope)
+    return scope["factory"](QVector._make, math.gcd, den, *names)
+
+
+@lru_cache(maxsize=256)
+def _compiled_source(source: str) -> CodeType:
+    """The code of a generated factory. Matrices with the same pattern of
+    zero, unit, real and imaginary entries share their source, so they
+    share its code and each pays only for binding its own integers."""
+    return compile(source, "<QMatrix.apply>", "exec")
+
+
 @dataclass(frozen=True)
 class QMatrix:
     """Square or rectangular matrix over the Gaussian rationals."""
@@ -225,35 +308,15 @@ class QMatrix:
     def ncols(self) -> int:
         return len(self.rows[0]) if self.rows else 0
 
-    def _integer_rows(self) -> "tuple[int, tuple[tuple[tuple[int, int, int], ...], ...]]":
-        """(den, rows): each row lists (column, re, im) of its nonzero
-        entries times den, one common denominator for the whole matrix.
-        Built on first use and kept, as the entries never change."""
-        cached = self.__dict__.get("_int_rows")
-        if cached is None:
-            den = _common_den([e for row in self.rows for e in row])
-            rows = tuple(
-                tuple((j, *_pair(e, den)) for j, e in enumerate(row) if not e.is_zero())
-                for row in self.rows
-            )
-            cached = self.__dict__["_int_rows"] = (den, rows)
-        return cached
-
     def apply(self, vector: QVector) -> QVector:
-        if self.ncols != vector.dim:
-            raise ValueError(f"shape mismatch: {self.nrows}x{self.ncols} on dim {vector.dim}")
-        den, rows = self._integer_rows()
-        nums = vector.nums
-        out = []
-        for row in rows:
-            re = im = 0
-            for j, a, b in row:
-                c, d = nums[j]
-                re += a * c - b * d
-                im += a * d + b * c
-            out.append((re, im))
-        return _reduced(den * vector.den, out)
-
+        try:
+            ncols, kernel = self._compiled
+        except AttributeError:
+            # Compiled on first use and kept, as the entries never change.
+            ncols, kernel = self.__dict__["_compiled"] = (self.ncols, _compile_apply(self))
+        if len(vector.nums) != ncols:
+            raise ValueError(f"shape mismatch: {self.nrows}x{ncols} on dim {vector.dim}")
+        return kernel(vector)
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         if self.ncols != other.nrows:
             raise ValueError(

@@ -35,13 +35,17 @@ from exactqfa.constructions import (
     build_evenodd_mcqfa,
     build_exact_eq_restarting,
     build_exact_exptwinpal,
+    build_exact_pal_sweeping,
     build_lv_exptwinpal,
 )
 from exactqfa.exactnum import (
+    ApproxProb,
     ExactnessError,
     ExactProb,
+    RationalInterval,
     dyadic_pi,
     one_minus_inv_e_bracket,
+    prob_add,
     prob_scale,
     prob_sum,
     sqrt2_pi,
@@ -887,7 +891,7 @@ def test_run_exact_realtime_rejects_unknown_symbols():
 
 def test_periodic_run_applies_each_configuration_a_bounded_number_of_times(monkeypatch):
     # Every block of (u c u c v c v c)^t revisits the same configurations,
-    # so once they recur the run's transitions come from its memo.
+    # so once they recur the run's transitions come from its kept block rows.
     calls = []
     apply = QMatrix.apply
     monkeypatch.setattr(QMatrix, "apply", lambda m, v: calls.append(1) or apply(m, v))
@@ -900,20 +904,28 @@ def test_periodic_run_applies_each_configuration_a_bounded_number_of_times(monke
     assert counts[0] == counts[1] > 0
 
 
-def test_aperiodic_run_takes_recurring_squares_from_the_memo(monkeypatch):
+def test_aperiodic_run_matches_the_stepped_run():
     # The middle block breaks the period, so the run walks square by
-    # square; its configurations still recur, and the kernel's memo
-    # answers them without applying a matrix again.
+    # square, resolving every square with no memo.
+    spec = build_lv_exptwinpal()
+    for n in (50, 100):
+        word = "abcabcaacaac" * n + "aacaacabcabc" + "abcabcaacaac" * n
+        assert run_exact_realtime(spec, word) == reference_realtime(spec, word)
+
+
+def test_capped_sweep_takes_recurring_squares_from_the_memo(monkeypatch):
+    # A two-way head meets its configurations again on every sweep, so
+    # past the first iteration the kernel's memo answers every square
+    # that applies a matrix, whatever the sweep budget.
     calls = []
     apply = QMatrix.apply
     monkeypatch.setattr(QMatrix, "apply", lambda m, v: calls.append(1) or apply(m, v))
-    spec = build_lv_exptwinpal()
     counts = []
-    for n in (50, 100):
+    for budget in (40, 80, 160):
         calls.clear()
-        run_exact_realtime(spec, "abcabcaacaac" * n + "aacaacabcabc" + "abcabcaacaac" * n)
+        run_exact_sweeping(build_exact_pal_sweeping(), "abaabcaabab", budget)
         counts.append(len(calls))
-    assert counts[0] == counts[1] > 0
+    assert counts[0] == counts[1] == counts[2] > 0
 
 
 def reference_realtime(spec: MachineSpec, word: str) -> OutcomeDistribution:
@@ -1110,6 +1122,29 @@ def test_table_hole_in_third_block_raises_like_the_reference():
         assert str(exc.value) == message
 
 
+def test_a_jumped_run_names_the_table_hole_of_the_stepped_run(monkeypatch):
+    # Off the promise, two live branches reach different table holes at
+    # the right end-marker. After a jump the branches leave in the order
+    # the stepped blocks give them, so the first hole met is the stepped
+    # run's.
+    jumps = []
+    jump = analysis._jump
+    monkeypatch.setattr(analysis, "_jump", lambda *a: jumps.append(a[3]) or jump(*a))
+    spec = build_exact_exptwinpal()
+    hole = (MachineError, "no classical transition for ('acc_seg2', '$', '1')")
+    assert outcome(run_exact_realtime, spec, "babca" * 30) == outcome(reference_realtime, spec, "babca" * 30) == hole
+    assert jumps
+    rng = random.Random(19)
+    holes = 0
+    for spec in (build_exact_exptwinpal(), build_lv_exptwinpal()) * 300:
+        block = "".join(rng.choice("abc") for _ in range(rng.randint(1, 7)))
+        word = block * rng.randint(3, 12)
+        got = outcome(run_exact_realtime, spec, word)
+        assert got == outcome(reference_realtime, spec, word), word
+        holes += not isinstance(got, OutcomeDistribution)
+    assert holes > 100 and len(jumps) > 100
+
+
 def mid_block_machine(hole: bool = False) -> MachineSpec:
     """Reads blocks "abaab". ROT turns the register at each "a", and "b"
     measures it. From "s" both outcomes stay live, so a block walk hands
@@ -1227,11 +1262,10 @@ def test_never_recurring_register_walks_every_block(monkeypatch):
 
 
 def test_periodic_run_resolves_a_bounded_number_of_squares(monkeypatch):
+    # Every runner reaches its squares through ``resolve``.
     calls = []
-    successors = analysis._Kernel.successors
-    monkeypatch.setattr(
-        analysis._Kernel, "successors", lambda k, *a: calls.append(1) or successors(k, *a)
-    )
+    resolve = analysis._Square.resolve
+    monkeypatch.setattr(analysis._Square, "resolve", lambda square, *a: calls.append(1) or resolve(square, *a))
     spec = build_lv_exptwinpal()
     counts = []
     for t in (25, 625):
@@ -1392,6 +1426,97 @@ def test_lost_mass_fails_the_total_mass_check(monkeypatch, build, word, jumped):
         run_exact_realtime(spec, word)
     assert str(exc.value) == f"total terminal mass {total} does not cover 1"
     assert bool(jumps) == jumped
+
+
+def reference_distribution(masses: dict) -> OutcomeDistribution:
+    """The chain of ``prob_add`` that ended a run before it summed on
+    integers: each category's masses in turn, then the categories."""
+
+    def chained_sum(values):
+        total = ExactProb(Fraction(0))
+        for p in values:
+            total = prob_add(total, p)
+        return total
+
+    sums = {cat: chained_sum(masses[cat]) for cat in CATEGORIES}
+    total = chained_sum(sums.values()).as_interval()
+    if not total.contains(Fraction(1)):
+        raise MachineError(f"total terminal mass {total} does not cover 1")
+    return OutcomeDistribution(*(sums[cat] for cat in CATEGORIES))
+
+
+def _random_masses(rng: random.Random) -> "list[tuple[str, Fraction]]":
+    """(category, value) pairs whose values sum to exactly 1; a category may have none."""
+    cats = rng.sample(CATEGORIES, rng.randint(1, 4))
+    weights = [rng.randint(0, 30) for _ in range(rng.randint(1, 9))]
+    weights[0] += 1
+    dens = [rng.choice((1, 2, 3, 5, 25, 7, 64)) for _ in weights]
+    values = [Fraction(w, d) for w, d in zip(weights, dens)]
+    total = sum(values)
+    return [(rng.choice(cats), v / total) for v in values]
+
+
+def _enclosed(rng: random.Random, value: Fraction):
+    """``value`` as an exact mass, or as an interval around it whose ends
+    are dyadic or over the value's own denominator; the interval may be a point."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return ExactProb(value)
+    if kind == 1:
+        bits = rng.randint(1, 70)
+        lo = Fraction(math.floor(value * 2 ** bits), 2 ** bits)
+        hi = Fraction(math.ceil(value * 2 ** bits), 2 ** bits)
+        return ApproxProb(RationalInterval(lo, hi))
+    if kind == 2:
+        return ApproxProb(RationalInterval(value, value))
+    below, above = (Fraction(rng.randint(0, 3), value.denominator * 9) for _ in range(2))
+    return ApproxProb(RationalInterval(value - below, value + above))
+
+
+def _ended(end, *args):
+    """The kind and value of each category of a run's end, or the error it raised."""
+    try:
+        return [(type(p), p) for p in vars(end(*args)).values()]
+    except MachineError as exc:
+        return MachineError, str(exc)
+
+
+def test_integer_end_matches_the_chained_sum():
+    rng = random.Random(1919)
+    failed = approx = 0
+    for case in range(400):
+        masses = {cat: [] for cat in CATEGORIES}
+        for cat, value in _random_masses(rng):
+            masses[cat].append(_enclosed(rng, value))
+        if case % 5 == 0:
+            # Lose one mass, so the total may no longer cover 1.
+            cat = rng.choice([c for c in CATEGORIES if masses[c]])
+            masses[cat].pop()
+        want = _ended(reference_distribution, masses)
+        assert _ended(analysis._masses_to_distribution, masses) == want
+        if want[0] is MachineError:
+            failed += 1
+        else:
+            approx += any(kind is ApproxProb for kind, _ in want)
+    assert failed > 20 and approx > 100
+
+
+def test_jump_end_matches_the_chained_sum():
+    # After a jump, ``ends`` are numerators over ``den``, whose primes
+    # divide ``base``; the answer is the chained sum of masses + ends / den.
+    rng = random.Random(1918)
+    for _ in range(200):
+        den, base = rng.choice(((5 ** 40, 5), (2 ** 30 * 5 ** 12, 10), (3 ** 20, 3 * 7)))
+        masses, ends, joined = ({cat: [] for cat in CATEGORIES} for _ in range(3))
+        for cat, value in _random_masses(rng):
+            mass = _enclosed(rng, value)
+            if rng.random() < 0.5:
+                masses[cat].append(mass)
+            else:
+                ends[cat].append(prob_scale(mass, Fraction(den)))
+            joined[cat].append(mass)
+        got = _ended(analysis._masses_to_distribution, masses, ends, den, base)
+        assert got == _ended(reference_distribution, joined)
 
 
 @pytest.mark.parametrize("word", ["ab?c" * 1000, "?abc" * 1000, "abcc" * 1000 + "?"])

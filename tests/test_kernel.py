@@ -11,11 +11,12 @@ import pytest
 from exactqfa import analysis
 from exactqfa.analysis import (
     MachineError,
+    analyze_sweeping,
     run_exact_realtime,
     run_exact_sweeping,
     run_monte_carlo,
 )
-from exactqfa.constructions import CONSTRUCTION_IDS, build, build_aw_pal
+from exactqfa.constructions import CONSTRUCTION_IDS, build, build_aw_pal, build_exact_pal_sweeping
 from exactqfa.exactnum import ExactnessError, cos_sin_exact
 from exactqfa.machines import (
     RIGHT_MARKER,
@@ -283,12 +284,13 @@ def test_certain_squares_never_reach_the_outcome_path(monkeypatch):
     )
     offer = analysis._Memo.offer
     monkeypatch.setattr(analysis._Memo, "offer", lambda memo, key, out: offered.append(key) or offer(memo, key, out))
-    aw_pal = build_aw_pal()
-    run_exact_realtime(aw_pal, "abbacabba")
+    sweeping = build_exact_pal_sweeping()
+    analyze_sweeping(sweeping, "abaabcaabab")
     # Only squares that do register work reach the run's memo.
-    squares = aw_pal.__dict__["_squares"]
+    squares = sweeping.__dict__["_squares"]
     assert offered and all(squares[key[:2]].op > analysis._OP_PFA for key in offered)
     assert any(square.op == analysis._OP_NONE for square in squares.values())
+    run_exact_realtime(build_aw_pal(), "abbacabba")
     run_exact_realtime(spin_machine(), "aaaaaaa")
     run_exact_realtime(mod_dfa(3), "aaaa")
     run_monte_carlo(build_aw_pal(), "abcba", 20, seed=3)

@@ -8,6 +8,8 @@ to a basis vector just reads off a column divided by 5.
 from __future__ import annotations
 
 import math
+import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -214,7 +216,7 @@ def test_equal_vectors_from_different_routes_hash_equal() -> None:
 # integer register must give equal vectors, probabilities and flags.
 
 
-def reference_apply(matrix: QMatrix, amps):
+def reference_gaussian_apply(matrix: QMatrix, amps):
     out = []
     for row in matrix.rows:
         acc = GR_ZERO
@@ -296,7 +298,7 @@ MEASUREMENTS3 = (
 @settings(max_examples=40)
 def test_apply_matches_reference(matrix: QMatrix, v: QVector) -> None:
     got = matrix.apply(v)
-    want = reference_apply(matrix, v.amplitudes)
+    want = reference_gaussian_apply(matrix, v.amplitudes)
     assert got.amplitudes == want and got == QVector(want)
 
 
@@ -336,4 +338,103 @@ def test_reference_cases_cover_every_branch_kind() -> None:
     # A matrix with imaginary entries on a complex, unnormalized vector.
     phase = QMatrix.from_rows([[i, 0, 0], [0, Fraction(3, 5), GaussianRational(Fraction(0), Fraction(4, 5))], [0, 1, 1]])
     vec = QVector([lead, GaussianRational(Fraction(1, 3)), i])
-    assert phase.apply(vec).amplitudes == reference_apply(phase, vec.amplitudes)
+    assert phase.apply(vec).amplitudes == reference_gaussian_apply(phase, vec.amplitudes)
+
+
+def reference_apply(matrix: QMatrix, vector: QVector) -> QVector:
+    """The integer loop that ``QMatrix.apply`` ran before it compiled its
+    rows: every entry times the matrix's common denominator, one sum per
+    row over its nonzero entries, and one gcd."""
+    den = math.lcm(*(x.denominator for row in matrix.rows for e in row for x in (e.re, e.im)))
+    rows = [
+        [(j, e.re.numerator * (den // e.re.denominator), e.im.numerator * (den // e.im.denominator))
+         for j, e in enumerate(row) if not e.is_zero()]
+        for row in matrix.rows
+    ]
+    nums = vector.nums
+    out = []
+    for row in rows:
+        re = im = 0
+        for j, a, b in row:
+            c, d = nums[j]
+            re += a * c - b * d
+            im += a * d + b * c
+        out.append((re, im))
+    den *= vector.den
+    g = math.gcd(den, *(x for pair in out for x in pair))
+    return QVector._make(den // g, tuple((a // g, b // g) for a, b in out))
+
+
+def _random_rational(rng: random.Random) -> Fraction:
+    return rng.choice((0, 0, 1, -1, Fraction(rng.randint(-9, 9), rng.randint(1, 12))))
+
+
+def _random_gaussian(rng: random.Random) -> GaussianRational:
+    return GaussianRational(Fraction(_random_rational(rng)), Fraction(_random_rational(rng)))
+
+
+def _random_matrix(rng: random.Random, nrows: int, ncols: int) -> QMatrix:
+    rows = [[_random_gaussian(rng) if rng.random() < 0.7 else GR_ZERO for _ in range(ncols)] for _ in range(nrows)]
+    if nrows > 1 and rng.random() < 0.5:
+        rows[rng.randrange(nrows)] = [GR_ZERO] * ncols
+    if ncols > 1 and rng.random() < 0.5:
+        j = rng.randrange(ncols)
+        for row in rows:
+            row[j] = GR_ZERO
+    return QMatrix.from_rows(rows)
+
+
+APPLY_SHAPES = [(1, 1), (1, 4), (4, 1), (2, 3), (3, 2), (3, 3), (5, 5), (16, 16)]
+
+
+@pytest.fixture
+def int_text_limit():
+    """The interpreter's default cap of 4,300 digits on int-to-str
+    conversion, in force for the test, so that converting a longer int
+    raises (CPython 3.11 and later, and 3.10's later patch releases)."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("nrows, ncols", APPLY_SHAPES, ids=[f"{r}x{c}" for r, c in APPLY_SHAPES])
+def test_compiled_apply_matches_the_integer_loop(nrows, ncols, int_text_limit) -> None:
+    rng = random.Random(nrows * 100 + ncols)
+    for case in range(25):
+        matrix = _random_matrix(rng, nrows, ncols)
+        vectors = [QVector([_random_gaussian(rng) for _ in range(ncols)]) for _ in range(4)]
+        vectors += [QVector.basis(ncols, rng.randrange(ncols)), QVector([0] * ncols)]
+        for vec in vectors:
+            got, want = matrix.apply(vec), reference_apply(matrix, vec)
+            assert (got.den, got.nums) == (want.den, want.nums)
+
+
+def test_compiled_apply_never_writes_an_entry_as_text(int_text_limit) -> None:
+    # An entry with more than 4,300 decimal digits: formatting it into
+    # the compiled source would raise under the interpreter's cap.
+    huge = Fraction(10 ** 4400 + 7, 3)
+    assert huge.numerator.bit_length() > 14600
+    rng = random.Random(4400)
+    for nrows, ncols in APPLY_SHAPES:
+        rows = [[_random_gaussian(rng) for _ in range(ncols)] for _ in range(nrows)]
+        rows[rng.randrange(nrows)][rng.randrange(ncols)] = GaussianRational(Fraction(1, 7), -huge)
+        matrix = QMatrix.from_rows(rows)
+        vec = QVector([_random_gaussian(rng) for _ in range(ncols)])
+        got, want = matrix.apply(vec), reference_apply(matrix, vec)
+        assert (got.den, got.nums) == (want.den, want.nums)
+
+
+def test_apply_shape_mismatch_message() -> None:
+    for matrix, dim in ((ROT_A, 2), (QMatrix.from_rows([[1, 0, 0], [0, 1, 0]]), 2), (QMatrix.from_rows([[1]]), 3)):
+        for _ in range(2):
+            # Before and after the matrix compiles its unitary.
+            with pytest.raises(ValueError) as exc:
+                matrix.apply(QVector.basis(dim, 0))
+            assert str(exc.value) == f"shape mismatch: {matrix.nrows}x{matrix.ncols} on dim {dim}"
+            matrix.apply(QVector.basis(matrix.ncols, 0))
