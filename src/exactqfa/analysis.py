@@ -24,11 +24,16 @@ machine; a certain square makes no Fraction. Only a two-way run, whose
 head meets its configurations again on every sweep, memoizes the squares
 that do register work. A realtime PFA's square branches on each nonzero
 entry of its matrix row, and it decides only at the right end-marker.
-Every exact run ends on integer sums (``_masses_to_distribution``).
 
-A unary run takes the block path on its letter, where each live branch
-first tries a closed form: a self-looping rotation turns by its angle
-times the length, and a deterministic walk skips its whole cycles.
+Every realtime run takes one path (``_run_blocks``): its input is its
+primitive root to a power, and one state of integer weights and integer
+mass ends over one denominator goes from the left end-marker to the
+right one, a square (``_step``) or a block (``_advance_blocks``) at a
+time, with a jump once the block rows recur. A unary run takes it on its
+letter, where each live branch first tries a closed form: a self-looping
+rotation turns by its angle times the length, and a deterministic walk
+skips its whole cycles. Every exact run ends on integer sums
+(``_masses_to_distribution``).
 """
 
 from __future__ import annotations
@@ -119,60 +124,23 @@ class OutcomeDistribution(Document):
     p_continue: ProbValue
 
 
-def _empty_masses() -> "dict[str, list[ProbValue]]":
-    return {cat: [] for cat in CATEGORIES}
+def _masses_to_distribution(decided: dict, den: int, base: Optional[int] = None) -> OutcomeDistribution:
+    """The distribution whose masses are ``decided`` / den: ``decided``
+    maps a category to the integer ends (lo, hi) of its mass times den.
 
-
-def _ends(p: ProbValue) -> tuple:
-    """(lo, hi) of a mass; both are its value when it is exact."""
-    if p.__class__ is ExactProb:
-        return p.value, p.value
-    return p.interval.lo, p.interval.hi
-
-
-def _masses_to_distribution(
-    masses: "dict[str, list[ProbValue]]", ends: Optional[dict] = None, den: int = 1, base: int = 1
-) -> OutcomeDistribution:
-    """The distribution of ``masses`` plus ``ends`` / den, summed on integers.
-
-    Both ends (lo, hi) of every mass, exact or interval, are scaled to q,
-    the lcm of their denominators, and each category's ends are summed as
-    integers over q·den: its ``masses`` times den, plus its ``ends``. The
-    total-mass check asks whether lo_total <= q·den <= hi_total, and each
-    category is divided once, exact when its two sums agree.
-
-    After a jump, ``ends`` holds the masses it left as numerators over its
-    big denominator ``den``, and every prime of ``den`` divides ``base``,
-    so each division is ``reduced_over`` with base q·base: no gcd runs on
-    integers the size of the answer.
+    The total-mass check asks whether lo_total <= den <= hi_total, and
+    each category is divided once, exact when its two ends agree. After a
+    jump every prime of den divides ``base``, so each division is
+    ``reduced_over``: no gcd runs on integers the size of the answer.
     """
-    groups = [
-        ([_ends(p) for p in masses[cat]], [_ends(p) for p in ends[cat]] if ends else ())
-        for cat in CATEGORIES
-    ]
-    q = math.lcm(*{x.denominator for group in groups for pairs in group for pair in pairs for x in pair})
-    sums = []
-    for own, late in groups:
-        lo = hi = 0
-        for a, b in own:
-            lo += a.numerator * (q // a.denominator)
-            hi += b.numerator * (q // b.denominator)
-        lo, hi = lo * den, hi * den
-        for a, b in late:
-            lo += a.numerator * (q // a.denominator)
-            hi += b.numerator * (q // b.denominator)
-        sums.append((lo, hi))
-    scale = q * den
+    sums = [decided.get(c, (0, 0)) for c in CATEGORIES]
     lo_total, hi_total = sum(lo for lo, _ in sums), sum(hi for _, hi in sums)
-    if not lo_total <= scale <= hi_total:
-        total = RationalInterval(Fraction(lo_total, scale), Fraction(hi_total, scale))
+    if not lo_total <= den <= hi_total:
+        total = RationalInterval(Fraction(lo_total, den), Fraction(hi_total, den))
         raise MachineError(f"total terminal mass {total} does not cover 1")
-    if den == 1:
-        return OutcomeDistribution(*(_mass(lo, hi, q) for lo, hi in sums))
-    base *= q
 
     def over(x: int) -> Fraction:
-        return reduced_over(x, scale, base)
+        return Fraction(x, den) if base is None else reduced_over(x, den, base)
 
     return OutcomeDistribution(
         *(ExactProb(over(lo)) if lo == hi else ApproxProb(RationalInterval(over(lo), over(hi))) for lo, hi in sums)
@@ -407,28 +375,21 @@ def tape_of(spec: MachineSpec, input_str: str) -> "list[str]":
 def run_exact_realtime(
     spec: MachineSpec, input_str: str, precision_bits: int = 64
 ) -> OutcomeDistribution:
-    """One exact left-to-right pass; every branch tracked with rational weight.
+    """One exact left-to-right pass; every branch's weight is an integer
+    over the run's one denominator.
 
-    An input that is a whole power block^reps with reps >= 3 takes the
-    block path (``_run_blocks``). The alphabet is checked on one block:
-    a power has the same symbols as its root.
+    Every input is its primitive root to a power reps, and takes the
+    block path (``_run_blocks``) with that root as its block; the empty
+    input is the empty root to the power 0. The alphabet is checked on
+    the root: a power has the same symbols as its root.
     """
     if not spec.is_realtime():
         raise MachineError(f"{spec.model_class} is not a realtime machine class")
     # The shortest rotation that maps the input onto itself is its
     # primitive root's length; it divides the length.
-    period = (input_str * 2).find(input_str, 1)
-    _check_alphabet(spec, input_str[:period] if period > 0 else input_str)
-    kernel = _Kernel(spec, precision_bits)
-    if 0 < period and len(input_str) // period >= 3:
-        return _run_blocks(kernel, input_str[:period], len(input_str) // period)
-    branches = {(spec.initial_state, initial_register(spec)): Fraction(1)}
-    masses = _empty_masses()
-    for sym in (LEFT_MARKER, *input_str, RIGHT_MARKER):
-        branches = _step(kernel, branches, sym, masses)
-    if branches:
-        raise MachineError("live branches remain after the right end-marker")
-    return _masses_to_distribution(masses)
+    period = max((input_str * 2).find(input_str, 1), 1)
+    _check_alphabet(spec, input_str[:period])
+    return _run_blocks(_Kernel(spec, precision_bits), input_str[:period], len(input_str) // period)
 
 
 def run_unary_length(spec: MachineSpec, length: int, precision_bits: int = 64) -> OutcomeDistribution:
@@ -447,174 +408,180 @@ def run_unary_length(spec: MachineSpec, length: int, precision_bits: int = 64) -
 def _run_blocks(kernel: _Kernel, block: str, reps: int) -> OutcomeDistribution:
     """The exact run on block^reps, without building the input.
 
-    The blocks are walked a block at a time, and advanced by block
-    transfer matrices once their block-boundary configurations recur
-    (see ``_advance_blocks``). A block row is kept from its key's second
-    sighting, and the rows walked in the previous block count too, so the
-    first jump can come at the second block. A jump leaves its masses as
-    integers over one big denominator, and the run ends on integers
-    scaled by it (``_masses_to_distribution``), so it ends without a gcd
-    on integers the size of the answer.
+    One state (den, live, decided) goes from the left end-marker to the
+    right one: ``live`` maps each live (state, register) key to its
+    weight times den, and ``decided`` each category to the integer ends
+    (lo, hi) of its mass times den. ``_step`` takes it across the
+    end-markers and ``_advance_blocks`` over the blocks. After a jump den
+    is big, but its primes all divide a small base, so the run ends
+    without a gcd on integers the size of the answer.
     """
-    branches = {(kernel.spec.initial_state, initial_register(kernel.spec)): Fraction(1)}
-    masses = _empty_masses()
-    branches = _step(kernel, branches, LEFT_MARKER, masses)
-    branches, ends, den, base = _advance_blocks(kernel, branches, block, reps, masses)
-    # After a jump the weights and ``ends`` are over ``den``, and the
-    # right end-marker's masses join ``ends``.
-    branches = _step(kernel, branches, RIGHT_MARKER, masses if den == 1 else ends)
-    if branches:
+    spec = kernel.spec
+    state = _step(kernel, (1, {(spec.initial_state, initial_register(spec)): 1}, {}), LEFT_MARKER)
+    state, base = _advance_blocks(kernel, state, block, reps)
+    den, live, decided = _step(kernel, state, RIGHT_MARKER)
+    if live:
         raise MachineError("live branches remain after the right end-marker")
-    return _masses_to_distribution(masses, ends, den, base)
+    # The right end-marker scaled den by a small factor, whose primes join the base.
+    return _masses_to_distribution(decided, den, base and base * (den // state[0]))
 
 
-def _step(kernel: _Kernel, branches: dict, sym: str, masses: dict) -> dict:
-    """Push the live branches across one square; decided mass goes to ``masses``.
-    Only realtime runs step, and their kernel keeps no memo, so each
-    square is resolved directly."""
-    squares, bits = kernel._squares, kernel.precision_bits
-    new_branches: "dict[tuple[str, Register], Fraction]" = {}
-    for (cstate, reg), weight in branches.items():
-        square = squares.get((cstate, sym)) or kernel.square(cstate, sym)
-        for category, state2, _, reg2, p in square.resolve(reg, bits):
-            if category is not None:
-                masses[category].append(_weighted(weight, p))
+def _step(kernel: _Kernel, state: tuple, sym: str) -> tuple:
+    """The state (den, live, decided) of a realtime run after one square
+    of ``sym`` (see ``_spread``). A realtime kernel keeps no memo, so
+    each square is resolved directly."""
+    (den, live, decided), squares, bits = state, kernel._squares, kernel.precision_bits
+    resolved = (
+        ((squares.get((cstate, sym)) or kernel.square(cstate, sym)).resolve(reg, bits), num)
+        for (cstate, reg), num in live.items()
+    )
+    return _spread(den, decided, resolved)
+
+
+def _spread(den: int, decided: dict, resolved) -> tuple:
+    """The state after one square, from the (successors, num) of each live
+    key in turn and the ``decided`` ends over ``den``.
+
+    The new den is den·q, where q is the lcm of the denominators of the
+    branches that are not certain, so every share is an integer; live
+    branches that reach equal keys merge. ``resolved`` is read in order,
+    and a key's successors are checked before the next key's are read,
+    so a run raises the error the square-by-square run meets first.
+    """
+    branches, dens = [], set()
+    for successors, num in resolved:
+        for category, _, _, _, p in successors:
+            if p is _UNIT:
                 continue
-            share = _live_share(weight, p)
-            key = (state2, reg2)
-            merged = new_branches.get(key)
-            new_branches[key] = share if merged is None else merged + share
-    return new_branches
+            if p.__class__ is Fraction:
+                dens.add(p.denominator)
+            elif category is None:
+                raise ExactnessError("interval-valued measurement outcome must halt or restart")
+            else:
+                dens.update((p.interval.lo.denominator, p.interval.hi.denominator))
+        branches.append((successors, num))
+    q = math.lcm(*dens)
+    live: "dict[tuple[str, Register], int]" = {}
+    decided = {c: (lo * q, hi * q) for c, (lo, hi) in decided.items()}
+    for successors, num in branches:
+        for category, state2, _, reg2, p in successors:
+            if p is _UNIT:
+                lo = hi = num * q
+            elif p.__class__ is Fraction:
+                lo = hi = num * p.numerator * (q // p.denominator)
+            else:
+                lo, hi = (num * x.numerator * (q // x.denominator) for x in (p.interval.lo, p.interval.hi))
+            if category is None:
+                key = (state2, reg2)
+                live[key] = live.get(key, 0) + lo
+            else:
+                lo0, hi0 = decided.get(category, (0, 0))
+                decided[category] = (lo0 + lo, hi0 + hi)
+    return den * q, live, decided
+
+
+def _combine(state: tuple, rows: list) -> tuple:
+    """The state after each live key of ``state`` is replaced by its block
+    row, ``rows`` in the keys' order. The rows are scaled to q, the lcm of
+    their denominators, so the new den is den·q; live keys that meet
+    merge."""
+    den, live, decided = state
+    q = math.lcm(*[row[0] for row in rows])
+    new_live: "dict[tuple[str, Register], int]" = {}
+    new_decided = {c: (lo * q, hi * q) for c, (lo, hi) in decided.items()}
+    for num, (row_den, row_live, row_decided) in zip(live.values(), rows):
+        num *= q // row_den
+        for key2, w in row_live.items():
+            new_live[key2] = new_live.get(key2, 0) + num * w
+        for c, (lo, hi) in row_decided.items():
+            lo0, hi0 = new_decided.get(c, (0, 0))
+            new_decided[c] = (lo0 + num * lo, hi0 + num * hi)
+    return den * q, new_live, new_decided
+
+
+def _lowest(den: int, live: dict, decided: dict) -> tuple:
+    """The state (den, live, decided) divided by the gcd of all its integers."""
+    g = math.gcd(den, *live.values())
+    for lo, hi in decided.values():
+        g = math.gcd(g, lo, hi)
+    if g == 1:
+        return den, live, decided
+    return den // g, {k: w // g for k, w in live.items()}, {c: (lo // g, hi // g) for c, (lo, hi) in decided.items()}
 
 
 def _block_row(kernel: _Kernel, key: tuple, block: str) -> tuple:
-    """One block from ``key`` at weight one, as (den, live, decided) in
-    lowest terms: ``live`` maps each key at the block's end to its weight
-    times den, ``decided`` each category to its mass's (lo, hi) times den.
-    The walk follows the one live branch; from a square with more live
-    branches, ``_step`` goes on."""
+    """One block from ``key`` at weight one, as a row (den, live, decided)
+    in lowest terms. The walk follows the one live branch; from a square
+    with more live branches, ``_step`` goes on."""
     (cstate, reg), bits, squares = key, kernel.precision_bits, kernel._squares
-    num, den, sums = 1, 1, {}
+    den, num, decided = 1, 1, {}
     for i, sym in enumerate(block):
         successors = (squares.get((cstate, sym)) or kernel.square(cstate, sym)).resolve(reg, bits)
         if len(successors) == 1 and successors[0][0] is None and successors[0][4] is _UNIT:
             cstate, reg = successors[0][1], successors[0][3]
             continue
         if sum(s[0] is None for s in successors) > 1:
-            masses = {c: [_mass(*sums[c], den)] if c in sums else [] for c in CATEGORIES}
-            branches = {(cstate, reg): Fraction(num, den)}
+            state = (den, {(cstate, reg): num}, decided)
             for later in block[i:]:
-                branches = _step(kernel, branches, later, masses)
-            decided = {c: prob_sum(values).as_interval() for c, values in masses.items() if values}
-            fractions = [*branches.values(), *(x for iv in decided.values() for x in (iv.lo, iv.hi))]
-            den = math.lcm(*(x.denominator for x in fractions))
-            nums = iter([x.numerator * (den // x.denominator) for x in fractions])
-            return den, {k: next(nums) for k in branches}, {c: (next(nums), next(nums)) for c in decided}
-        # q times each probability here is an integer.
-        ends = [(p, p) if p.__class__ is Fraction else (p.interval.lo, p.interval.hi) for *_, p in successors]
-        q = math.lcm(*(x.denominator for pair in ends for x in pair))
-        weight, num, den = num, 0, den * q
-        sums = {c: (lo * q, hi * q) for c, (lo, hi) in sums.items()}
-        for (category, state2, _, reg2, p), pair in zip(successors, ends):
-            lo, hi = (weight * x.numerator * (q // x.denominator) for x in pair)
-            if category is not None:
-                lo0, hi0 = sums.get(category, (0, 0))
-                sums[category] = (lo0 + lo, hi0 + hi)
-            elif p.__class__ is Fraction:
-                cstate, reg, num = state2, reg2, lo
-            else:
-                raise ExactnessError("interval-valued measurement outcome must halt or restart")
-        if not num:
-            break
-    g = math.gcd(den, num, *(x for pair in sums.values() for x in pair))
-    return den // g, {(cstate, reg): num // g} if num else {}, {c: (lo // g, hi // g) for c, (lo, hi) in sums.items()}
+                state = _step(kernel, state, later)
+            return _lowest(*state)
+        den, live, decided = _spread(den, decided, ((successors, num),))
+        if not live:
+            return _lowest(den, live, decided)
+        (((cstate, reg), num),) = live.items()
+    return _lowest(den, {(cstate, reg): num}, decided)
 
 
-def _mass(lo: int, hi: int, den: int) -> ProbValue:
-    """The mass from lo/den to hi/den, exact when the ends are equal."""
-    if lo == hi:
-        return ExactProb(Fraction(lo, den)) if lo else PROB_ZERO
-    return ApproxProb(RationalInterval(Fraction(lo, den), Fraction(hi, den)))
+def _advance_blocks(kernel: _Kernel, state: tuple, block: str, reps: int) -> tuple:
+    """The state after ``reps`` copies of ``block``, and the base of a
+    jump (see ``_jump``), or None without one.
 
-
-def _advance_blocks(kernel: _Kernel, branches: dict, block: str, reps: int, masses: dict) -> tuple:
-    """Advance the live branches over ``reps`` copies of ``block``.
-
-    A one-letter block takes the unary closed forms (``_advance_unary``)
-    when every live branch has one. Otherwise the run walks block by
-    block, combining the rows (``_block_row``) of the live keys; a row is
-    kept under the second-sighting rule, and a key seen in two blocks in
-    a row is walked once. Once the kept rows and the previous block's
-    close over the keys the live ones reach, the remaining blocks are
-    taken in one step by ``_jump``;
-    once every branch has halted, the rest is skipped. Exact weights make
-    the result equal to the square-by-square run's, interval ends included.
-
-    Returns the live branches, with the decided mass a jump found, both
-    as numerators over the common denominator it returns, and last a
-    base whose primes include every prime of that denominator; without
-    a jump both are 1.
+    A one-letter block takes the unary closed forms when every live key
+    has one: the key's one successor after ``reps`` squares
+    (``_unary_end``), merged by ``_spread``. Otherwise the run walks
+    block by block, adding the rows (``_block_row``) of the live keys
+    into the state over the lcm of their denominators (``_combine``),
+    with one gcd per block; a row is kept under the second-sighting rule,
+    and a key seen in two blocks in a row is walked once. Once the kept
+    rows and the previous block's close over the keys the live ones
+    reach, the remaining blocks are taken in one step by ``_jump``; once
+    every branch has halted, the rest is skipped. Exact weights make the
+    result equal to the square-by-square run's, interval ends included.
     """
     if len(block) == 1:
-        advanced = _advance_unary(kernel, branches, block, reps, masses)
-        if advanced is not None:
-            return advanced, _empty_masses(), 1, 1
+        ends = [((_unary_end(kernel, key, block, reps),), num) for key, num in state[1].items()]
+        if all(end is not None for (end,), _ in ends):
+            return _spread(state[0], state[2], ends), None
     rows = _Memo()
     # The rows first seen in the previous block: a key seen again in the
     # next block takes its row from here, not from a second walk.
     recent: dict = {}
     for done in range(reps):
-        if not branches:
+        live = state[1]
+        if not live:
             break
-        closed = _closed_keys(lambda key: rows.get(key) or recent.get(key), branches)
+        # The first block has no rows to close over.
+        closed = _closed_keys(lambda key: rows.get(key) or recent.get(key), live) if done else None
         if closed is not None:
-            return _jump(closed, list(closed), branches, reps - done)
-        new_branches: "dict[tuple[str, Register], Fraction]" = {}
+            return _jump(closed, list(closed), state, reps - done)
         seen_now = {}
-        for key, weight in branches.items():
+        picked = []
+        for key in live:
             row = rows.get(key)
             if row is None:
                 row = recent.get(key) or _block_row(kernel, key, block)
                 rows.offer(key, row)
                 seen_now[key] = row
-            den, live, decided = row
-            num, den = weight.numerator, weight.denominator * den
-            for key2, w in live.items():
-                share = Fraction(num * w, den)
-                merged = new_branches.get(key2)
-                new_branches[key2] = share if merged is None else merged + share
-            for category, (lo, hi) in decided.items():
-                masses[category].append(_mass(num * lo, num * hi, den))
-        branches = new_branches
+            picked.append(row)
+        state = _lowest(*_combine(state, picked))
         recent = seen_now
-    return branches, _empty_masses(), 1, 1
+    return state, None
 
 
-def _advance_unary(kernel: _Kernel, branches: dict, sym: str, reps: int, masses: dict) -> Optional[dict]:
-    """The live branches after ``reps`` squares of ``sym``, by closed forms.
-
-    Each branch ends where ``_unary_end`` puts it, and branches that end
-    on equal keys merge; a branch that halts on the way adds its weight
-    to ``masses``. When a branch meets a square that is not
-    deterministic, this returns None and leaves ``masses`` as it was.
-    """
-    ends = [(_unary_end(kernel, key, sym, reps), weight) for key, weight in branches.items()]
-    if any(end is None for end, _ in ends):
-        return None
-    live: "dict[tuple[str, Register], Fraction]" = {}
-    for end, weight in ends:
-        if isinstance(end, str):
-            masses[end].append(ExactProb(weight))
-        else:
-            merged = live.get(end)
-            live[end] = weight if merged is None else merged + weight
-    return live
-
-
-def _unary_end(kernel: _Kernel, key: tuple, sym: str, reps: int):
-    """The key of the branch at ``key`` after ``reps`` squares of ``sym``,
-    the category it halts in on the way, or None at a square that is not
-    deterministic.
+def _unary_end(kernel: _Kernel, key: tuple, sym: str, reps: int) -> Optional[tuple]:
+    """The one certain successor of ``reps`` squares of ``sym`` from
+    ``key``, as a square gives it: the branch's last key, or the category
+    it halts in on the way; or None at a square that is not deterministic.
 
     A self-looping rotation state turns by its angle times ``reps``. Any
     other branch walks by Brent's cycle search, which keeps two
@@ -626,15 +593,16 @@ def _unary_end(kernel: _Kernel, key: tuple, sym: str, reps: int):
     cstate, reg = key
     square = kernel.square(cstate, sym)
     if square.op == _OP_ROTATE and square.fixed == (None, cstate, 1):
-        return cstate, reg.rotated(square.arg.scale(reps))
-    mark, lap, power, done = key, 0, 1, 0
+        return None, cstate, 1, reg.rotated(square.arg.scale(reps)), _UNIT
+    end, mark, lap, power, done = (None, cstate, 0, reg, _UNIT), key, 0, 1, 0
     while done < reps:
         successors = kernel.successors(cstate, sym, reg)
         if not _is_deterministic(successors):
             return None
-        category, cstate, _, reg, _ = successors[0]
+        end = successors[0]
+        category, cstate, _, reg, _ = end
         if category is not None:
-            return category
+            return end
         key = (cstate, reg)
         done += 1
         lap += 1
@@ -642,7 +610,7 @@ def _unary_end(kernel: _Kernel, key: tuple, sym: str, reps: int):
             reps = done + (reps - done) % lap
         elif lap == power:
             mark, lap, power = key, 0, 2 * power
-    return key
+    return end
 
 
 def _closed_keys(row_of: Callable, branches: dict) -> "Optional[dict]":
@@ -668,57 +636,57 @@ def _closed_keys(row_of: Callable, branches: dict) -> "Optional[dict]":
 MAX_JUMP_BITS = 1 << 25
 
 
-def _jump(rows: dict, keys: list, branches: dict, blocks: int) -> tuple:
-    """Advance ``branches`` over ``blocks`` blocks as v·M^blocks.
+def _jump(rows: dict, keys: list, state: tuple, blocks: int) -> tuple:
+    """Advance ``state`` over ``blocks`` blocks as v·M^blocks.
 
     M = [[T, D], [0, I]] is built from the integer rows over ``keys``,
     scaled to den, the lcm of their denominators: T holds the live-to-live
     weights, D the decided mass, one column per category and one more for
     the upper end of each category whose mass is an interval, and I
-    carries the decided mass on. When every kept key returns only to
+    carries the decided mass on. v is the state's integers over its own
+    den v_den, its decided ends in the decided columns, so the identity
+    block scales them by den^blocks. When every kept key returns only to
     itself, T is diagonal and the power has a closed form
     (``_self_loop_power``); any other T is raised by ``_matrix_power``.
-    Both give the same integers. Returns the live weights, in the order
-    the stepped blocks leave them (``_key_order``), and the decided
-    masses by category as integers over v_den·den^blocks, and last its
-    base v_den·den, which has every prime the power has: one reduction
-    per category at the end costs less than one per entry.
+    Both give the same integers. Returns the state over
+    v_den·den^blocks, its live keys in the order the stepped blocks leave
+    them (``_key_order``), and last its base v_den·den, which has every
+    prime the power has: one reduction per category at the end costs
+    less than one per entry.
     """
+    v_den, live, decided = state
     picked = [rows[key] for key in keys]
-    cats = [c for c in CATEGORIES if any(c in decided for _, _, decided in picked)]
-    wide = [c for c in cats if any(c in decided and decided[c][0] != decided[c][1] for _, _, decided in picked)]
+    sources = [decided, *(row_decided for _, _, row_decided in picked)]
+    cats = [c for c in CATEGORIES if any(c in d for d in sources)]
+    wide = [c for c in cats if any(c in d and d[c][0] != d[c][1] for d in sources)]
     columns = [(c, 0) for c in cats] + [(c, 1) for c in wide]
     n, width = len(keys), len(keys) + len(columns)
     # The power runs on integers: M = N/den and v = w/v_den, so that
     # v·M^blocks = w·N^blocks / (v_den·den^blocks) needs no gcd until the end.
     den = math.lcm(*(row_den for row_den, _, _ in picked))
-    start = [branches.get(key, 0) for key in keys]
-    v_den = math.lcm(*(x.denominator for x in start))
     # den^blocks has at least blocks * (den.bit_length() - 1) + 1 bits.
     bits = blocks * (den.bit_length() - 1) + v_den.bit_length()
     if bits > MAX_JUMP_BITS:
         raise MachineError(f"a jump's answer needs at least {bits} bits, over the cap of {MAX_JUMP_BITS}")
     matrix = []
-    for row_den, live, decided in picked:
-        row = [live.get(key2, 0) for key2 in keys] + [decided[c][end] if c in decided else 0 for c, end in columns]
+    for row_den, row_live, row_decided in picked:
+        row = [row_live.get(key2, 0) for key2 in keys]
+        row += [row_decided[c][end] if c in row_decided else 0 for c, end in columns]
         matrix.append([x * (den // row_den) for x in row])
     matrix += [[den if i == j else 0 for j in range(width)] for i in range(n, width)]
-    scaled_start = [x.numerator * (v_den // x.denominator) for x in start] + [0] * len(columns)
+    start = [live.get(key, 0) for key in keys] + [decided[c][end] if c in decided else 0 for c, end in columns]
     if all(key2 == key for key in keys for key2 in rows[key][1]):
-        scaled, den_power = _self_loop_power(matrix, n, den, blocks, scaled_start)
+        scaled, den_power = _self_loop_power(matrix, n, den, blocks, start)
     else:
-        (scaled,) = _matrix_power(matrix, blocks, (scaled_start,))
+        (scaled,) = _matrix_power(matrix, blocks, (start,))
         den_power = den**blocks
     sums = dict(zip(columns, scaled[n:]))
-    ends = _empty_masses()
-    for c in cats:
-        lo = sums[(c, 0)]
-        hi = sums.get((c, 1), lo)
-        if hi:
-            ends[c].append(ExactProb(lo) if lo == hi else ApproxProb(RationalInterval(Fraction(lo), Fraction(hi))))
     weights = dict(zip(keys, scaled))
-    live = {key: weights[key] for key in _key_order(rows, tuple(branches), blocks)}
-    return live, ends, v_den * den_power, v_den * den
+    return (
+        v_den * den_power,
+        {key: weights[key] for key in _key_order(rows, tuple(live), blocks)},
+        {c: (sums[c, 0], sums.get((c, 1), sums[c, 0])) for c in cats},
+    ), v_den * den
 
 
 def _key_order(rows: dict, order: tuple, blocks: int) -> tuple:
@@ -886,10 +854,10 @@ def run_exact_sweeping(
         if tick > step_budget:
             raise MachineError("step budget exceeded without sweep progress")
         live = _sweep_tick(kernel, tape, live, tick + 1, decided)
-    masses = _empty_masses()
-    for category, mass, _, _ in decided:
-        masses[category].append(mass)
-    return _masses_to_distribution(masses)
+    # The decided masses sum on integers as the branches of one square.
+    ends = tuple((category, None, 0, None, p.value if p.is_exact() else p) for category, p, _, _ in decided)
+    den, _, sums = _spread(1, {}, ((ends, 1),))
+    return _masses_to_distribution(sums, den)
 
 
 @dataclass(frozen=True)

@@ -8,15 +8,17 @@ function over the entries as integers on one common denominator, kept on
 the matrix. So applying a matrix or measuring a vector is integer
 arithmetic with one gcd per result, and unitarity checks, inner
 products, and measurement probabilities are all big-integer exact.
-Projective measurement returns one branch per outcome with a probability
-that is relative to the squared norm of the measured vector; this keeps
-the semantics correct for unnormalized vectors, which arise whenever a
-post-measurement state has an irrational norm and cannot be rescaled
-inside the Gaussian rational field.
+Projective measurement gives one branch per outcome of nonzero mass,
+with its mass relative to the squared norm of the measured vector; this
+keeps the semantics correct for unnormalized vectors, which arise
+whenever a post-measurement state has an irrational norm and cannot be
+rescaled inside the Gaussian rational field.
 
-The runners in ``analysis`` build on this: only a two-way run memoizes
-the squares that apply these matrices, since only its configurations
-recur, and every exact run ends on integer sums of its decided masses.
+The runners in ``analysis`` build on this: they read a measurement as
+integer masses over one total (``ProjectiveMeasurement.split``), only a
+two-way run memoizes the squares that apply these matrices, since only
+its configurations recur, and a realtime run carries its weights as
+integers over one denominator.
 """
 
 from __future__ import annotations
@@ -401,6 +403,8 @@ class ProjectiveMeasurement:
         return ProjectiveMeasurement(outcomes, dim)
 
     def measure(self, vector: QVector) -> "list[MeasurementBranch]":
+        """``split`` with each probability as a Fraction. No runner reads it;
+        the benchmark's tracer (``perfbench/tracing.py``) wraps it by name."""
         total, parts = self.split(vector)
         return [
             MeasurementBranch(label, post, Fraction(mass, total), math.isqrt(mass) ** 2 == mass)

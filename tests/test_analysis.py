@@ -2,6 +2,7 @@
 
 import dataclasses
 import fractions
+import itertools
 import math
 import random
 import time
@@ -29,6 +30,8 @@ from exactqfa.analysis import (
     run_unary_length,
 )
 from exactqfa.constructions import (
+    CONSTRUCTION_IDS,
+    build,
     build_aw_pal,
     build_counter_dfa,
     build_evenodd_dfa,
@@ -658,14 +661,13 @@ def stepped_unary(spec: MachineSpec, length: int) -> OutcomeDistribution:
     """The run on a^length, one ``_step`` per square: the oracle for the
     unary closed forms."""
     kernel = analysis._Kernel(spec, 64)
-    branches = {(spec.initial_state, analysis.initial_register(spec)): Fraction(1)}
-    masses = analysis._empty_masses()
-    branches = analysis._step(kernel, branches, LEFT_MARKER, masses)
+    state = (1, {(spec.initial_state, analysis.initial_register(spec)): 1}, {})
+    state = analysis._step(kernel, state, LEFT_MARKER)
     for _ in range(length):
-        branches = analysis._step(kernel, branches, "a", masses)
-    branches = analysis._step(kernel, branches, RIGHT_MARKER, masses)
-    assert not branches
-    return analysis._masses_to_distribution(masses)
+        state = analysis._step(kernel, state, "a")
+    den, live, decided = analysis._step(kernel, state, RIGHT_MARKER)
+    assert not live
+    return analysis._masses_to_distribution(decided, den)
 
 
 @pytest.mark.parametrize(
@@ -905,8 +907,9 @@ def test_periodic_run_applies_each_configuration_a_bounded_number_of_times(monke
 
 
 def test_aperiodic_run_matches_the_stepped_run():
-    # The middle block breaks the period, so the run walks square by
-    # square, resolving every square with no memo.
+    # The middle block breaks the period, so the input is its own root:
+    # the run walks it as one block on integers, resolving every square
+    # with no memo.
     spec = build_lv_exptwinpal()
     for n in (50, 100):
         word = "abcabcaacaac" * n + "aacaacabcabc" + "abcabcaacaac" * n
@@ -1237,7 +1240,7 @@ def test_a_split_mid_block_hands_the_branch_to_step(monkeypatch):
     blocks, steps = [], []
     block_row, step = analysis._block_row, analysis._step
     monkeypatch.setattr(analysis, "_block_row", lambda k, key, b: blocks.append(key[0]) or block_row(k, key, b))
-    monkeypatch.setattr(analysis, "_step", lambda k, br, sym, m: steps.append(sym) or step(k, br, sym, m))
+    monkeypatch.setattr(analysis, "_step", lambda k, state, sym: steps.append(sym) or step(k, state, sym))
     spec = mid_block_machine()
     word = "abaab" * 40
     assert run_exact_realtime(spec, word) == reference_realtime(spec, word)
@@ -1245,6 +1248,42 @@ def test_a_split_mid_block_hands_the_branch_to_step(monkeypatch):
     # stepped too, and no walk from "t" calls _step.
     assert "s" in blocks and "t" in blocks
     assert steps == [LEFT_MARKER] + list("baab") * blocks.count("s") + [RIGHT_MARKER]
+
+
+# Every realtime built-in, EVENODD at k = 2, and the test machines that
+# split mid-block, halt before a hole, carry interval masses or are PFAs.
+DIFFERENTIAL_MACHINES = [
+    spec for spec in (build(cid, k=2 if cid.startswith("EVENODD") else None) for cid in CONSTRUCTION_IDS)
+    if spec.is_realtime()
+] + [
+    spin_machine(),
+    coin_turn_machine(),
+    mid_block_machine(),
+    mid_block_machine(hole=True),
+    block_counter_machine(),
+    walk_or_toss_machine(),
+    live_turn_machine(),
+    halt_before_hole_machine(),
+    fair_coin_pfa(),
+    _thirds_pfa(),
+    bouncing_pfa(),
+    residual_pfa(),
+    two_letter_pfa(),
+]
+
+
+@pytest.mark.parametrize("spec", DIFFERENTIAL_MACHINES, ids=[spec.name for spec in DIFFERENTIAL_MACHINES])
+def test_every_short_word_and_seeded_power_matches_the_square_by_square_run(spec):
+    # Exact values and kinds, or the same error type and message, on every
+    # word of length at most 6 and on seeded roots to the powers 1, 2, 3
+    # and 7, which reach the stepped blocks and the jump.
+    words = ["".join(w) for n in range(7) for w in itertools.product(spec.alphabet, repeat=n)]
+    rng = random.Random(spec.name)
+    for _ in range(8):
+        root = "".join(rng.choice(spec.alphabet) for _ in range(rng.randint(1, 6)))
+        words += [root * reps for reps in (1, 2, 3, 7)]
+    for word in words:
+        assert outcome(run_exact_realtime, spec, word) == outcome(reference_realtime, spec, word), word
 
 
 def test_never_recurring_register_walks_every_block(monkeypatch):
@@ -1404,10 +1443,10 @@ def _losing(category: str):
 
 
 LOSSY_RUNS = [
-    # Two blocks are stepped square by square.
+    # Both blocks are stepped, and no jump comes.
     (build_lv_exptwinpal, _twin_blocks("ab", "aa", 2), False),
-    # A jump, after which the check runs on integers scaled by its
-    # denominator, with exact and with interval masses.
+    # A jump, after which the check runs on the state's integers over
+    # the jump's denominator, with exact and with interval masses.
     (build_lv_exptwinpal, _twin_blocks("ab", "aa", 625), True),
     (coin_turn_machine, "ab" * 64, True),
 ]
@@ -1473,6 +1512,20 @@ def _enclosed(rng: random.Random, value: Fraction):
     return ApproxProb(RationalInterval(value - below, value + above))
 
 
+def integer_ends(*groups) -> "tuple[dict, int]":
+    """The (masses, factor) groups as one end's input: each category's
+    (lo, hi) ends summed as integers over q, the lcm of every end's
+    denominator, each group's times its factor; and q."""
+    pairs = [(cat, p.as_interval(), factor) for masses, factor in groups for cat in masses for p in masses[cat]]
+    q = math.lcm(*(x.denominator for _, iv, _ in pairs for x in (iv.lo, iv.hi)))
+    decided = {}
+    for cat, iv, factor in pairs:
+        lo, hi = (x.numerator * (q // x.denominator) * factor for x in (iv.lo, iv.hi))
+        lo0, hi0 = decided.get(cat, (0, 0))
+        decided[cat] = (lo0 + lo, hi0 + hi)
+    return decided, q
+
+
 def _ended(end, *args):
     """The kind and value of each category of a run's end, or the error it raised."""
     try:
@@ -1493,7 +1546,7 @@ def test_integer_end_matches_the_chained_sum():
             cat = rng.choice([c for c in CATEGORIES if masses[c]])
             masses[cat].pop()
         want = _ended(reference_distribution, masses)
-        assert _ended(analysis._masses_to_distribution, masses) == want
+        assert _ended(analysis._masses_to_distribution, *integer_ends((masses, 1))) == want
         if want[0] is MachineError:
             failed += 1
         else:
@@ -1502,20 +1555,23 @@ def test_integer_end_matches_the_chained_sum():
 
 
 def test_jump_end_matches_the_chained_sum():
-    # After a jump, ``ends`` are numerators over ``den``, whose primes
-    # divide ``base``; the answer is the chained sum of masses + ends / den.
+    # After a jump the ends are integers over a den whose primes divide
+    # ``base``. A mass decided before the jump is carried over den by its
+    # identity block, and one decided after it arrives over den; the
+    # answer is the chained sum of all the masses.
     rng = random.Random(1918)
     for _ in range(200):
         den, base = rng.choice(((5 ** 40, 5), (2 ** 30 * 5 ** 12, 10), (3 ** 20, 3 * 7)))
-        masses, ends, joined = ({cat: [] for cat in CATEGORIES} for _ in range(3))
+        before, after, joined = ({cat: [] for cat in CATEGORIES} for _ in range(3))
         for cat, value in _random_masses(rng):
             mass = _enclosed(rng, value)
             if rng.random() < 0.5:
-                masses[cat].append(mass)
+                before[cat].append(mass)
             else:
-                ends[cat].append(prob_scale(mass, Fraction(den)))
+                after[cat].append(prob_scale(mass, Fraction(den)))
             joined[cat].append(mass)
-        got = _ended(analysis._masses_to_distribution, masses, ends, den, base)
+        decided, q = integer_ends((before, den), (after, 1))
+        got = _ended(analysis._masses_to_distribution, decided, q * den, q * base)
         assert got == _ended(reference_distribution, joined)
 
 
