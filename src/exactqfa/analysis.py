@@ -20,10 +20,9 @@ moves from one sampled square to the next along edges cached on the
 square, without building or hashing a configuration.
 
 Every runner drives one kernel, whose squares are compiled once per
-machine; a certain square makes no Fraction. Only a two-way run, whose
-head meets its configurations again on every sweep, memoizes the squares
-that do register work. A realtime PFA's square branches on each nonzero
-entry of its matrix row, and it decides only at the right end-marker.
+machine and resolved each time a run meets them; a certain square makes
+no Fraction. A realtime PFA's square branches on each nonzero entry of
+its matrix row, and it decides only at the right end-marker.
 
 Every realtime run takes one path (``_run_blocks``): its input is its
 primitive root to a power, and one state of integer weights and integer
@@ -32,8 +31,10 @@ right one, a square (``_step``) or a block (``_advance_blocks``) at a
 time, with a jump once the block rows recur. A unary run takes it on its
 letter, where each live branch first tries a closed form: a self-looping
 rotation turns by its angle times the length, and a deterministic walk
-skips its whole cycles. Every exact run ends on integer sums
-(``_masses_to_distribution``).
+skips its whole cycles. A two-way run carries the same state, with the
+head's position and completed sweeps in each live key, one square of
+every live branch at a time (``_sweep_tick``). Every exact run ends on
+integer sums (``_masses_to_distribution``).
 """
 
 from __future__ import annotations
@@ -297,18 +298,16 @@ class _Kernel:
     the branch is certain; a PFA's never is, so sampling draws once on
     every PFA square. The spec keeps its compiled squares in its
     ``__dict__``, as ``QMatrix`` keeps its compiled unitary: one per
-    (state, tape symbol) met, and no register. A two-way head meets its
-    configurations again on every sweep, so for a machine that is not
-    realtime the squares that do register work are memoized for one run
-    in a ``_Memo``. A realtime run reads each square once per live
-    branch, so its kernel keeps no memo and resolves every square.
+    (state, tape symbol) met, and no register. Every run resolves each
+    square it meets, with no memo: a compiled unitary costs about what a
+    lookup of its result would, and a sweeping analysis stops at its
+    first return to the start, so its squares seldom recur.
     """
 
     def __init__(self, spec: MachineSpec, precision_bits: int):
         self.spec = spec
         self.precision_bits = precision_bits
         self._squares = spec.__dict__.setdefault("_squares", {})
-        self._memo = None if spec.is_realtime() else _Memo()
 
     def square(self, cstate: str, sym: str) -> _Square:
         square = self._squares.get((cstate, sym))
@@ -317,16 +316,7 @@ class _Kernel:
         return square
 
     def successors(self, cstate: str, sym: str, reg: Register) -> tuple:
-        square = self._squares.get((cstate, sym)) or self.square(cstate, sym)
-        memo = self._memo
-        if memo is None or square.op <= _OP_PFA:
-            return square.resolve(reg, self.precision_bits)
-        key = (cstate, sym, reg)
-        out = memo.get(key)
-        if out is None:
-            out = square.resolve(reg, self.precision_bits)
-            memo.offer(key, out)
-        return out
+        return (self._squares.get((cstate, sym)) or self.square(cstate, sym)).resolve(reg, self.precision_bits)
 
 
 def _is_deterministic(successors: tuple) -> bool:
@@ -339,24 +329,6 @@ def _moved(pos: int, offset: int, last: int) -> int:
     if pos2 < 0 or pos2 > last:
         raise MachineError("head moved off the tape")
     return pos2
-
-
-def _weighted(weight: Fraction, p: "Union[Fraction, ApproxProb]") -> ProbValue:
-    """weight * p as a decided mass; a certain branch keeps the weight as is."""
-    if p is _UNIT:
-        return ExactProb(weight)
-    if isinstance(p, Fraction):
-        return ExactProb(weight * p)
-    return prob_scale(p, weight)
-
-
-def _live_share(weight: Fraction, p: "Union[Fraction, ApproxProb]") -> Fraction:
-    """weight * p for a branch that stays live, which needs an exact p."""
-    if p is _UNIT:
-        return weight
-    if not isinstance(p, Fraction):
-        raise ExactnessError("interval-valued measurement outcome must halt or restart")
-    return weight * p
 
 
 def _check_alphabet(spec: MachineSpec, input_str: str) -> None:
@@ -428,8 +400,7 @@ def _run_blocks(kernel: _Kernel, block: str, reps: int) -> OutcomeDistribution:
 
 def _step(kernel: _Kernel, state: tuple, sym: str) -> tuple:
     """The state (den, live, decided) of a realtime run after one square
-    of ``sym`` (see ``_spread``). A realtime kernel keeps no memo, so
-    each square is resolved directly."""
+    of ``sym`` (see ``_spread``), each live key's square resolved once."""
     (den, live, decided), squares, bits = state, kernel._squares, kernel.precision_bits
     resolved = (
         ((squares.get((cstate, sym)) or kernel.square(cstate, sym)).resolve(reg, bits), num)
@@ -438,27 +409,34 @@ def _step(kernel: _Kernel, state: tuple, sym: str) -> tuple:
     return _spread(den, decided, resolved)
 
 
+def _uncertain_dens(successors: tuple, dens: set) -> None:
+    """Add to ``dens`` the denominators of the branches of ``successors``
+    that are not certain; a live branch must have an exact probability."""
+    for category, _, _, _, p in successors:
+        if p is _UNIT:
+            continue
+        if p.__class__ is Fraction:
+            dens.add(p.denominator)
+        elif category is None:
+            raise ExactnessError("interval-valued measurement outcome must halt or restart")
+        else:
+            dens.update((p.interval.lo.denominator, p.interval.hi.denominator))
+
+
 def _spread(den: int, decided: dict, resolved) -> tuple:
     """The state after one square, from the (successors, num) of each live
     key in turn and the ``decided`` ends over ``den``.
 
     The new den is den·q, where q is the lcm of the denominators of the
-    branches that are not certain, so every share is an integer; live
-    branches that reach equal keys merge. ``resolved`` is read in order,
-    and a key's successors are checked before the next key's are read,
-    so a run raises the error the square-by-square run meets first.
+    branches that are not certain (``_uncertain_dens``), so every share is
+    an integer; live branches that reach equal keys merge. ``resolved`` is
+    read in order, and a key's successors are checked before the next
+    key's are read, so a run raises the error the square-by-square run
+    meets first.
     """
     branches, dens = [], set()
     for successors, num in resolved:
-        for category, _, _, _, p in successors:
-            if p is _UNIT:
-                continue
-            if p.__class__ is Fraction:
-                dens.add(p.denominator)
-            elif category is None:
-                raise ExactnessError("interval-valued measurement outcome must halt or restart")
-            else:
-                dens.update((p.interval.lo.denominator, p.interval.hi.denominator))
+        _uncertain_dens(successors, dens)
         branches.append((successors, num))
     q = math.lcm(*dens)
     live: "dict[tuple[str, Register], int]" = {}
@@ -511,8 +489,8 @@ def _lowest(den: int, live: dict, decided: dict) -> tuple:
 
 def _block_row(kernel: _Kernel, key: tuple, block: str) -> tuple:
     """One block from ``key`` at weight one, as a row (den, live, decided)
-    in lowest terms. The walk follows the one live branch; from a square
-    with more live branches, ``_step`` goes on."""
+    in lowest terms. The walk follows the one live branch; where a square
+    leaves more live branches, ``_step`` goes on from the next symbol."""
     (cstate, reg), bits, squares = key, kernel.precision_bits, kernel._squares
     den, num, decided = 1, 1, {}
     for i, sym in enumerate(block):
@@ -520,14 +498,11 @@ def _block_row(kernel: _Kernel, key: tuple, block: str) -> tuple:
         if len(successors) == 1 and successors[0][0] is None and successors[0][4] is _UNIT:
             cstate, reg = successors[0][1], successors[0][3]
             continue
-        if sum(s[0] is None for s in successors) > 1:
-            state = (den, {(cstate, reg): num}, decided)
-            for later in block[i:]:
+        state = den, live, decided = _spread(den, decided, ((successors, num),))
+        if len(live) != 1:
+            for later in block[i + 1 :]:
                 state = _step(kernel, state, later)
             return _lowest(*state)
-        den, live, decided = _spread(den, decided, ((successors, num),))
-        if not live:
-            return _lowest(den, live, decided)
         (((cstate, reg), num),) = live.items()
     return _lowest(den, {(cstate, reg): num}, decided)
 
@@ -800,30 +775,50 @@ def analyze_restarting(
     )
 
 
-def _sweep_tick(kernel: _Kernel, tape: "list[str]", live: dict, tick: int, decided: list) -> dict:
-    """Advance every live branch of a two-way run one square.
+def _sweep_tick(kernel: _Kernel, tape: "list[str]", state: tuple) -> tuple:
+    """The state (den, live, decided, swept) of a two-way run after every
+    live branch takes one square.
 
-    ``live`` maps (pos, state, register, sweeps) to a weight, and branches
-    that reach equal keys merge. A sweep completes when the head arrives
-    at either end-marker. Each decided mass is appended to ``decided`` as
-    (category, mass, tick, sweeps).
+    ``live`` maps each (pos, state, register, sweeps) to its weight times
+    den, ``decided`` each category to the integer ends (lo, hi) of its
+    mass times den, and ``swept`` sums sweeps times decided mass, times
+    den. As in ``_spread``, den becomes den·q and live branches that reach
+    equal keys merge. A sweep completes when the head arrives at either
+    end-marker.
     """
+    den, live, decided, swept = state
     last = len(tape) - 1
-    new_live: "dict[tuple[int, str, Register, int], Fraction]" = {}
-    for (pos, cstate, reg, sweeps), weight in live.items():
-        for category, state2, offset, reg2, p in kernel.successors(cstate, tape[pos], reg):
-            if category == CATEGORY_CONTINUE:
+    branches, dens = [], set()
+    for (pos, cstate, reg, _), num in live.items():
+        successors = kernel.successors(cstate, tape[pos], reg)
+        _uncertain_dens(successors, dens)
+        branches.append(successors)
+    q = math.lcm(*dens)
+    den, swept = den * q, swept * q
+    # Most squares of a sweep are certain: q is 1, and den stays as it is.
+    decided = dict(decided) if q == 1 else {c: (lo * q, hi * q) for c, (lo, hi) in decided.items()}
+    new_live: "dict[tuple[int, str, Register, int], int]" = {}
+    for ((pos, _, _, sweeps), num), successors in zip(live.items(), branches):
+        num *= q
+        for category, state2, offset, reg2, p in successors:
+            if p is _UNIT:
+                lo = hi = num
+            elif p.__class__ is Fraction:
+                lo = hi = num // p.denominator * p.numerator
+            else:
+                lo, hi = (num // x.denominator * x.numerator for x in (p.interval.lo, p.interval.hi))
+            if category is None:
+                pos2 = _moved(pos, offset, last)
+                arrived = pos2 != pos and pos2 in (0, last)
+                key = (pos2, state2, reg2, sweeps + arrived)
+                new_live[key] = new_live.get(key, 0) + lo
+            elif category == CATEGORY_CONTINUE:
                 raise MachineError("restart is not part of the sweeping model")
-            if category is not None:
-                decided.append((category, _weighted(weight, p), tick, sweeps))
-                continue
-            share = _live_share(weight, p)
-            pos2 = _moved(pos, offset, last)
-            arrived = pos2 != pos and pos2 in (0, last)
-            key = (pos2, state2, reg2, sweeps + 1 if arrived else sweeps)
-            merged = new_live.get(key)
-            new_live[key] = share if merged is None else merged + share
-    return new_live
+            else:
+                lo0, hi0 = decided.get(category, (0, 0))
+                decided[category] = (lo0 + lo, hi0 + hi)
+                swept += sweeps * lo
+    return den, new_live, decided, swept
 
 
 def run_exact_sweeping(
@@ -843,21 +838,20 @@ def run_exact_sweeping(
     tape = tape_of(spec, input_str)
     step_budget = (max_sweeps + 1) * (len(tape) + 2) + 16
     kernel = _Kernel(spec, precision_bits)
-    live = {(0, spec.initial_state, initial_register(spec), 0): Fraction(1)}
-    decided: list = []
+    state = (1, {(0, spec.initial_state, initial_register(spec), 0): 1}, {}, 0)
     for tick in range(step_budget + 2):
         # Every live branch has processed ``tick`` squares.
-        for key in [key for key in live if key[3] >= max_sweeps]:
-            decided.append((CATEGORY_CONTINUE, ExactProb(live.pop(key)), tick, key[3]))
+        den, live, decided, _ = state
+        weight = sum(live.pop(key) for key in [key for key in live if key[3] >= max_sweeps])
+        if weight:
+            lo, hi = decided.get(CATEGORY_CONTINUE, (0, 0))
+            decided[CATEGORY_CONTINUE] = (lo + weight, hi + weight)
         if not live:
             break
         if tick > step_budget:
             raise MachineError("step budget exceeded without sweep progress")
-        live = _sweep_tick(kernel, tape, live, tick + 1, decided)
-    # The decided masses sum on integers as the branches of one square.
-    ends = tuple((category, None, 0, None, p.value if p.is_exact() else p) for category, p, _, _ in decided)
-    den, _, sums = _spread(1, {}, ((ends, 1),))
-    return _masses_to_distribution(sums, den)
+        state = _sweep_tick(kernel, tape, state)
+    return _masses_to_distribution(decided, den)
 
 
 @dataclass(frozen=True)
@@ -880,56 +874,59 @@ def analyze_sweeping(
 
     The exact run proceeds in global ticks (``_sweep_tick``). When the
     live set collapses back to the initial configuration with weight L,
-    at whatever sweep count, one iteration is complete; the decided
-    masses m_i recorded at ticks o_i (with s_i completed sweeps) then
-    give, by geometric summation over independent iterations,
+    at whatever sweep count, one iteration of T = cycle_ticks ticks is
+    complete. Its decided masses m_i, decided after s_i completed
+    sweeps, then give, by geometric summation over independent
+    iterations,
 
         overall(category) = sum of category masses / (1 - L)
-        E[ticks]  = sum(m_i o_i)/(1 - L) + cycle_ticks * L/(1 - L)
-        E[sweeps] = sum(m_i s_i)/(1 - L) + cycle_sweeps * L/(1 - L)
+        E[sweeps] = (sum(m_i s_i) + cycle_sweeps * L) / (1 - L)
+        E[ticks]  = (live mass entering ticks 1..T, summed) / (1 - L)
+
+    since every unit of live mass takes one square per tick.
     """
     tape = tape_of(spec, input_str)
     if tick_cap <= 0:
         tick_cap = 64 * (len(tape) + 2) + 256
     kernel = _Kernel(spec, precision_bits)
     start = (0, spec.initial_state, initial_register(spec))
-    live = {(*start, 0): Fraction(1)}
-    decided: "list[tuple[str, ProbValue, int, int]]" = []
-    loop_weight: Optional[Fraction] = None
-    cycle_ticks = cycle_sweeps = 0
-    for tick in range(1, tick_cap + 1):
-        live = _sweep_tick(kernel, tape, live, tick, decided)
+    state = (1, {(*start, 0): 1}, {}, 0)
+    # The live mass entering each tick, summed, times den.
+    ticked = 0
+    loop = None
+    for _ in range(tick_cap):
+        den, live, _, _ = state
+        ticked += sum(live.values())
+        state = _sweep_tick(kernel, tape, state)
+        if state[0] != den:
+            ticked *= state[0] // den
+        live = state[1]
         if not live:
-            loop_weight = Fraction(0)
+            loop = (0, 0)
             break
         if len(live) == 1 and next(iter(live))[:3] == start:
-            (((*_, cycle_sweeps), loop_weight),) = live.items()
-            cycle_ticks = tick
+            (((*_, cycle_sweeps), weight),) = live.items()
+            loop = (weight, cycle_sweeps)
             break
-    if not all(mass.is_exact() for _, mass, _, _ in decided):
+    den, _, decided, swept = state
+    if any(lo != hi for lo, hi in decided.values()):
         raise ExactnessError("loop analysis requires exact branch masses")
-    if loop_weight is None:
+    if loop is None:
         raise MachineError("no iteration structure detected within the tick cap")
-    if loop_weight >= 1:
+    loop_weight, cycle_sweeps = loop
+    if loop_weight >= den:
         raise NonterminatingError("the sweeping loop never sheds mass")
-    survive = 1 - loop_weight
-    # No branch decides ``continue`` here: that slot holds the loop weight.
-    sums = {cat: Fraction(0) for cat in CATEGORIES}
-    sums[CATEGORY_CONTINUE] = loop_weight
-    tick_mass = sweep_mass = Fraction(0)
-    for category, mass, tick, sweeps in decided:
-        sums[category] += mass.value
-        tick_mass += mass.value * tick
-        sweep_mass += mass.value * sweeps
-    per_iteration = OutcomeDistribution(*(ExactProb(sums[cat]) for cat in CATEGORIES))
-    tail = loop_weight / survive
+    # No branch decides ``continue`` here: that slot holds L.
+    decided[CATEGORY_CONTINUE] = (loop_weight, loop_weight)
+    # (1 - L) times den.
+    survive = den - loop_weight
     return SweepingAnalysis(
-        per_iteration=per_iteration,
-        overall_accept=ExactProb(sums[CATEGORY_ACCEPT] / survive),
-        overall_reject=ExactProb(sums[CATEGORY_REJECT] / survive),
-        expected_iterations=ExactProb(1 / survive),
-        expected_sweeps=ExactProb(sweep_mass / survive + cycle_sweeps * tail),
-        expected_steps=ExactProb(tick_mass / survive + cycle_ticks * tail),
+        per_iteration=_masses_to_distribution(decided, den),
+        overall_accept=ExactProb(Fraction(decided.get(CATEGORY_ACCEPT, (0, 0))[0], survive)),
+        overall_reject=ExactProb(Fraction(decided.get(CATEGORY_REJECT, (0, 0))[0], survive)),
+        expected_iterations=ExactProb(Fraction(den, survive)),
+        expected_sweeps=ExactProb(Fraction(swept + cycle_sweeps * loop_weight, survive)),
+        expected_steps=ExactProb(Fraction(ticked, survive)),
     )
 
 

@@ -15,10 +15,8 @@ whenever a post-measurement state has an irrational norm and cannot be
 rescaled inside the Gaussian rational field.
 
 The runners in ``analysis`` build on this: they read a measurement as
-integer masses over one total (``ProjectiveMeasurement.split``), only a
-two-way run memoizes the squares that apply these matrices, since only
-its configurations recur, and a realtime run carries its weights as
-integers over one denominator.
+integer masses over one total (``ProjectiveMeasurement.split``), and
+every exact run carries its weights as integers over one denominator.
 """
 
 from __future__ import annotations

@@ -477,6 +477,187 @@ def test_analyze_sweeping_when_every_branch_decides_in_one_pass():
     assert analysis.expected_sweeps == ExactProb(Fraction(1))
 
 
+def _weighted(weight: Fraction, p) -> "ExactProb | ApproxProb":
+    """weight * p as a decided mass; a certain branch keeps the weight as is."""
+    if p is analysis._UNIT:
+        return ExactProb(weight)
+    if isinstance(p, Fraction):
+        return ExactProb(weight * p)
+    return prob_scale(p, weight)
+
+
+def _live_share(weight: Fraction, p) -> Fraction:
+    """weight * p for a branch that stays live, which needs an exact p."""
+    if p is analysis._UNIT:
+        return weight
+    if not isinstance(p, Fraction):
+        raise ExactnessError("interval-valued measurement outcome must halt or restart")
+    return weight * p
+
+
+def _reference_tick(kernel, tape: "list[str]", live: dict, tick: int, decided: list) -> dict:
+    """One square of every live branch of a two-way run on Fraction
+    weights. ``live`` maps (pos, state, register, sweeps) to a weight, and
+    each decided mass is appended to ``decided`` as (category, mass,
+    tick, sweeps)."""
+    last = len(tape) - 1
+    new_live = {}
+    for (pos, cstate, reg, sweeps), weight in live.items():
+        for category, state2, offset, reg2, p in kernel.successors(cstate, tape[pos], reg):
+            if category == analysis.CATEGORY_CONTINUE:
+                raise MachineError("restart is not part of the sweeping model")
+            if category is not None:
+                decided.append((category, _weighted(weight, p), tick, sweeps))
+                continue
+            share = _live_share(weight, p)
+            pos2 = analysis._moved(pos, offset, last)
+            arrived = pos2 != pos and pos2 in (0, last)
+            key = (pos2, state2, reg2, sweeps + 1 if arrived else sweeps)
+            new_live[key] = new_live.get(key, 0) + share
+    return new_live
+
+
+def reference_sweeping(spec: MachineSpec, word: str, max_sweeps=None):
+    """The two-way runners on Fraction weights, square by square: the run
+    capped at ``max_sweeps``, or the loop analysis when it is None."""
+    tape = analysis.tape_of(spec, word)
+    kernel = analysis._Kernel(spec, 64)
+    start = (0, spec.initial_state, analysis.initial_register(spec))
+    live = {(*start, 0): Fraction(1)}
+    decided = []
+    if max_sweeps is not None:
+        step_budget = (max_sweeps + 1) * (len(tape) + 2) + 16
+        for tick in range(step_budget + 2):
+            for key in [key for key in live if key[3] >= max_sweeps]:
+                decided.append(("continue", ExactProb(live.pop(key)), tick, key[3]))
+            if not live:
+                break
+            if tick > step_budget:
+                raise MachineError("step budget exceeded without sweep progress")
+            live = _reference_tick(kernel, tape, live, tick + 1, decided)
+        return OutcomeDistribution(*(prob_sum(m for c, m, _, _ in decided if c == cat) for cat in CATEGORIES))
+    loop_weight, cycle_ticks, cycle_sweeps = None, 0, 0
+    for tick in range(1, 64 * (len(tape) + 2) + 257):
+        live = _reference_tick(kernel, tape, live, tick, decided)
+        if not live:
+            loop_weight = Fraction(0)
+            break
+        if len(live) == 1 and next(iter(live))[:3] == start:
+            (((*_, cycle_sweeps), loop_weight),) = live.items()
+            cycle_ticks = tick
+            break
+    if not all(mass.is_exact() for _, mass, _, _ in decided):
+        raise ExactnessError("loop analysis requires exact branch masses")
+    if loop_weight is None:
+        raise MachineError("no iteration structure detected within the tick cap")
+    if loop_weight >= 1:
+        raise NonterminatingError("the sweeping loop never sheds mass")
+    survive = 1 - loop_weight
+    sums = {cat: Fraction(0) for cat in CATEGORIES}
+    sums["continue"] = loop_weight
+    tick_mass = sweep_mass = Fraction(0)
+    for category, mass, tick, sweeps in decided:
+        sums[category] += mass.value
+        tick_mass += mass.value * tick
+        sweep_mass += mass.value * sweeps
+    tail = loop_weight / survive
+    return analysis.SweepingAnalysis(
+        per_iteration=OutcomeDistribution(*(ExactProb(sums[cat]) for cat in CATEGORIES)),
+        overall_accept=ExactProb(sums["accept"] / survive),
+        overall_reject=ExactProb(sums["reject"] / survive),
+        expected_iterations=ExactProb(1 / survive),
+        expected_sweeps=ExactProb(sweep_mass / survive + cycle_sweeps * tail),
+        expected_steps=ExactProb(tick_mass / survive + cycle_ticks * tail),
+    )
+
+
+def two_way_turn_machine(live: bool = False) -> MachineSpec:
+    """Turns by sqrt(2) pi at each "a" on its way right, walks back, and
+    measures its rotation register at the left end-marker: outcome "1"
+    accepts and "2" rejects, both with interval-valued mass once the angle
+    is irrational. With ``live``, outcome "2" sweeps again instead."""
+    return MachineSpec(
+        name="two-way-turn" + ("-live" if live else ""),
+        model_class=MODEL_SWEEPING,
+        register=REGISTER_ROTATION,
+        quantum_dim=2,
+        states=frozenset({"s1", "fwd", "back", "s_a", "s_r"}),
+        initial_state="s1",
+        accept_state="s_a",
+        reject_state="s_r",
+        dont_know_state=None,
+        alphabet=("a",),
+        quantum_delta={("fwd", "a"): RotateAction(sqrt2_pi(1)), ("back", LEFT_MARKER): MeasureRotationAction()},
+        classical_delta={
+            ("s1", LEFT_MARKER, "1"): ClassicalStep("fwd", MOVE_RIGHT),
+            ("fwd", "a", "1"): ClassicalStep("fwd", MOVE_RIGHT),
+            ("fwd", RIGHT_MARKER, "1"): ClassicalStep("back", MOVE_LEFT),
+            ("back", "a", "1"): ClassicalStep("back", MOVE_LEFT),
+            ("back", LEFT_MARKER, "1"): ClassicalStep("s_a", MOVE_RIGHT),
+            ("back", LEFT_MARKER, "2"): ClassicalStep("fwd" if live else "s_r", MOVE_RIGHT),
+        },
+    )
+
+
+def sweep(spec: MachineSpec, word: str, max_sweeps=None):
+    """The run capped at ``max_sweeps``, or the loop analysis when it is None."""
+    return analyze_sweeping(spec, word) if max_sweeps is None else run_exact_sweeping(spec, word, max_sweeps)
+
+
+def sweep_outcome(run, spec: MachineSpec, word: str, max_sweeps=None):
+    """A two-way run's result, or the type and message of the error it raised."""
+    try:
+        return run(spec, word, max_sweeps)
+    except (MachineError, ExactnessError, NonterminatingError) as exc:
+        return type(exc), str(exc)
+
+
+TWO_WAY_MACHINES = [bounce_machine(), build_exact_pal_sweeping(), two_way_turn_machine(), two_way_turn_machine(True)]
+
+
+@pytest.mark.parametrize("spec", TWO_WAY_MACHINES, ids=[spec.name for spec in TWO_WAY_MACHINES])
+def test_every_short_word_matches_the_fraction_sweep(spec):
+    # Exact values and kinds, or the same error type and message, for the
+    # loop analysis and for the capped run at budgets 0 to 6, on every word
+    # of length at most 5.
+    words = ["".join(w) for n in range(6) for w in itertools.product(spec.alphabet, repeat=n)]
+    for word in words:
+        for budget in (None, *range(7)):
+            result = sweep_outcome(sweep, spec, word, budget)
+            assert result == sweep_outcome(reference_sweeping, spec, word, budget), (word, budget)
+
+
+def test_every_small_promise_instance_matches_the_fraction_analysis():
+    spec = build_exact_pal_sweeping()
+    words = ["".join(w) for n in range(1, 6) for w in itertools.product("ab", repeat=n)]
+    pairs = [(u, v) for u in words for v in words if len(u) == len(v) and (u == u[::-1]) != (v == v[::-1])]
+    assert len(pairs) == 520
+    for u, v in pairs:
+        assert analyze_sweeping(spec, f"{u}c{v}") == reference_sweeping(spec, f"{u}c{v}"), (u, v)
+
+
+def test_seeded_words_match_the_fraction_sweep_at_a_large_budget():
+    spec = build_exact_pal_sweeping()
+    rng = random.Random("sweep")
+    for _ in range(3):
+        u = "".join(rng.choice("ab") for _ in range(rng.randint(2, 5)))
+        word = f"{u}c{u[::-1] if rng.random() < 0.5 else u}"
+        result = run_exact_sweeping(spec, word, 200)
+        assert result.p_continue.value > 0
+        assert result == reference_sweeping(spec, word, 200), word
+
+
+def test_the_differential_sweep_cases_cover_intervals_and_errors():
+    turn, live = two_way_turn_machine(), two_way_turn_machine(True)
+    assert validate(turn) == validate(live) == []
+    capped = run_exact_sweeping(turn, "aa", 3)
+    assert not capped.p_accept.is_exact() and not capped.p_reject.is_exact()
+    assert sweep_outcome(sweep, turn, "aa") == (ExactnessError, "loop analysis requires exact branch masses")
+    interval_live = (ExactnessError, "interval-valued measurement outcome must halt or restart")
+    assert sweep_outcome(sweep, live, "aa") == sweep_outcome(sweep, live, "aa", 3) == interval_live
+    assert analyze_sweeping(live, "").overall_accept == ExactProb(Fraction(1))
+
+
 def _within_five_sigma(count: int, trials: int, p_lo: Fraction, p_hi: Fraction) -> bool:
     emp = Fraction(count, trials)
     var = max(p_lo * (1 - p_lo), p_hi * (1 - p_hi), Fraction(1, 10**6))
@@ -916,21 +1097,6 @@ def test_aperiodic_run_matches_the_stepped_run():
         assert run_exact_realtime(spec, word) == reference_realtime(spec, word)
 
 
-def test_capped_sweep_takes_recurring_squares_from_the_memo(monkeypatch):
-    # A two-way head meets its configurations again on every sweep, so
-    # past the first iteration the kernel's memo answers every square
-    # that applies a matrix, whatever the sweep budget.
-    calls = []
-    apply = QMatrix.apply
-    monkeypatch.setattr(QMatrix, "apply", lambda m, v: calls.append(1) or apply(m, v))
-    counts = []
-    for budget in (40, 80, 160):
-        calls.clear()
-        run_exact_sweeping(build_exact_pal_sweeping(), "abaabcaabab", budget)
-        counts.append(len(calls))
-    assert counts[0] == counts[1] == counts[2] > 0
-
-
 def reference_realtime(spec: MachineSpec, word: str) -> OutcomeDistribution:
     """Square-by-square exact run, the oracle for the block transfer path."""
     kernel = analysis._Kernel(spec, 64)
@@ -1244,10 +1410,26 @@ def test_a_split_mid_block_hands_the_branch_to_step(monkeypatch):
     spec = mid_block_machine()
     word = "abaab" * 40
     assert run_exact_realtime(spec, word) == reference_realtime(spec, word)
-    # Each walk from "s" steps from its first "b" on; the end-markers are
-    # stepped too, and no walk from "t" calls _step.
+    # Each walk from "s" splits at its first "b" and steps the rest of
+    # its block; the end-markers are stepped too, and no walk from "t"
+    # calls _step.
     assert "s" in blocks and "t" in blocks
-    assert steps == [LEFT_MARKER] + list("baab") * blocks.count("s") + [RIGHT_MARKER]
+    assert steps == [LEFT_MARKER] + list("aab") * blocks.count("s") + [RIGHT_MARKER]
+
+
+def test_a_split_square_is_resolved_once(monkeypatch):
+    # The walk spreads the branches of the square where it splits, so the
+    # block path resolves what the square-by-square run does, and no more.
+    calls = []
+    resolve = analysis._Square.resolve
+    monkeypatch.setattr(analysis._Square, "resolve", lambda square, *a: calls.append(1) or resolve(square, *a))
+    spec = mid_block_machine()
+    counts = []
+    for run in (reference_realtime, run_exact_realtime):
+        calls.clear()
+        run(spec, "abaab")
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 # Every realtime built-in, EVENODD at k = 2, and the test machines that

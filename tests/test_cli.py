@@ -892,6 +892,10 @@ def test_capped_sweep_run_with_a_large_budget_finishes():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["result"]["p_dont_know"] == "0/1"
+    # The whole answer, three fractions of about 2,700 bits each.
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == (
+        "90b91cb1472de2aa8ef33e3b6e8bf67826f122238bed771ad096a4e0077a4769"
+    )
 
 
 def test_jump_to_an_oversize_answer_exits_2(tmp_path):
