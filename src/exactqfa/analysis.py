@@ -20,9 +20,9 @@ moves from one sampled square to the next along edges cached on the
 square, without building or hashing a configuration.
 
 Every runner drives one kernel, whose squares are compiled once per
-machine and resolved each time a run meets them; a certain square makes
-no Fraction. A realtime PFA's square branches on each nonzero entry of
-its matrix row, and it decides only at the right end-marker.
+machine; a certain square makes no Fraction. A realtime run resolves
+each square it meets. A realtime PFA's square branches on each nonzero
+entry of its matrix row, and it decides only at the right end-marker.
 
 Every realtime run takes one path (``_run_blocks``): its input is its
 primitive root to a power, and one state of integer weights and integer
@@ -31,10 +31,10 @@ right one, a square (``_step``) or a block (``_advance_blocks``) at a
 time, with a jump once the block rows recur. A unary run takes it on its
 letter, where each live branch first tries a closed form: a self-looping
 rotation turns by its angle times the length, and a deterministic walk
-skips its whole cycles. A two-way run carries the same state, with the
-head's position and completed sweeps in each live key, one square of
-every live branch at a time (``_sweep_tick``). Every exact run ends on
-integer sums (``_masses_to_distribution``).
+skips its whole cycles. A two-way run carries the same state, keyed
+also by head position and sweeps; it walks certain squares (``_stretch``)
+and resolves a tick (``_sweep_tick``) only where a square measures,
+decides or fails; all exact runs end in ``_masses_to_distribution``.
 """
 
 from __future__ import annotations
@@ -210,9 +210,10 @@ class _Square:
     it reaches. ``fixed`` is the one exit of a certain square (no action,
     a unitary or a rotation), or a PFA square's successors: one per
     nonzero entry of its row, moving right and deciding only at ``$``.
+    ``walk`` is the (next_state, offset) of a certain live exit, or None.
     """
 
-    __slots__ = ("op", "arg", "pre", "exits", "fixed")
+    __slots__ = ("op", "arg", "pre", "exits", "fixed", "walk")
 
     def __init__(self, spec: MachineSpec, cstate: str, sym: str):
         action = spec.quantum_delta.get((cstate, sym))
@@ -222,7 +223,7 @@ class _Square:
             if matrix is None:
                 raise MachineError(f"no stochastic matrix for symbol {sym!r}")
             end = sym == RIGHT_MARKER
-            self.op, self.fixed = _OP_PFA, tuple(
+            self.op, self.walk, self.fixed = _OP_PFA, None, tuple(
                 ((_decision(spec, s) or CATEGORY_CONTINUE) if end else None, s, 1, None, p)
                 for s, p in zip(matrix.order, matrix.rows[matrix.order.index(cstate)])
                 if p
@@ -241,7 +242,8 @@ class _Square:
             else f"no classical transition for ({cstate!r}, {sym!r}, {label!r})"
             for label, step in steps.items()
         }
-        self.fixed = self.exits.get(UNIT_OUTCOME)
+        fixed = self.fixed = self.exits.get(UNIT_OUTCOME)
+        self.walk = fixed[1:] if self.op < _OP_MEASURE and fixed.__class__ is tuple and fixed[0] is None else None
 
     def resolve(self, reg: Register, bits: int) -> tuple:
         """The successors of ``reg``, certified at ``bits`` (see ``_Kernel``)."""
@@ -298,10 +300,9 @@ class _Kernel:
     the branch is certain; a PFA's never is, so sampling draws once on
     every PFA square. The spec keeps its compiled squares in its
     ``__dict__``, as ``QMatrix`` keeps its compiled unitary: one per
-    (state, tape symbol) met, and no register. Every run resolves each
-    square it meets, with no memo: a compiled unitary costs about what a
-    lookup of its result would, and a sweeping analysis stops at its
-    first return to the start, so its squares seldom recur.
+    (state, tape symbol) met, and no register. No run keeps a memo: a
+    compiled unitary costs about what a lookup of its result would. A
+    two-way run walks its certain squares (``_walk``) without resolving.
     """
 
     def __init__(self, spec: MachineSpec, precision_bits: int):
@@ -775,9 +776,58 @@ def analyze_restarting(
     )
 
 
+def _walk(kernel: _Kernel, tape: "list[str]", key: tuple, limit: int, start) -> tuple:
+    """(n, key after n squares): the live two-way ``key`` walked over at
+    most ``limit`` certain squares (``_Square.walk``), not off the tape,
+    and stopped on arriving at ``start``, a (0, state, register) or None."""
+    squares, last = kernel._squares, len(tape) - 1
+    (pos, cstate, reg, sweeps), n = key, 0
+    while n < limit:
+        square = squares.get((cstate, tape[pos])) or kernel.square(cstate, tape[pos])
+        walk = square.walk
+        if walk is None or not 0 <= pos + walk[1] <= last:
+            break
+        if square.op == _OP_UNITARY:
+            reg = square.arg.apply(reg)
+        elif square.op == _OP_ROTATE:
+            reg = reg.rotated(square.arg)
+        cstate, pos, n = walk[0], pos + walk[1], n + 1
+        if pos == 0 or pos == last:
+            sweeps += walk[1] != 0
+            if (pos, cstate, reg) == start:
+                break
+    return n, (pos, cstate, reg, sweeps)
+
+
+# The most ticks in a stretch; it bounds the squares a walk cut short wastes.
+_STRETCH_TICKS = 32
+
+
+def _stretch(kernel: _Kernel, tape: "list[str]", state: tuple, limit: int, start=None) -> tuple:
+    """(k, the two-way state after k <= ``limit`` ticks): k is 1 and the
+    tick ``_sweep_tick``'s unless every key walks (``_walk``). Then k, at
+    most ``_STRETCH_TICKS``, is the fewest squares any key walks; a key
+    that walks further walks again for exactly k squares, and keys merge
+    in ``_sweep_tick``'s order. den, ``decided`` and ``swept`` stay."""
+    den, live, decided, swept = state
+    limit, walked = min(limit, _STRETCH_TICKS), []
+    for key in live:
+        n, key2 = _walk(kernel, tape, key, limit, start)
+        if not n:
+            return 1, _sweep_tick(kernel, tape, state)
+        limit = min(limit, n)
+        walked.append((n, key2))
+    new_live: dict = {}
+    for (key, num), (n, key2) in zip(live.items(), walked):
+        if n > limit:
+            key2 = _walk(kernel, tape, key, limit, start)[1]
+        new_live[key2] = new_live.get(key2, 0) + num
+    return limit, (den, new_live, decided, swept)
+
+
 def _sweep_tick(kernel: _Kernel, tape: "list[str]", state: tuple) -> tuple:
     """The state (den, live, decided, swept) of a two-way run after every
-    live branch takes one square.
+    live branch takes one resolved square (see ``_stretch``).
 
     ``live`` maps each (pos, state, register, sweeps) to its weight times
     den, ``decided`` each category to the integer ends (lo, hi) of its
@@ -831,15 +881,16 @@ def run_exact_sweeping(
     below ``max_sweeps``; a branch that reaches the budget contributes
     its weight to ``p_continue``. Decided mass is monotone in the
     budget. ``max_sweeps`` of zero therefore reports all mass as
-    residual.
+    residual. A branch that uses up its budget mid-stretch (``_stretch``)
+    walks on, but moves to ``p_continue`` before a square of it is resolved.
     """
     if max_sweeps < 0:
         raise ValueError("max_sweeps must be nonnegative")
     tape = tape_of(spec, input_str)
     step_budget = (max_sweeps + 1) * (len(tape) + 2) + 16
     kernel = _Kernel(spec, precision_bits)
-    state = (1, {(0, spec.initial_state, initial_register(spec), 0): 1}, {}, 0)
-    for tick in range(step_budget + 2):
+    state, tick = (1, {(0, spec.initial_state, initial_register(spec), 0): 1}, {}, 0), 0
+    while True:
         # Every live branch has processed ``tick`` squares.
         den, live, decided, _ = state
         weight = sum(live.pop(key) for key in [key for key in live if key[3] >= max_sweeps])
@@ -850,7 +901,8 @@ def run_exact_sweeping(
             break
         if tick > step_budget:
             raise MachineError("step budget exceeded without sweep progress")
-        state = _sweep_tick(kernel, tape, state)
+        k, state = _stretch(kernel, tape, state, step_budget + 1 - tick)
+        tick += k
     return _masses_to_distribution(decided, den)
 
 
@@ -872,12 +924,12 @@ def analyze_sweeping(
 ) -> SweepingAnalysis:
     """Detect the iteration loop of a sweeping machine and sum the series.
 
-    The exact run proceeds in global ticks (``_sweep_tick``). When the
-    live set collapses back to the initial configuration with weight L,
-    at whatever sweep count, one iteration of T = cycle_ticks ticks is
-    complete. Its decided masses m_i, decided after s_i completed
-    sweeps, then give, by geometric summation over independent
-    iterations,
+    The exact run proceeds in at most ``tick_cap`` global ticks
+    (``_stretch``). When the live set collapses back to the initial
+    configuration with weight L, at whatever sweep count, one iteration
+    of T = cycle_ticks ticks is complete. Its decided masses m_i, decided
+    after s_i completed sweeps, then give, by geometric summation over
+    independent iterations,
 
         overall(category) = sum of category masses / (1 - L)
         E[sweeps] = (sum(m_i s_i) + cycle_sweeps * L) / (1 - L)
@@ -891,15 +943,13 @@ def analyze_sweeping(
     kernel = _Kernel(spec, precision_bits)
     start = (0, spec.initial_state, initial_register(spec))
     state = (1, {(*start, 0): 1}, {}, 0)
-    # The live mass entering each tick, summed, times den.
-    ticked = 0
-    loop = None
-    for _ in range(tick_cap):
+    # The ticks taken, and the live mass entering each tick, summed, times den.
+    ticks, ticked, loop = 0, 0, None
+    while ticks < tick_cap:
         den, live, _, _ = state
-        ticked += sum(live.values())
-        state = _sweep_tick(kernel, tape, state)
-        if state[0] != den:
-            ticked *= state[0] // den
+        k, state = _stretch(kernel, tape, state, tick_cap - ticks, start)
+        ticks += k
+        ticked = (ticked + sum(live.values()) * k) * (state[0] // den)
         live = state[1]
         if not live:
             loop = (0, 0)

@@ -90,6 +90,13 @@ class UsageError(Exception):
 MAX_INPUT_LENGTH = 1 << 26
 
 
+# The largest --max-sweeps of a capped sweep run. The run's integers
+# grow with every sweep, so its time grows with the square of the budget:
+# 10,000 sweeps of EXACT_PAL_SWEEPING on an 11-letter input take about
+# 1.4 s on a 2-CPU box, and a larger budget fails at once.
+MAX_SWEEPS = 10_000
+
+
 def _check_length(length: int) -> None:
     if length > MAX_INPUT_LENGTH:
         raise UsageError(f"input length {length} exceeds the cap of {MAX_INPUT_LENGTH} symbols")
@@ -301,6 +308,8 @@ def cmd_analyze(args) -> int:
                 raise UsageError(f"mode sweep needs a sweeping machine, not {spec.model_class}")
             if args.max_sweeps is not None:
                 _check_count("--max-sweeps", args.max_sweeps, 0)
+                if args.max_sweeps > MAX_SWEEPS:
+                    raise UsageError(f"--max-sweeps {args.max_sweeps} exceeds the cap of {MAX_SWEEPS}")
                 result = run_exact_sweeping(spec, word, args.max_sweeps, args.precision_bits)
             else:
                 result = analyze_sweeping(spec, word, args.precision_bits, tick_cap=args.tick_cap)

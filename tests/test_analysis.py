@@ -517,9 +517,10 @@ def _reference_tick(kernel, tape: "list[str]", live: dict, tick: int, decided: l
     return new_live
 
 
-def reference_sweeping(spec: MachineSpec, word: str, max_sweeps=None):
+def reference_sweeping(spec: MachineSpec, word: str, max_sweeps=None, tick_cap: int = 0):
     """The two-way runners on Fraction weights, square by square: the run
-    capped at ``max_sweeps``, or the loop analysis when it is None."""
+    capped at ``max_sweeps``, or the loop analysis when it is None, which
+    takes at most ``tick_cap`` ticks (the analysis' default when 0)."""
     tape = analysis.tape_of(spec, word)
     kernel = analysis._Kernel(spec, 64)
     start = (0, spec.initial_state, analysis.initial_register(spec))
@@ -537,7 +538,9 @@ def reference_sweeping(spec: MachineSpec, word: str, max_sweeps=None):
             live = _reference_tick(kernel, tape, live, tick + 1, decided)
         return OutcomeDistribution(*(prob_sum(m for c, m, _, _ in decided if c == cat) for cat in CATEGORIES))
     loop_weight, cycle_ticks, cycle_sweeps = None, 0, 0
-    for tick in range(1, 64 * (len(tape) + 2) + 257):
+    if tick_cap <= 0:
+        tick_cap = 64 * (len(tape) + 2) + 256
+    for tick in range(1, tick_cap + 1):
         live = _reference_tick(kernel, tape, live, tick, decided)
         if not live:
             loop_weight = Fraction(0)
@@ -656,6 +659,272 @@ def test_the_differential_sweep_cases_cover_intervals_and_errors():
     interval_live = (ExactnessError, "interval-valued measurement outcome must halt or restart")
     assert sweep_outcome(sweep, live, "aa") == sweep_outcome(sweep, live, "aa", 3) == interval_live
     assert analyze_sweeping(live, "").overall_accept == ExactProb(Fraction(1))
+
+
+@pytest.mark.parametrize("spec, word, loop_ticks", [(build_exact_pal_sweeping(), "abaabcaabab", 49), (bounce_machine(), "a", 5)])
+def test_a_tick_cap_near_the_loop_length_matches_the_reference(spec, word, loop_ticks):
+    # A stretch of certain squares ends at the tick cap: one tick short of
+    # the loop finds no loop, and the loop length or one more finds it.
+    results = []
+    for cap in (loop_ticks - 1, loop_ticks, loop_ticks + 1):
+        result = sweep_outcome(lambda s, w, _: analyze_sweeping(s, w, tick_cap=cap), spec, word)
+        assert result == sweep_outcome(lambda s, w, _: reference_sweeping(s, w, tick_cap=cap), spec, word), cap
+        results.append(result)
+    assert results[0] == (MachineError, "no iteration structure detected within the tick cap")
+    assert results[1] == results[2] == analyze_sweeping(spec, word)
+
+
+def stay_machine(sym: str) -> MachineSpec:
+    """Walks right from the left end-marker to the first ``sym`` square,
+    then stays on it for ever, turning its rotation register by sqrt(2) pi
+    each time, so neither its position nor its register recurs. Staying
+    on "a" breaks a rule of ``validate``, which the runners do not ask."""
+    return MachineSpec(
+        name=f"stay-{sym}",
+        model_class=MODEL_SWEEPING,
+        register=REGISTER_ROTATION,
+        quantum_dim=2,
+        states=frozenset({"s1", "fwd", "stay", "s_a", "s_r"}),
+        initial_state="s1",
+        accept_state="s_a",
+        reject_state="s_r",
+        dont_know_state=None,
+        alphabet=("a",),
+        quantum_delta={("stay", sym): RotateAction(sqrt2_pi(1))},
+        classical_delta={
+            ("s1", LEFT_MARKER, "1"): ClassicalStep("fwd", MOVE_RIGHT),
+            ("fwd", "a", "1"): ClassicalStep("stay" if sym == "a" else "fwd", MOVE_STAY if sym == "a" else MOVE_RIGHT),
+            ("fwd", RIGHT_MARKER, "1"): ClassicalStep("stay", MOVE_STAY),
+            ("stay", sym, "1"): ClassicalStep("stay", MOVE_STAY),
+        },
+    )
+
+
+def split_machine(hole_first: bool) -> MachineSpec:
+    """A 9/25 coin at the left end-marker sends branch "x" right over
+    every letter, back and to acceptance at the left end-marker, and
+    branch "y" right over "a" only: "y" has no transition on "b", and
+    rejects at the right end-marker. With ``hole_first``, "y" takes the
+    coin's first outcome, so it is the first live key."""
+    first, second = ("y", "x") if hole_first else ("x", "y")
+    return MachineSpec(
+        name="split-hole-first" if hole_first else "split",
+        model_class=MODEL_SWEEPING,
+        register=REGISTER_MATRIX,
+        quantum_dim=2,
+        states=frozenset({"s1", "x", "y", "back", "s_a", "s_r"}),
+        initial_state="s1",
+        accept_state="s_a",
+        reject_state="s_r",
+        dont_know_state=None,
+        alphabet=("a", "b"),
+        quantum_delta={("s1", LEFT_MARKER): MeasureAction(BASIS2, pre=ROT)},
+        classical_delta={
+            ("s1", LEFT_MARKER, "1"): ClassicalStep(first, MOVE_RIGHT),
+            ("s1", LEFT_MARKER, "2"): ClassicalStep(second, MOVE_RIGHT),
+            ("x", "a", "1"): ClassicalStep("x", MOVE_RIGHT),
+            ("x", "b", "1"): ClassicalStep("x", MOVE_RIGHT),
+            ("x", RIGHT_MARKER, "1"): ClassicalStep("back", MOVE_LEFT),
+            ("back", "a", "1"): ClassicalStep("back", MOVE_LEFT),
+            ("back", "b", "1"): ClassicalStep("back", MOVE_LEFT),
+            ("back", LEFT_MARKER, "1"): ClassicalStep("s_a", MOVE_RIGHT),
+            ("y", "a", "1"): ClassicalStep("y", MOVE_RIGHT),
+            ("y", RIGHT_MARKER, "1"): ClassicalStep("s_r", MOVE_RIGHT),
+        },
+    )
+
+
+def out_of_phase_machine() -> MachineSpec:
+    """A 9/25 coin at the left end-marker sends branch "x" bouncing
+    between the end-markers on certain squares for ever, and branch "y"
+    along the same path measuring a certain outcome on every "b". So "y"
+    cuts short most walks of "x", and no loop is ever found."""
+    delta = {
+        ("s1", LEFT_MARKER, "1"): ClassicalStep("x", MOVE_RIGHT),
+        ("s1", LEFT_MARKER, "2"): ClassicalStep("y", MOVE_RIGHT),
+    }
+    for right, left in (("x", "x_back"), ("y", "y_back")):
+        for sym in ("a", "b"):
+            for label in ("1", "2"):
+                delta[right, sym, label] = ClassicalStep(right, MOVE_RIGHT)
+                delta[left, sym, label] = ClassicalStep(left, MOVE_LEFT)
+        delta[right, RIGHT_MARKER, "1"] = ClassicalStep(left, MOVE_LEFT)
+        delta[left, LEFT_MARKER, "1"] = ClassicalStep(right, MOVE_RIGHT)
+    return MachineSpec(
+        name="out-of-phase",
+        model_class=MODEL_SWEEPING,
+        register=REGISTER_MATRIX,
+        quantum_dim=2,
+        states=frozenset({"s1", "x", "x_back", "y", "y_back", "s_a", "s_r"}),
+        initial_state="s1",
+        accept_state="s_a",
+        reject_state="s_r",
+        dont_know_state=None,
+        alphabet=("a", "b"),
+        quantum_delta={
+            ("s1", LEFT_MARKER): MeasureAction(BASIS2, pre=ROT),
+            ("y", "b"): MeasureAction(BASIS2),
+            ("y_back", "b"): MeasureAction(BASIS2),
+        },
+        classical_delta=delta,
+    )
+
+
+def home_machine() -> MachineSpec:
+    """The bounce machine behind a certain first square: it starts in "s0"
+    at the left end-marker, which steps to "s1" in place, and its retry
+    branch comes home to "s0", so a walk home could pass the start."""
+    bounce = bounce_machine()
+    delta = dict(bounce.classical_delta)
+    delta["s0", LEFT_MARKER, "1"] = ClassicalStep("s1", MOVE_STAY)
+    delta["back", LEFT_MARKER, "1"] = ClassicalStep("s0", MOVE_STAY)
+    return dataclasses.replace(
+        bounce, name="home", states=bounce.states | {"s0"}, initial_state="s0", classical_delta=delta
+    )
+
+
+def fall_machine() -> MachineSpec:
+    """Walks right on certain squares and off the right end of the tape."""
+    return MachineSpec(
+        name="fall",
+        model_class=MODEL_SWEEPING,
+        register=REGISTER_MATRIX,
+        quantum_dim=2,
+        states=frozenset({"s1", "fwd", "s_a", "s_r"}),
+        initial_state="s1",
+        accept_state="s_a",
+        reject_state="s_r",
+        dont_know_state=None,
+        alphabet=("a",),
+        quantum_delta={},
+        classical_delta={
+            ("s1", LEFT_MARKER, "1"): ClassicalStep("fwd", MOVE_RIGHT),
+            ("fwd", "a", "1"): ClassicalStep("fwd", MOVE_RIGHT),
+            ("fwd", RIGHT_MARKER, "1"): ClassicalStep("fwd", MOVE_RIGHT),
+        },
+    )
+
+
+def waiting_machine(waits: int) -> MachineSpec:
+    """Stays ``waits`` ticks on the left end-marker, then sweeps right and
+    accepts at the right end-marker: on the empty input its first sweep
+    completes at tick waits + 1."""
+    states = [f"w{i}" for i in range(waits + 1)]
+    delta = {(a, LEFT_MARKER, "1"): ClassicalStep(b, MOVE_STAY) for a, b in zip(states, states[1:])}
+    delta[states[-1], LEFT_MARKER, "1"] = ClassicalStep("fwd", MOVE_RIGHT)
+    delta["fwd", "a", "1"] = ClassicalStep("fwd", MOVE_RIGHT)
+    delta["fwd", RIGHT_MARKER, "1"] = ClassicalStep("s_a", MOVE_RIGHT)
+    return MachineSpec(
+        name=f"wait-{waits}",
+        model_class=MODEL_SWEEPING,
+        register=REGISTER_MATRIX,
+        quantum_dim=2,
+        states=frozenset({*states, "fwd", "s_a", "s_r"}),
+        initial_state="w0",
+        accept_state="s_a",
+        reject_state="s_r",
+        dont_know_state=None,
+        alphabet=("a",),
+        quantum_delta={},
+        classical_delta=delta,
+    )
+
+
+def test_a_capped_run_ends_at_its_step_budget():
+    # Budget 1 on the empty input allows 2 * 4 + 16 = 24 ticks: a sweep
+    # that completes at tick 25 is counted, and one at tick 26 is not.
+    outcomes = {}
+    for waits in (23, 24, 25):
+        spec = waiting_machine(waits)
+        assert validate(spec) == []
+        outcomes[waits] = sweep_outcome(sweep, spec, "", 1)
+        assert outcomes[waits] == sweep_outcome(reference_sweeping, spec, "", 1), waits
+    assert outcomes[23] == outcomes[24] == OutcomeDistribution(*(ExactProb(Fraction(c == "continue")) for c in CATEGORIES))
+    assert outcomes[25] == (MachineError, "step budget exceeded without sweep progress")
+
+
+STRETCH_EDGE_MACHINES = [
+    stay_machine("a"),
+    stay_machine(RIGHT_MARKER),
+    split_machine(False),
+    split_machine(True),
+    out_of_phase_machine(),
+    home_machine(),
+    fall_machine(),
+]
+
+
+@pytest.mark.parametrize("spec", STRETCH_EDGE_MACHINES, ids=[spec.name for spec in STRETCH_EDGE_MACHINES])
+def test_stretches_cut_short_match_the_fraction_sweep(spec):
+    # Branches that stay, that reach a table hole while another is in the
+    # middle of a stretch, and that stop out of phase, on every word of
+    # length at most 4, for the loop analysis and budgets 0 to 6 and 40.
+    words = ["".join(w) for n in range(5) for w in itertools.product(spec.alphabet, repeat=n)]
+    for word in words:
+        for budget in (None, *range(7), 40):
+            result = sweep_outcome(sweep, spec, word, budget)
+            assert result == sweep_outcome(reference_sweeping, spec, word, budget), (word, budget)
+
+
+def test_the_stretch_edge_cases_cover_holes_and_cut_walks():
+    for spec in STRETCH_EDGE_MACHINES[:2]:
+        # A branch that stays for ever finds no loop and makes no sweep progress.
+        assert sweep_outcome(sweep, spec, "aa") == (MachineError, "no iteration structure detected within the tick cap")
+        assert sweep_outcome(sweep, spec, "aa", 1000) == (MachineError, "step budget exceeded without sweep progress")
+    hole = (MachineError, "no classical transition for ('y', 'b', '1')")
+    for spec, accept in zip(STRETCH_EDGE_MACHINES[2:4], (Fraction(9, 25), Fraction(16, 25))):
+        assert validate(spec) == []
+        # "y" meets the hole at the fourth square, with "x" mid-walk.
+        assert sweep_outcome(sweep, spec, "aaba") == sweep_outcome(sweep, spec, "aaba", 3) == hole
+        assert sweep_outcome(sweep, spec, "aaaa").overall_accept == ExactProb(accept)
+    # The loop is found at the start: each iteration takes one more tick.
+    home, bounce = analyze_sweeping(home_machine(), "a"), analyze_sweeping(bounce_machine(), "a")
+    assert home.per_iteration == bounce.per_iteration and home.expected_sweeps == bounce.expected_sweeps
+    assert home.expected_steps.value == bounce.expected_steps.value + bounce.expected_iterations.value
+    assert sweep_outcome(sweep, fall_machine(), "a") == (MachineError, "head moved off the tape")
+    phase = out_of_phase_machine()
+    assert sweep_outcome(sweep, phase, "abab") == (MachineError, "no iteration structure detected within the tick cap")
+    assert run_exact_sweeping(phase, "abab", 40).p_continue == ExactProb(Fraction(1))
+
+
+def test_walks_cut_short_out_of_phase_stay_within_the_stretch_cap(monkeypatch):
+    # Branch "y" measures on every "b", so it cuts short nearly every walk
+    # of "x". Each walk is capped, so the squares walked grow with the
+    # ticks, not with their square (4.6M squares here without the cap).
+    walked = []
+    walk = analysis._walk
+
+    def counted(*args):
+        n, key = walk(*args)
+        walked.append(n)
+        return n, key
+
+    monkeypatch.setattr(analysis, "_walk", counted)
+    word = "ab" * 20
+    ticks = 64 * (len(word) + 4) + 256
+    assert sweep_outcome(sweep, out_of_phase_machine(), word)[0] is MachineError
+    assert sum(walked) <= 2 * analysis._STRETCH_TICKS * ticks
+
+
+def test_a_sweep_analysis_ticks_only_where_a_square_measures_decides_or_fails(monkeypatch):
+    met = []
+    tick = analysis._sweep_tick
+
+    def counted(kernel, tape, state):
+        met.append([kernel.square(cstate, tape[pos]) for pos, cstate, _, _ in state[1]])
+        return tick(kernel, tape, state)
+
+    def stops(square):
+        exit = square.fixed
+        return square.op >= analysis._OP_MEASURE or isinstance(exit, str) or exit[0] is not None
+
+    monkeypatch.setattr(analysis, "_sweep_tick", counted)
+    result = analyze_sweeping(build_exact_pal_sweeping(), "abaabcaabab")
+    assert result == reference_sweeping(build_exact_pal_sweeping(), "abaabcaabab")
+    # Of the loop's 49 ticks, only the coin at the left end-marker and the
+    # measurement at the right one resolve their squares.
+    assert len(met) == 2
+    assert all(any(stops(square) for square in squares) for squares in met)
 
 
 def _within_five_sigma(count: int, trials: int, p_lo: Fraction, p_hi: Fraction) -> bool:

@@ -898,6 +898,19 @@ def test_capped_sweep_run_with_a_large_budget_finishes():
     )
 
 
+def test_a_sweep_budget_over_the_cap_exits_2_at_once(capsys):
+    # A budget of 10^9 sweeps would run for hours; it is refused before
+    # the run starts, as is one sweep over the cap.
+    result = _run_module(
+        "analyze", "EXACT_PAL_SWEEPING", "--input", "abaabcaabab", "--mode", "sweep", "--max-sweeps", "1000000000"
+    )
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == f"error: --max-sweeps 1000000000 exceeds the cap of {cli.MAX_SWEEPS}\n"
+    over = str(cli.MAX_SWEEPS + 1)
+    argv = ("analyze", "EXACT_PAL_SWEEPING", "--input", "abcab", "--mode", "sweep", "--max-sweeps", over)
+    assert run_cli(capsys, *argv) == (2, "", f"error: --max-sweeps {over} exceeds the cap of {cli.MAX_SWEEPS}\n")
+
+
 def test_jump_to_an_oversize_answer_exits_2(tmp_path):
     # Each letter keeps a third of the mass live, so the answer on a^(10^8)
     # is 3^-(10^8), a denominator of about 158M bits.
