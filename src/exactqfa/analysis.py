@@ -28,8 +28,10 @@ Every realtime run takes one path (``_run_blocks``): its input is its
 primitive root to a power, and one state of integer weights and integer
 mass ends over one denominator goes from the left end-marker to the
 right one, a square (``_step``) or a block (``_advance_blocks``) at a
-time, with a jump once the block rows recur. A unary run takes it on its
-letter, where each live branch first tries a closed form: a self-looping
+time. Once the block rows recur, a jump (``_jump``) raises them by square
+and multiply on that same state, with the product that adds a block's
+rows into it (``_combine``). A unary run takes this path on its letter,
+where each live branch first tries a closed form: a self-looping
 rotation turns by its angle times the length, and a deterministic walk
 skips its whole cycles. A two-way run carries the same state, keyed
 also by head position and sweeps; it walks certain squares (``_stretch``)
@@ -520,9 +522,10 @@ def _advance_blocks(kernel: _Kernel, state: tuple, block: str, reps: int) -> tup
     with one gcd per block; a row is kept under the second-sighting rule,
     and a key seen in two blocks in a row is walked once. Once the kept
     rows and the previous block's close over the keys the live ones
-    reach, the remaining blocks are taken in one step by ``_jump``; once
-    every branch has halted, the rest is skipped. Exact weights make the
-    result equal to the square-by-square run's, interval ends included.
+    reach, ``_jump`` takes the remaining blocks in O(log reps) products
+    of the same kind; once every branch has halted, the rest is skipped.
+    Exact weights make the result equal to the square-by-square run's,
+    interval ends included.
     """
     if len(block) == 1:
         ends = [((_unary_end(kernel, key, block, reps),), num) for key, num in state[1].items()]
@@ -539,7 +542,7 @@ def _advance_blocks(kernel: _Kernel, state: tuple, block: str, reps: int) -> tup
         # The first block has no rows to close over.
         closed = _closed_keys(lambda key: rows.get(key) or recent.get(key), live) if done else None
         if closed is not None:
-            return _jump(closed, list(closed), state, reps - done)
+            return _jump(closed, state, reps - done)
         seen_now = {}
         picked = []
         for key in live:
@@ -612,57 +615,46 @@ def _closed_keys(row_of: Callable, branches: dict) -> "Optional[dict]":
 MAX_JUMP_BITS = 1 << 25
 
 
-def _jump(rows: dict, keys: list, state: tuple, blocks: int) -> tuple:
-    """Advance ``state`` over ``blocks`` blocks as v·M^blocks.
+def _jump(rows: dict, state: tuple, blocks: int) -> tuple:
+    """Advance ``state`` over ``blocks`` blocks of the closed ``rows``.
 
-    M = [[T, D], [0, I]] is built from the integer rows over ``keys``,
-    scaled to den, the lcm of their denominators: T holds the live-to-live
-    weights, D the decided mass, one column per category and one more for
-    the upper end of each category whose mass is an interval, and I
-    carries the decided mass on. v is the state's integers over its own
-    den v_den, its decided ends in the decided columns, so the identity
-    block scales them by den^blocks. When every kept key returns only to
-    itself, T is diagonal and the power has a closed form
-    (``_self_loop_power``); any other T is raised by ``_matrix_power``.
-    Both give the same integers. Returns the state over
-    v_den·den^blocks, its live keys in the order the stepped blocks leave
-    them (``_key_order``), and last its base v_den·den, which has every
-    prime the power has: one reduction per category at the end costs
-    less than one per entry.
+    The rows are scaled to den, the lcm of their denominators, and raised
+    by square and multiply with ``_combine`` as the product: the state
+    times a power's rows is a vector times a matrix, and each row times
+    the rows of its live keys is one squaring. Every row of the P-th power
+    is over den^P, and each product carries the decided mass on by that
+    den. When every row returns only to its own key, the power has a
+    closed form (``_self_loop_power``); both give the same integers.
+    Returns the state over v_den·den^blocks, v_den the state's den, its
+    live keys in the order the stepped blocks leave them (``_key_order``),
+    and last its base v_den·den, which has every prime the power has: one
+    reduction per category at the end costs less than one per entry.
     """
-    v_den, live, decided = state
-    picked = [rows[key] for key in keys]
-    sources = [decided, *(row_decided for _, _, row_decided in picked)]
-    cats = [c for c in CATEGORIES if any(c in d for d in sources)]
-    wide = [c for c in cats if any(c in d and d[c][0] != d[c][1] for d in sources)]
-    columns = [(c, 0) for c in cats] + [(c, 1) for c in wide]
-    n, width = len(keys), len(keys) + len(columns)
-    # The power runs on integers: M = N/den and v = w/v_den, so that
-    # v·M^blocks = w·N^blocks / (v_den·den^blocks) needs no gcd until the end.
-    den = math.lcm(*(row_den for row_den, _, _ in picked))
+    v_den, live, _ = state
+    den = math.lcm(*(row_den for row_den, _, _ in rows.values()))
     # den^blocks has at least blocks * (den.bit_length() - 1) + 1 bits.
     bits = blocks * (den.bit_length() - 1) + v_den.bit_length()
     if bits > MAX_JUMP_BITS:
         raise MachineError(f"a jump's answer needs at least {bits} bits, over the cap of {MAX_JUMP_BITS}")
-    matrix = []
-    for row_den, row_live, row_decided in picked:
-        row = [row_live.get(key2, 0) for key2 in keys]
-        row += [row_decided[c][end] if c in row_decided else 0 for c, end in columns]
-        matrix.append([x * (den // row_den) for x in row])
-    matrix += [[den if i == j else 0 for j in range(width)] for i in range(n, width)]
-    start = [live.get(key, 0) for key in keys] + [decided[c][end] if c in decided else 0 for c, end in columns]
-    if all(key2 == key for key in keys for key2 in rows[key][1]):
-        scaled, den_power = _self_loop_power(matrix, n, den, blocks, start)
+    power = {}
+    for key, (row_den, row_live, row_decided) in rows.items():
+        f = den // row_den
+        scaled_decided = {c: (lo * f, hi * f) for c, (lo, hi) in row_decided.items()}
+        power[key] = den, {key2: w * f for key2, w in row_live.items()}, scaled_decided
+    if all(key2 == key for key, row in rows.items() for key2 in row[1]):
+        state = _self_loop_power(power, state, den, blocks)
     else:
-        (scaled,) = _matrix_power(matrix, blocks, (start,))
-        den_power = den**blocks
-    sums = dict(zip(columns, scaled[n:]))
-    weights = dict(zip(keys, scaled))
-    return (
-        v_den * den_power,
-        {key: weights[key] for key in _key_order(rows, tuple(live), blocks)},
-        {c: (sums[c, 0], sums.get((c, 1), sums[c, 0])) for c in cats},
-    ), v_den * den
+        exponent = blocks
+        while exponent:
+            # A state or row with no live key is still multiplied by one
+            # row, so that its den gains the power's factor.
+            if exponent & 1:
+                state = _combine(state, [power[key] for key in state[1]] or [next(iter(power.values()))])
+            exponent >>= 1
+            if exponent:
+                power = {key: _combine(row, [power[key2] for key2 in row[1]] or [row]) for key, row in power.items()}
+    den_out, weights, decided = state
+    return (den_out, {key: weights[key] for key in _key_order(rows, tuple(live), blocks)}, decided), v_den * den
 
 
 def _key_order(rows: dict, order: tuple, blocks: int) -> tuple:
@@ -684,34 +676,36 @@ def _key_order(rows: dict, order: tuple, blocks: int) -> tuple:
     return history[first + (blocks - first) % (len(history) - first)]
 
 
-def _self_loop_power(rows, n: int, den: int, exponent: int, start) -> tuple:
-    """start @ rows^exponent, with den^exponent, for an integer matrix
-    rows = [[diag(a), D], [0, den·I]] whose first ``n`` rows are live.
+def _self_loop_power(rows: dict, state: tuple, den: int, exponent: int) -> tuple:
+    """The state after ``exponent`` blocks when every row, over ``den``,
+    returns only to its own key.
 
-    Live entry i is s_i·a_i^b. Decided column j keeps its start value
-    times den^b and gains s_i·d_ij·(den^b - a_i^b)/(den - a_i) from each
-    live row i: the sum of a_i^k·den^(b-1-k) over k < b, which is an
-    exact integer division, and b·den^(b-1) when a_i = den. These are
-    the integers ``_matrix_power`` returns, from one power of den and
-    one per live row instead of about 2·log2(b) matrix products.
+    A live key of weight s whose row keeps a of its weight has s·a^b
+    after b blocks. Each decided end keeps its value times den^b and
+    gains s·d·(den^b - a^b)/(den - a) from each live key whose row
+    decides d: the sum of a^k·den^(b-1-k) over k < b, which is an exact
+    integer division, and b·den^(b-1) when a = den. These are the
+    integers the squaring in ``_jump`` gives, from one power of den and
+    one per live key instead of about 2·log2(b) products.
     """
+    v_den, live, decided = state
     den_power = den**exponent
-    out = [0] * n + [s * den_power for s in start[n:]]
-    for i in range(n):
-        s, row = start[i], rows[i]
-        if not s:
-            continue
-        a = row[i]
+    new_live = {}
+    new_decided = {c: (lo * den_power, hi * den_power) for c, (lo, hi) in decided.items()}
+    for key, s in live.items():
+        _, row_live, row_decided = rows[key]
+        a = row_live.get(key, 0)
         if a == den:
             a_power, geometric = den_power, exponent * (den_power // den)
         else:
             a_power = a**exponent
             geometric = (den_power - a_power) // (den - a)
-        out[i] = s * a_power
-        for j in range(n, len(out)):
-            if row[j]:
-                out[j] += s * row[j] * geometric
-    return tuple(out), den_power
+        new_live[key] = s * a_power
+        share = s * geometric
+        for c, (lo, hi) in row_decided.items():
+            lo0, hi0 = new_decided.get(c, (0, 0))
+            new_decided[c] = (lo0 + lo * share, hi0 + hi * share)
+    return v_den * den_power, new_live, new_decided
 
 
 @dataclass(frozen=True)
@@ -1273,29 +1267,3 @@ def run_monte_carlo(
         mean_steps=Fraction(step_total, decided) if decided else None,
         mean_rounds=Fraction(round_total, decided) if decided else None,
     )
-
-
-def _matrix_power(rows, exponent: int, start):
-    """start @ rows^exponent by repeated squaring, for row tuples."""
-    result, base = start, rows
-    while exponent:
-        if exponent & 1:
-            result = _matmul_rows(result, base)
-        exponent >>= 1
-        if exponent:
-            base = _matmul_rows(base, base)
-    return result
-
-
-def _matmul_rows(a, b):
-    """a @ b for row tuples, skipping zero entries on both sides."""
-    sparse = [[(j, y) for j, y in enumerate(row) if y] for row in b]
-    out = []
-    for row in a:
-        acc = [0] * len(b[0])
-        for k, x in enumerate(row):
-            if x:
-                for j, y in sparse[k]:
-                    acc[j] += x * y
-        out.append(tuple(acc))
-    return tuple(out)

@@ -96,6 +96,12 @@ MAX_INPUT_LENGTH = 1 << 26
 # 1.4 s on a 2-CPU box, and a larger budget fails at once.
 MAX_SWEEPS = 10_000
 
+# The largest --tick-cap of a sweep loop analysis. A machine whose
+# configurations never recur runs to the cap, and its integers grow with
+# every tick: 300,000 ticks of a register turned by sqrt(2) pi on every
+# tick take about 1.7 s on a 2-CPU box, as long as MAX_SWEEPS sweeps.
+MAX_TICKS = 300_000
+
 
 def _check_length(length: int) -> None:
     if length > MAX_INPUT_LENGTH:
@@ -312,6 +318,8 @@ def cmd_analyze(args) -> int:
                     raise UsageError(f"--max-sweeps {args.max_sweeps} exceeds the cap of {MAX_SWEEPS}")
                 result = run_exact_sweeping(spec, word, args.max_sweeps, args.precision_bits)
             else:
+                if args.tick_cap > MAX_TICKS:
+                    raise UsageError(f"--tick-cap {args.tick_cap} exceeds the cap of {MAX_TICKS}")
                 result = analyze_sweeping(spec, word, args.precision_bits, tick_cap=args.tick_cap)
         else:
             if args.trials is None or args.seed is None:

@@ -283,9 +283,6 @@ class RationalInterval:
         value = Fraction(value)
         return RationalInterval(value, value)
 
-    def contains(self, value: Fraction) -> bool:
-        return self.lo <= value <= self.hi
-
     def is_point(self) -> bool:
         return self.lo == self.hi
 

@@ -71,7 +71,7 @@ class QVector:
     integers only.
     """
 
-    __slots__ = ("den", "nums", "_hash", "_amplitudes")
+    __slots__ = ("den", "nums", "_hash")
 
     def __init__(self, amplitudes: Iterable[EntryLike]) -> None:
         amps = tuple(_as_gaussian(a) for a in amplitudes)
@@ -81,7 +81,6 @@ class QVector:
         self.den = den
         self.nums = tuple(_pair(a, den) for a in amps)
         self._hash = None
-        self._amplitudes = amps
 
     @classmethod
     def _make(cls, den: int, nums: "tuple[tuple[int, int], ...]") -> "QVector":
@@ -90,19 +89,7 @@ class QVector:
         vec.den = den
         vec.nums = nums
         vec._hash = None
-        vec._amplitudes = None
         return vec
-
-    @property
-    def amplitudes(self) -> "tuple[GaussianRational, ...]":
-        """The entries as GaussianRationals, built on first use and kept."""
-        amps = self._amplitudes
-        if amps is None:
-            den = self.den
-            amps = self._amplitudes = tuple(
-                GaussianRational(Fraction(re, den), Fraction(im, den)) for re, im in self.nums
-            )
-        return amps
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QVector):

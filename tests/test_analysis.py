@@ -78,6 +78,7 @@ from exactqfa.machines import (
     validate,
 )
 from exactqfa.qstate import ProjectiveMeasurement, QMatrix
+from test_exactnum import contains
 from test_sampling import _thirds_pfa
 
 ROT = QMatrix.from_rows(
@@ -191,7 +192,7 @@ def test_rotation_interval_probabilities():
     iv = dist.p_reject.as_interval()
     assert Fraction(9291, 10000) < iv.lo and iv.hi < Fraction(9292, 10000)
     total = prob_sum(vars(dist).values()).as_interval()
-    assert total.contains(Fraction(1))
+    assert contains(total, Fraction(1))
 
 
 def test_rotation_zero_angle_is_exactly_certain():
@@ -1052,7 +1053,7 @@ def test_unary_fast_path_huge_lengths():
     # Rotation closed form: angle accumulates symbolically.
     dist = run_unary_length(turn_machine(), 10**9)
     assert not dist.p_reject.is_exact()
-    assert prob_sum(vars(dist).values()).as_interval().contains(Fraction(1))
+    assert contains(prob_sum(vars(dist).values()).as_interval(), Fraction(1))
 
 
 R90 = QMatrix.from_rows([[0, -1], [1, 0]])
@@ -1542,7 +1543,7 @@ def test_unary_power_matches_square_by_square_reference(spec, word):
 def test_interval_block_rows_are_advanced_by_the_jump(monkeypatch):
     jumps = []
     jump = analysis._jump
-    monkeypatch.setattr(analysis, "_jump", lambda *a: jumps.append(a[3]) or jump(*a))
+    monkeypatch.setattr(analysis, "_jump", lambda *a: jumps.append(a[2]) or jump(*a))
     word = "ab" * 64
     dist = run_exact_realtime(coin_turn_machine(), word)
     assert jumps and jumps[0] < 64
@@ -1567,7 +1568,7 @@ def test_a_jumped_run_names_the_table_hole_of_the_stepped_run(monkeypatch):
     # run's.
     jumps = []
     jump = analysis._jump
-    monkeypatch.setattr(analysis, "_jump", lambda *a: jumps.append(a[3]) or jump(*a))
+    monkeypatch.setattr(analysis, "_jump", lambda *a: jumps.append(a[2]) or jump(*a))
     spec = build_exact_exptwinpal()
     hole = (MachineError, "no classical transition for ('acc_seg2', '$', '1')")
     assert outcome(run_exact_realtime, spec, "babca" * 30) == outcome(reference_realtime, spec, "babca" * 30) == hole
@@ -1790,7 +1791,7 @@ def test_the_jump_reads_the_rows_walked_in_the_previous_block(monkeypatch):
     # the live keys, so the jump comes after two stepped blocks.
     jumps = []
     jump = analysis._jump
-    monkeypatch.setattr(analysis, "_jump", lambda *a: jumps.append(a[3]) or jump(*a))
+    monkeypatch.setattr(analysis, "_jump", lambda *a: jumps.append(a[2]) or jump(*a))
     spec = build_lv_exptwinpal()
     word = _twin_blocks("ab", "aa", 625)
     assert run_exact_realtime(spec, word) == reference_realtime(spec, word)
@@ -1837,53 +1838,170 @@ def test_interval_block_path_ends_without_a_full_size_gcd(monkeypatch):
 LONG_PERIODIC_PAIRS = [(u, v) for u in ("aa", "ab", "ba", "bb") for v in ("aa", "ab", "ba", "bb") if u != v]
 
 
-def _power_calls(monkeypatch) -> list:
-    """The name of each power a jump takes from here on."""
+def _jump_calls(monkeypatch) -> list:
+    """The name of each jump and each closed-form power taken from here on."""
     calls = []
-    for name in ("_self_loop_power", "_matrix_power"):
-        power = getattr(analysis, name)
-        monkeypatch.setattr(analysis, name, lambda *a, name=name, power=power: calls.append(name) or power(*a))
+    for name in ("_jump", "_self_loop_power"):
+        step = getattr(analysis, name)
+        monkeypatch.setattr(analysis, name, lambda *a, name=name, step=step: calls.append(name) or step(*a))
     return calls
 
 
 def test_self_looping_keys_take_the_closed_form(monkeypatch):
     # Every LV_EXPTWINPAL key returns only to itself at block ends; the
     # coin-turn machine's keys reach each other.
-    calls = _power_calls(monkeypatch)
+    calls = _jump_calls(monkeypatch)
     for u, v in LONG_PERIODIC_PAIRS:
         run_exact_realtime(build_lv_exptwinpal(), _twin_blocks(u, v, 625))
-    assert calls and set(calls) == {"_self_loop_power"}
+    assert calls and calls == ["_jump", "_self_loop_power"] * (len(calls) // 2)
     calls.clear()
     run_exact_realtime(coin_turn_machine(), "ab" * 64)
-    assert calls == ["_matrix_power"]
+    assert calls == ["_jump"]
+
+
+def _matrix_power(rows, exponent: int, start):
+    """start @ rows^exponent by repeated squaring, for row tuples."""
+    result, base = start, rows
+    while exponent:
+        if exponent & 1:
+            result = _matmul_rows(result, base)
+        exponent >>= 1
+        if exponent:
+            base = _matmul_rows(base, base)
+    return result
+
+
+def _matmul_rows(a, b):
+    """a @ b for row tuples, skipping zero entries on both sides."""
+    sparse = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [0] * len(b[0])
+        for k, x in enumerate(row):
+            if x:
+                for j, y in sparse[k]:
+                    acc[j] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
+
+
+def _dense_power(rows: dict, state: tuple, blocks: int) -> tuple:
+    """The state after ``blocks`` blocks of ``rows`` as v·M^blocks, with
+    M = [[T, D], [0, den·I]] the integer rows scaled to den, the lcm of
+    their denominators: T holds the live-to-live weights, D the decided
+    mass, one column per category and one more for the upper end of each
+    category whose mass is an interval, and the identity block carries
+    the decided mass on. Every key of ``rows`` has a weight, zero or not,
+    and every category of the state or of a row has ends."""
+    v_den, live, decided = state
+    keys = list(rows)
+    sources = [decided, *(row_decided for _, _, row_decided in rows.values())]
+    cats = [c for c in CATEGORIES if any(c in d for d in sources)]
+    wide = [c for c in cats if any(c in d and d[c][0] != d[c][1] for d in sources)]
+    columns = [(c, 0) for c in cats] + [(c, 1) for c in wide]
+    n, width = len(keys), len(keys) + len(columns)
+    den = math.lcm(*(row_den for row_den, _, _ in rows.values()))
+    matrix = []
+    for row_den, row_live, row_decided in rows.values():
+        row = [row_live.get(key2, 0) for key2 in keys]
+        row += [row_decided[c][end] if c in row_decided else 0 for c, end in columns]
+        matrix.append([x * (den // row_den) for x in row])
+    matrix += [[den if i == j else 0 for j in range(width)] for i in range(n, width)]
+    start = [live.get(key, 0) for key in keys] + [decided[c][end] if c in decided else 0 for c, end in columns]
+    (scaled,) = _matrix_power(matrix, blocks, (start,))
+    sums = dict(zip(columns, scaled[n:]))
+    return (
+        v_den * den**blocks,
+        dict(zip(keys, scaled)),
+        {c: (sums[c, 0], sums.get((c, 1), sums[c, 0])) for c in cats},
+    )
+
+
+def _random_decided(rng, den: int, wide: bool) -> dict:
+    """Ends over ``den`` for a few categories, (lo, hi) apart if ``wide``."""
+    decided = {}
+    for c in rng.sample(CATEGORIES, rng.randint(0, 3)):
+        lo = rng.randint(0, den)
+        decided[c] = (lo, lo + rng.randint(0, 3) if wide and rng.random() < 0.5 else lo)
+    return decided
 
 
 def _random_self_loop_case(rng, den: int):
-    """rows = [[diag(a), D], [0, den·I]] and a start vector, with a_i in
-    {0, den, other}, zero start weights, and exact and (lo, hi) columns."""
-    n = rng.randint(1, 4)
-    exact_cols, wide_cols = rng.randint(0, 3), rng.randint(0, 2)
-    rows = []
-    for i in range(n):
+    """Rows over ``den`` whose keys return only to themselves, with a self
+    weight in {0, den, other}, exact and (lo, hi) decided ends, and a
+    state that lists every key, some at weight zero."""
+    keys = [(f"s{i}", None) for i in range(rng.randint(1, 4))]
+    wide = rng.random() < 0.5
+    rows = {}
+    for key in keys:
         a = rng.choice((0, den, rng.randint(0, den)))
-        exact = [rng.randint(0, den) for _ in range(exact_cols)]
-        lo = [rng.randint(0, den) for _ in range(wide_cols)]
-        hi = [x + rng.randint(0, 3) for x in lo]
-        rows.append([a if j == i else 0 for j in range(n)] + exact + lo + hi)
-    width = len(rows[0])
-    rows += [[den if j == i else 0 for j in range(width)] for i in range(n, width)]
-    start = [rng.choice((0, rng.randint(1, 50))) for _ in range(n)] + [rng.randint(0, 9) for _ in range(n, width)]
-    return rows, n, start
+        rows[key] = (den, {key: a} if a else {}, _random_decided(rng, den, wide))
+    live = {key: rng.choice((0, rng.randint(1, 50))) for key in keys}
+    return rows, (rng.randint(1, 9), live, _random_decided(rng, 9, wide))
 
 
 @pytest.mark.parametrize("den", [1, 2, 25, 390625, 3 * 2 ** 20])
 def test_self_loop_power_matches_the_matrix_power(den):
     rng = random.Random(den)
     for _ in range(12):
-        rows, n, start = _random_self_loop_case(rng, den)
+        rows, state = _random_self_loop_case(rng, den)
         for blocks in (1, 2, 3, 625):
-            (want,) = analysis._matrix_power(rows, blocks, (start,))
-            assert analysis._self_loop_power(rows, n, den, blocks, start) == (want, den ** blocks)
+            want = _dense_power(rows, state, blocks)
+            assert analysis._self_loop_power(rows, state, den, blocks) == want
+
+
+def _random_closed_rows(rng, diagonal: bool):
+    """Closed rows over keys of their own denominators and a state: some
+    keys are not live or live at weight zero, some rows decide all their
+    mass, and without ``diagonal`` key 0 reaches key 1."""
+    keys = [(f"s{i}", None) for i in range(rng.randint(1 if diagonal else 2, 4))]
+    wide = rng.random() < 0.5
+    rows = {}
+    for key in keys:
+        row_den = rng.choice((1, 2, 3, 4, 6, 25, 36))
+        if diagonal:
+            reached = [key] if rng.random() < 0.7 else []
+        else:
+            reached = rng.sample(keys, rng.randint(0, len(keys)))
+            if key == keys[0] and keys[1] not in reached:
+                reached.append(keys[1])
+        row_live = {key2: rng.randint(1, row_den) for key2 in reached}
+        rows[key] = (row_den, row_live, _random_decided(rng, row_den, wide))
+    live = {key: rng.choice((0, rng.randint(1, 50))) for key in rng.sample(keys, rng.randint(1, len(keys)))}
+    return rows, (rng.randint(1, 9), live, _random_decided(rng, 9, wide))
+
+
+def _without_empty_ends(decided: dict) -> dict:
+    # A category of zero mass reads the same as one with no ends.
+    return {c: ends for c, ends in decided.items() if ends != (0, 0)}
+
+
+@pytest.mark.parametrize("diagonal", [True, False])
+def test_jump_matches_the_dense_matrix_power(monkeypatch, diagonal):
+    calls = _jump_calls(monkeypatch)
+    rng = random.Random(625 + diagonal)
+    for _ in range(40):
+        rows, state = _random_closed_rows(rng, diagonal)
+        for blocks in (1, 2, 3, 7, 625):
+            (den, live, decided), base = analysis._jump(rows, state, blocks)
+            want_den, weights, want_decided = _dense_power(rows, state, blocks)
+            order = analysis._key_order(rows, tuple(state[1]), blocks)
+            assert (den, base) == (want_den, state[0] * math.lcm(*(row[0] for row in rows.values())))
+            assert list(live.items()) == [(key, weights[key]) for key in order]
+            assert _without_empty_ends(decided) == _without_empty_ends(want_decided)
+    assert calls.count("_self_loop_power") == (calls.count("_jump") if diagonal else 0)
+
+
+def test_a_jump_over_the_bit_cap_is_refused_before_any_power(monkeypatch):
+    # Each letter keeps a third of the mass live, so the answer on a^(10^8)
+    # is over 3^(10^8); the estimate alone refuses it, in under a millisecond.
+    calls = _jump_calls(monkeypatch)
+    combine = analysis._combine
+    monkeypatch.setattr(analysis, "_combine", lambda *a: calls.append("_combine") or combine(*a))
+    with pytest.raises(MachineError) as info:
+        run_unary_length(_thirds_pfa(), 10**8)
+    assert str(info.value) == "a jump's answer needs at least 100000002 bits, over the cap of 33554432"
+    assert calls.count("_jump") == 1 and calls[-1] == "_jump"
 
 
 def _losing(category: str):
@@ -1908,7 +2026,7 @@ def test_lost_mass_fails_the_total_mass_check(monkeypatch, build, word, jumped):
     monkeypatch.setattr(analysis._Square, "resolve", _losing("reject"))
     jumps = []
     jump = analysis._jump
-    monkeypatch.setattr(analysis, "_jump", lambda *a: jumps.append(a[3]) or jump(*a))
+    monkeypatch.setattr(analysis, "_jump", lambda *a: jumps.append(a[2]) or jump(*a))
     spec = build()
     total = prob_sum(vars(reference_realtime(spec, word)).values()).as_interval()
     assert total.hi < 1
@@ -1930,7 +2048,7 @@ def reference_distribution(masses: dict) -> OutcomeDistribution:
 
     sums = {cat: chained_sum(masses[cat]) for cat in CATEGORIES}
     total = chained_sum(sums.values()).as_interval()
-    if not total.contains(Fraction(1)):
+    if not contains(total, Fraction(1)):
         raise MachineError(f"total terminal mass {total} does not cover 1")
     return OutcomeDistribution(*(sums[cat] for cat in CATEGORIES))
 
@@ -2007,8 +2125,8 @@ def test_integer_end_matches_the_chained_sum():
 
 def test_jump_end_matches_the_chained_sum():
     # After a jump the ends are integers over a den whose primes divide
-    # ``base``. A mass decided before the jump is carried over den by its
-    # identity block, and one decided after it arrives over den; the
+    # ``base``. A mass decided before the jump is carried over den by the
+    # jump's products, and one decided after it arrives over den; the
     # answer is the chained sum of all the masses.
     rng = random.Random(1918)
     for _ in range(200):

@@ -14,7 +14,7 @@ from exactqfa.analysis import MAX_PRECISION_BITS
 from exactqfa.constructions import CONSTRUCTION_IDS, EVENODD_MCQFA_MAX_K, PARAMETRIC_BUILDERS, build
 from exactqfa.exactnum import MIN_PRECISION_BITS, one_minus_inv_e_bracket
 from exactqfa.machines import emit_spec, parse_spec, validate
-from test_analysis import fair_coin_pfa, turn_machine
+from test_analysis import fair_coin_pfa, stay_machine, turn_machine
 from test_sampling import _thirds_pfa
 
 
@@ -909,6 +909,20 @@ def test_a_sweep_budget_over_the_cap_exits_2_at_once(capsys):
     over = str(cli.MAX_SWEEPS + 1)
     argv = ("analyze", "EXACT_PAL_SWEEPING", "--input", "abcab", "--mode", "sweep", "--max-sweeps", over)
     assert run_cli(capsys, *argv) == (2, "", f"error: --max-sweeps {over} exceeds the cap of {cli.MAX_SWEEPS}\n")
+
+
+def test_a_tick_cap_over_the_cap_exits_2_at_once(capsys, tmp_path):
+    # The stay machine's configurations never recur, so a loop probe of
+    # 10^9 ticks would run for hours; it is refused before the run starts,
+    # as is one tick over the cap.
+    path = tmp_path / "stay.json"
+    path.write_text(emit_spec(stay_machine("$")) + "\n", encoding="utf-8")
+    argv = ("analyze", "--spec-file", str(path), "--input", "aa", "--mode", "sweep", "--tick-cap")
+    result = _run_module(*argv, "1000000000")
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == f"error: --tick-cap 1000000000 exceeds the cap of {cli.MAX_TICKS}\n"
+    over = str(cli.MAX_TICKS + 1)
+    assert run_cli(capsys, *argv, over) == (2, "", f"error: --tick-cap {over} exceeds the cap of {cli.MAX_TICKS}\n")
 
 
 def test_jump_to_an_oversize_answer_exits_2(tmp_path):

@@ -30,6 +30,7 @@ from exactqfa.constructions import (
 from exactqfa.exactnum import ExactProb
 from exactqfa.machines import emit_spec, parse_spec, validate
 from exactqfa.qstate import QVector
+from test_qstate import amplitudes
 
 ALL_BUILDERS = [
     build_aw_pal,
@@ -47,7 +48,7 @@ ALL_BUILDERS = [
 def pal_miss_probability(word):
     """Exact probability that the double scan is caught off the first
     axis, i.e. the end measurement yields outcome "23"."""
-    first = pal_double_scan_state(word).amplitudes[0]
+    first = amplitudes(pal_double_scan_state(word))[0]
     return 1 - (first.re ** 2 + first.im ** 2)
 
 

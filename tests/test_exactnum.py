@@ -83,6 +83,10 @@ def abs2(z: GaussianRational) -> Fraction:
     return z.re * z.re + z.im * z.im
 
 
+def contains(interval: RationalInterval, value: Fraction) -> bool:
+    return interval.lo <= value <= interval.hi
+
+
 def test_gaussian_arithmetic_basics() -> None:
     i = GaussianRational(Fraction(0), Fraction(1))
     assert i * i == GaussianRational(Fraction(-1), Fraction(0))
@@ -151,7 +155,7 @@ def test_angle_probability_dyadic_quarter() -> None:
     # interval valued but must certify tightly around 1/2.
     p = angle_probability(dyadic_pi(Fraction(1, 4)), precision_bits=64)
     assert isinstance(p, ApproxProb)
-    assert p.interval.contains(Fraction(1, 2))
+    assert contains(p.interval, Fraction(1, 2))
     assert p.interval.hi - p.interval.lo <= Fraction(1, 2 ** 64)
 
 
@@ -387,8 +391,8 @@ def test_interval_invariants() -> None:
     with pytest.raises(ValueError):
         RationalInterval(Fraction(1), Fraction(0))
     box = RationalInterval(Fraction(1, 3), Fraction(1, 2))
-    assert box.contains(Fraction(2, 5))
-    assert not box.contains(Fraction(2, 3))
+    assert contains(box, Fraction(2, 5))
+    assert not contains(box, Fraction(2, 3))
     assert box.lo >= Fraction(1, 3)
     assert not box.lo > Fraction(1, 3)
     assert box.reciprocal() == RationalInterval(Fraction(2), Fraction(3))
@@ -401,8 +405,8 @@ def test_interval_invariants() -> None:
 def test_interval_arithmetic_containment(x: Fraction, y: Fraction, sx: Fraction, sy: Fraction) -> None:
     a = RationalInterval(x - abs(sx), x + abs(sx))
     b = RationalInterval(y - abs(sy), y + abs(sy))
-    assert (a + b).contains(x + y)
-    assert (a - b).contains(x - y)
+    assert contains(a + b, x + y)
+    assert contains(a - b, x - y)
 
 
 def test_one_minus_inv_e_bracket() -> None:

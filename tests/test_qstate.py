@@ -26,6 +26,11 @@ from exactqfa.qstate import (
 )
 from test_exactnum import abs2
 
+
+def amplitudes(vec: QVector) -> "tuple[GaussianRational, ...]":
+    """The entries of ``vec`` as GaussianRationals."""
+    return tuple(GaussianRational(Fraction(re, vec.den), Fraction(im, vec.den)) for re, im in vec.nums)
+
 ROT_A = QMatrix.from_rows(
     [
         [Fraction(4, 5), Fraction(3, 5), 0],
@@ -187,7 +192,6 @@ def test_equal_vectors_from_different_routes_hash_equal() -> None:
     for cache_first in (None, "left", "right"):
         left = QVector([half, 0, 0])
         right = QVector.basis(3, 0).scale(half)
-        assert left.amplitudes is not right.amplitudes
         if cache_first == "left":
             hash(left)
         elif cache_first == "right":
@@ -260,8 +264,8 @@ def reference_measure(meas: ProjectiveMeasurement, amps):
 
 def assert_measure_matches_reference(meas: ProjectiveMeasurement, vec: QVector) -> None:
     got = [(b.outcome, b.vector, b.probability, b.renormalized) for b in meas.measure(vec)]
-    want = reference_measure(meas, vec.amplitudes)
-    assert [(o, v.amplitudes, p, ok) for o, v, p, ok in got] == want
+    want = reference_measure(meas, amplitudes(vec))
+    assert [(o, amplitudes(v), p, ok) for o, v, p, ok in got] == want
     assert [v for _, v, _, _ in got] == [QVector(amps) for _, amps, _, _ in want]
 
 
@@ -298,8 +302,8 @@ MEASUREMENTS3 = (
 @settings(max_examples=40)
 def test_apply_matches_reference(matrix: QMatrix, v: QVector) -> None:
     got = matrix.apply(v)
-    want = reference_gaussian_apply(matrix, v.amplitudes)
-    assert got.amplitudes == want and got == QVector(want)
+    want = reference_gaussian_apply(matrix, amplitudes(v))
+    assert amplitudes(got) == want and got == QVector(want)
 
 
 @given(st.one_of(vectors3, square_mass_vectors()), st.sampled_from(MEASUREMENTS3))
@@ -313,7 +317,7 @@ def test_measure_matches_reference(v: QVector, meas: ProjectiveMeasurement) -> N
 @given(st.one_of(vectors3, square_mass_vectors()))
 @settings(max_examples=80)
 def test_canonical_phase_matches_reference(v: QVector) -> None:
-    assert canonical_phase(v).amplitudes == reference_canonical_phase(v.amplitudes)
+    assert amplitudes(canonical_phase(v)) == reference_canonical_phase(amplitudes(v))
 
 
 def test_reference_cases_cover_every_branch_kind() -> None:
@@ -329,8 +333,8 @@ def test_reference_cases_cover_every_branch_kind() -> None:
     seen_flags = set()
     for lead in leading:
         vec = QVector([GR_ZERO, lead, GaussianRational(Fraction(4, 5), Fraction(-1, 3))])
-        want = reference_canonical_phase(vec.amplitudes)
-        assert canonical_phase(vec).amplitudes == want
+        want = reference_canonical_phase(amplitudes(vec))
+        assert amplitudes(canonical_phase(vec)) == want
         for meas in MEASUREMENTS3:
             assert_measure_matches_reference(meas, vec)
             seen_flags.update(b.renormalized for b in meas.measure(vec))
@@ -338,7 +342,7 @@ def test_reference_cases_cover_every_branch_kind() -> None:
     # A matrix with imaginary entries on a complex, unnormalized vector.
     phase = QMatrix.from_rows([[i, 0, 0], [0, Fraction(3, 5), GaussianRational(Fraction(0), Fraction(4, 5))], [0, 1, 1]])
     vec = QVector([lead, GaussianRational(Fraction(1, 3)), i])
-    assert phase.apply(vec).amplitudes == reference_gaussian_apply(phase, vec.amplitudes)
+    assert amplitudes(phase.apply(vec)) == reference_gaussian_apply(phase, amplitudes(vec))
 
 
 def reference_apply(matrix: QMatrix, vector: QVector) -> QVector:
