@@ -7,7 +7,10 @@ certified enclosing intervals (ApproxProb) where a rotation register is
 measured at an angle whose sine is irrational. A mid-input measurement
 must have exact branch probabilities, because its branches keep
 evolving; an interval-valued measurement is legal only when every
-outcome immediately halts or restarts the machine.
+outcome immediately halts or restarts the machine. No arithmetic runs
+on these values: each runner computes every value it reports where it
+reports it, from integer mass ends, or for a restart loop from the
+(lo, hi) ends of one round's halting masses.
 
 Monte Carlo runs sample measurement outcomes by comparing integer draws
 with integer cut points: the exact rational (or certified interval)
@@ -59,9 +62,6 @@ from .exactnum import (
     ProbValue,
     RationalInterval,
     cut_points,
-    prob_reciprocal,
-    prob_scale,
-    prob_sum,
     reduced_over,
     to_json,
 )
@@ -625,12 +625,13 @@ def _jump(rows: dict, state: tuple, blocks: int) -> tuple:
     is over den^P, and each product carries the decided mass on by that
     den. When every row returns only to its own key, the power has a
     closed form (``_self_loop_power``); both give the same integers.
-    Returns the state over v_den·den^blocks, v_den the state's den, its
-    live keys in the order the stepped blocks leave them (``_key_order``),
-    and last its base v_den·den, which has every prime the power has: one
+    Returns the state over v_den·den^blocks, v_den the state's den, with
+    its live keys in the order stepped blocks leave them: ``_combine``
+    lists each key at its first appearance, and that order composes. Last
+    comes its base v_den·den, which has every prime the power has: one
     reduction per category at the end costs less than one per entry.
     """
-    v_den, live, _ = state
+    v_den = state[0]
     den = math.lcm(*(row_den for row_den, _, _ in rows.values()))
     # den^blocks has at least blocks * (den.bit_length() - 1) + 1 bits.
     bits = blocks * (den.bit_length() - 1) + v_den.bit_length()
@@ -653,27 +654,7 @@ def _jump(rows: dict, state: tuple, blocks: int) -> tuple:
             exponent >>= 1
             if exponent:
                 power = {key: _combine(row, [power[key2] for key2 in row[1]] or [row]) for key, row in power.items()}
-    den_out, weights, decided = state
-    return (den_out, {key: weights[key] for key in _key_order(rows, tuple(live), blocks)}, decided), v_den * den
-
-
-def _key_order(rows: dict, order: tuple, blocks: int) -> tuple:
-    """The live keys after ``blocks`` blocks from the keys ``order``, in
-    the order the stepped blocks give them: a block lists the keys of
-    ``rows[k][1]`` for each k in order, each at its first appearance. Only
-    keys are walked, and the orders recur, so the walk stops at the first
-    order it has met before and takes the rest of the blocks modulo that
-    cycle."""
-    history: "list[tuple]" = []
-    index: "dict[tuple, int]" = {}
-    while order not in index:
-        if len(history) == blocks:
-            return order
-        index[order] = len(history)
-        history.append(order)
-        order = tuple(dict.fromkeys(key2 for key in order for key2 in rows[key][1]))
-    first = index[order]
-    return history[first + (blocks - first) % (len(history) - first)]
+    return state, v_den * den
 
 
 def _self_loop_power(rows: dict, state: tuple, den: int, exponent: int) -> tuple:
@@ -681,7 +662,8 @@ def _self_loop_power(rows: dict, state: tuple, den: int, exponent: int) -> tuple
     returns only to its own key.
 
     A live key of weight s whose row keeps a of its weight has s·a^b
-    after b blocks. Each decided end keeps its value times den^b and
+    after b blocks, and is left out when a = 0, as a stepped block leaves
+    it out. Each decided end keeps its value times den^b and
     gains s·d·(den^b - a^b)/(den - a) from each live key whose row
     decides d: the sum of a^k·den^(b-1-k) over k < b, which is an exact
     integer division, and b·den^(b-1) when a = den. These are the
@@ -700,7 +682,8 @@ def _self_loop_power(rows: dict, state: tuple, den: int, exponent: int) -> tuple
         else:
             a_power = a**exponent
             geometric = (den_power - a_power) // (den - a)
-        new_live[key] = s * a_power
+        if a:
+            new_live[key] = s * a_power
         share = s * geometric
         for c, (lo, hi) in row_decided.items():
             lo0, hi0 = new_decided.get(c, (0, 0))
@@ -720,22 +703,28 @@ class RestartAnalysis(Document):
     expected_steps: ProbValue
 
 
-def _halting_ratio(part: ProbValue, others: "list[ProbValue]") -> ProbValue:
-    """part / (part + sum(others)) with the correlation between the two
-    occurrences of `part` respected, so certified one-sidedness survives:
-    the ratio is exactly 1 when every other part is exactly zero."""
-    if all(o.is_exact() and o.value == 0 for o in others):
+def _added(x: tuple, y: tuple) -> tuple:
+    """The (lo, hi) ends of the sum of two masses from theirs; a sum of
+    two exact masses is added once."""
+    lo = x[0] + y[0]
+    return (lo, lo) if x[0] == x[1] and y[0] == y[1] else (lo, x[1] + y[1])
+
+
+def _share(part: tuple, other: tuple, another: tuple) -> ProbValue:
+    """part / (part + other + another) from the (lo, hi) ends of three
+    masses, with the two occurrences of ``part`` read together, so
+    certified one-sidedness survives: the share is exactly 1 when the
+    rest is exactly zero, and exactly 0 when the part is."""
+    (p_lo, p_hi), (r_lo, r_hi) = part, _added(other, another)
+    if r_hi == 0:
         return PROB_ONE
-    if part.is_exact() and part.value == 0:
+    if p_hi == 0:
         return PROB_ZERO
-    rest = prob_sum(others).as_interval()
-    own = part.as_interval()
     # x/(x+y) is increasing in x and decreasing in y.
-    lo = own.lo / (own.lo + rest.hi)
-    hi = own.hi / (own.hi + rest.lo) if own.hi + rest.lo > 0 else Fraction(1)
-    if part.is_exact() and rest.is_point():
+    lo = p_lo / (p_lo + r_hi)
+    if p_lo == p_hi and r_lo == r_hi:
         return ExactProb(lo)
-    return ApproxProb(RationalInterval(lo, min(hi, Fraction(1))))
+    return ApproxProb(RationalInterval(lo, p_hi / (p_hi + r_lo)))
 
 
 def analyze_restarting(
@@ -747,26 +736,30 @@ def analyze_restarting(
     accept probability is the per-round accept mass conditioned on
     halting, and the expected number of rounds is the reciprocal of the
     per-round halting mass. Expected steps charge |input| + 2 squares
-    per round.
+    per round. Each value is computed from the (lo, hi) ends of the
+    round's three halting masses, and is exact when its ends agree.
     """
     per_round = run_exact_realtime(spec, input_str, precision_bits)
-    halting = [per_round.p_accept, per_round.p_reject, per_round.p_dont_know]
-    halt_mass = prob_sum(halting)
-    iv = halt_mass.as_interval()
-    if iv.hi == 0:
+    accept, reject, dont_know = (p.ends() for p in (per_round.p_accept, per_round.p_reject, per_round.p_dont_know))
+    lo, hi = _added(_added(accept, reject), dont_know)
+    if hi == 0:
         raise NonterminatingError("zero halting mass per round; the loop never ends")
-    if iv.lo == 0:
+    if lo == 0:
         raise NonterminatingError("cannot certify a positive halting mass per round")
-    expected_rounds = prob_reciprocal(halt_mass)
+    steps = len(input_str) + 2
+    if lo == hi:
+        rounds = 1 / lo
+        expected_rounds, expected_steps = ExactProb(rounds), ExactProb(rounds * steps)
+    else:
+        expected_rounds = ApproxProb(RationalInterval(1 / hi, 1 / lo))
+        expected_steps = ApproxProb(RationalInterval(steps / hi, steps / lo))
     return RestartAnalysis(
         per_round=per_round,
-        overall_accept=_halting_ratio(per_round.p_accept, [per_round.p_reject, per_round.p_dont_know]),
-        overall_reject=_halting_ratio(per_round.p_reject, [per_round.p_accept, per_round.p_dont_know]),
-        overall_dont_know=_halting_ratio(
-            per_round.p_dont_know, [per_round.p_accept, per_round.p_reject]
-        ),
+        overall_accept=_share(accept, reject, dont_know),
+        overall_reject=_share(reject, accept, dont_know),
+        overall_dont_know=_share(dont_know, accept, reject),
         expected_rounds=expected_rounds,
-        expected_steps=prob_scale(expected_rounds, Fraction(len(input_str) + 2)),
+        expected_steps=expected_steps,
     )
 
 

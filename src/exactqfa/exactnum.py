@@ -283,25 +283,6 @@ class RationalInterval:
         value = Fraction(value)
         return RationalInterval(value, value)
 
-    def is_point(self) -> bool:
-        return self.lo == self.hi
-
-    def __add__(self, other: "RationalInterval") -> "RationalInterval":
-        return RationalInterval(self.lo + other.lo, self.hi + other.hi)
-
-    def __sub__(self, other: "RationalInterval") -> "RationalInterval":
-        return RationalInterval(self.lo - other.hi, self.hi - other.lo)
-
-    def scale(self, factor: Fraction) -> "RationalInterval":
-        a, b = self.lo * factor, self.hi * factor
-        return RationalInterval(min(a, b), max(a, b))
-
-    def reciprocal(self) -> "RationalInterval":
-        """1/x for intervals strictly above or strictly below zero."""
-        if self.lo <= 0 <= self.hi:
-            raise ZeroDivisionError(f"reciprocal of interval containing zero: {self}")
-        return RationalInterval(1 / self.hi, 1 / self.lo)
-
 
 @dataclass(frozen=True)
 class ExactProb:
@@ -311,6 +292,9 @@ class ExactProb:
 
     def as_interval(self) -> RationalInterval:
         return RationalInterval.point(self.value)
+
+    def ends(self) -> "tuple[Fraction, Fraction]":
+        return self.value, self.value
 
     def is_exact(self) -> bool:
         return True
@@ -324,6 +308,9 @@ class ApproxProb:
 
     def as_interval(self) -> RationalInterval:
         return self.interval
+
+    def ends(self) -> "tuple[Fraction, Fraction]":
+        return self.interval.lo, self.interval.hi
 
     def is_exact(self) -> bool:
         return False
@@ -341,47 +328,14 @@ def prob_exact(value) -> ExactProb:
     return ExactProb(Fraction(value))
 
 
-def _tighten(interval: RationalInterval) -> ProbValue:
-    if interval.is_point():
-        return ExactProb(interval.lo)
-    return ApproxProb(interval)
-
-
-def prob_add(a: ProbValue, b: ProbValue) -> ProbValue:
-    if a.is_exact() and b.is_exact():
-        return ExactProb(a.value + b.value)
-    return _tighten(a.as_interval() + b.as_interval())
-
-
-def prob_sub(a: ProbValue, b: ProbValue) -> ProbValue:
-    if a.is_exact() and b.is_exact():
-        return ExactProb(a.value - b.value)
-    return _tighten(a.as_interval() - b.as_interval())
-
-
-def prob_scale(p: ProbValue, factor: Fraction) -> ProbValue:
-    if p.is_exact():
-        return ExactProb(p.value * factor)
-    return _tighten(p.as_interval().scale(Fraction(factor)))
+def prob_of_ends(lo: Fraction, hi: Fraction) -> ProbValue:
+    """The probability with ends lo <= hi: exact when they are equal."""
+    return ExactProb(lo) if lo == hi else ApproxProb(RationalInterval(lo, hi))
 
 
 def prob_complement(p: ProbValue) -> ProbValue:
-    return prob_sub(PROB_ONE, p)
-
-
-def prob_sum(values) -> ProbValue:
-    total: ProbValue = PROB_ZERO
-    for p in values:
-        total = prob_add(total, p)
-    return total
-
-
-def prob_reciprocal(p: ProbValue) -> ProbValue:
-    if p.is_exact():
-        if p.value == 0:
-            raise ZeroDivisionError("reciprocal of an exactly zero probability")
-        return ExactProb(1 / p.value)
-    return _tighten(p.as_interval().reciprocal())
+    lo, hi = p.ends()
+    return prob_of_ends(1 - hi, 1 - lo)
 
 
 def cut_points(bounds: "Sequence[tuple[Fraction, Fraction]]", scale_bits: int) -> "list[tuple[int, int]]":

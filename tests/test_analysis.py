@@ -12,6 +12,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath.libmp import to_rational
 
 from exactqfa import analysis
@@ -21,6 +23,7 @@ from exactqfa.analysis import (
     MonteCarloResult,
     NonterminatingError,
     OutcomeDistribution,
+    RestartAnalysis,
     SplittableRng,
     analyze_restarting,
     analyze_sweeping,
@@ -39,6 +42,7 @@ from exactqfa.constructions import (
     build_exact_eq_restarting,
     build_exact_exptwinpal,
     build_exact_pal_sweeping,
+    build_exact_twinpal,
     build_lv_exptwinpal,
 )
 from exactqfa.exactnum import (
@@ -48,9 +52,6 @@ from exactqfa.exactnum import (
     RationalInterval,
     dyadic_pi,
     one_minus_inv_e_bracket,
-    prob_add,
-    prob_scale,
-    prob_sum,
     sqrt2_pi,
 )
 from exactqfa.machines import (
@@ -80,6 +81,34 @@ from exactqfa.machines import (
 from exactqfa.qstate import ProjectiveMeasurement, QMatrix
 from test_exactnum import contains
 from test_sampling import _thirds_pfa
+
+
+def _tighten(lo: Fraction, hi: Fraction):
+    """The probability with ends lo <= hi, exact when they agree."""
+    return ExactProb(lo) if lo == hi else ApproxProb(RationalInterval(lo, hi))
+
+
+def prob_sum(values):
+    """The sum of probabilities, on their ends."""
+    ends = [p.ends() for p in values]
+    return _tighten(sum((lo for lo, _ in ends), Fraction(0)), sum((hi for _, hi in ends), Fraction(0)))
+
+
+def prob_add(a, b):
+    return prob_sum((a, b))
+
+
+def prob_scale(p, factor: Fraction):
+    """factor * p, on the ends of p, for a factor >= 0."""
+    lo, hi = p.ends()
+    return _tighten(lo * factor, hi * factor)
+
+
+def prob_reciprocal(p):
+    """1 / p, on the ends of a p above zero."""
+    lo, hi = p.ends()
+    return _tighten(1 / hi, 1 / lo)
+
 
 ROT = QMatrix.from_rows(
     [[Fraction(3, 5), Fraction(4, 5)], [Fraction(-4, 5), Fraction(3, 5)]]
@@ -1324,6 +1353,130 @@ def test_restart_ratio_of_interval_masses_is_an_enclosure():
         assert bounds.lo <= truth_lo and truth_hi <= bounds.hi
 
 
+def _halting_ratio(part, others: list):
+    """part / (part + sum(others)) on probability values, as the restart
+    analysis once computed it: exactly 1 when every other part is exactly
+    zero, exactly 0 when the part is."""
+    if all(o.is_exact() and o.value == 0 for o in others):
+        return ExactProb(Fraction(1))
+    if part.is_exact() and part.value == 0:
+        return ExactProb(Fraction(0))
+    rest = prob_sum(others).as_interval()
+    own = part.as_interval()
+    lo = own.lo / (own.lo + rest.hi)
+    hi = own.hi / (own.hi + rest.lo) if own.hi + rest.lo > 0 else Fraction(1)
+    if part.is_exact() and rest.lo == rest.hi:
+        return ExactProb(lo)
+    return ApproxProb(RationalInterval(lo, min(hi, Fraction(1))))
+
+
+def reference_restart(spec: MachineSpec, word: str, precision_bits: int = 64) -> RestartAnalysis:
+    """The restart analysis as a chain of sums, a reciprocal and a scaling
+    of probability values, the oracle for the analysis on mass ends."""
+    per_round = run_exact_realtime(spec, word, precision_bits)
+    accept, reject, dont_know = per_round.p_accept, per_round.p_reject, per_round.p_dont_know
+    halt_mass = prob_sum([accept, reject, dont_know])
+    iv = halt_mass.as_interval()
+    if iv.hi == 0:
+        raise NonterminatingError("zero halting mass per round; the loop never ends")
+    if iv.lo == 0:
+        raise NonterminatingError("cannot certify a positive halting mass per round")
+    expected_rounds = prob_reciprocal(halt_mass)
+    return RestartAnalysis(
+        per_round=per_round,
+        overall_accept=_halting_ratio(accept, [reject, dont_know]),
+        overall_reject=_halting_ratio(reject, [accept, dont_know]),
+        overall_dont_know=_halting_ratio(dont_know, [accept, reject]),
+        expected_rounds=expected_rounds,
+        expected_steps=prob_scale(expected_rounds, Fraction(len(word) + 2)),
+    )
+
+
+def _restart_outcome(analyze, spec: MachineSpec, word: str, bits: int):
+    """The kind and Fraction ends of every value a restart analysis
+    reports, or the type and message of the error it raised."""
+    try:
+        result = analyze(spec, word, bits)
+    except (MachineError, ExactnessError, NonterminatingError) as exc:
+        return type(exc), str(exc)
+    values = [*vars(result.per_round).values(), *list(vars(result).values())[1:]]
+    assert all(type(end) is Fraction for p in values for end in p.ends())
+    return [(type(p), *p.ends()) for p in values]
+
+
+def _restart_cases() -> list:
+    """(spec, word, bits): EXACT_TWINPAL on both word shapes of every u, v
+    of length <= 3, EXACT_EQ_RESTARTING on a^m b a^n b a^z at 64 and 128
+    bits, EXACT_EXPTWINPAL on four (u, v) at seven t, malformed words,
+    and restarting test machines, with interval masses and with rounds
+    that never halt or whose halting mass is not certified positive: a
+    turn by pi/2^40 has sin^2 below 2^-77, and its 16-bit enclosure
+    starts at 0."""
+    words = ["".join(w) for n in range(4) for w in itertools.product("ab", repeat=n)]
+    twin, eq, exp = build_exact_twinpal(), build_exact_eq_restarting(), build_exact_exptwinpal()
+    cases = [(twin, f"{u}c{u}c{v}c{v}{end}", 64) for u in words for v in words for end in ("", "c")]
+    cases += [
+        (eq, "a" * m + "b" + "a" * n + "b" + "a" * z, bits)
+        for m in range(9) for n in range(9) for z in range(4) for bits in (64, 128)
+    ]
+    pairs = (("ab", "aa"), ("aa", "ab"), ("abb", "aba"), ("aba", "abb"))
+    cases += [(exp, _twin_blocks(u, v, t), 64) for u, v in pairs for t in (1, 2, 3, 7, 25, 26, 625)]
+    cases += [(spec, word, 64) for spec in (twin, eq, exp) for word in ("", "?", "ab?", "cccc", "bcbcacac")]
+    ends = (None, {"1": RESTART_TARGET, "2": "s_r"}, {"1": "s_a", "2": RESTART_TARGET}, {"1": RESTART_TARGET, "2": RESTART_TARGET})
+    tiny = [({("s1", "a"): RotateAction(dyadic_pi(Fraction(1, 2**40)))}, {})]
+    for end in ends:
+        for extra in ((), tiny):
+            cases += [(turn_machine(MODEL_RESTARTING, end, extra=extra), "a" * n, bits) for n in (0, 1, 3) for bits in (16, 64)]
+        cases += [(spin_machine(MODEL_RESTARTING, end), "a" * n, 64) for n in (0, 1, 2, 5)]
+    return cases
+
+
+def test_restart_analysis_matches_the_probability_chain():
+    seen = set()
+    for spec, word, bits in _restart_cases():
+        got = _restart_outcome(analyze_restarting, spec, word, bits)
+        assert got == _restart_outcome(reference_restart, spec, word, bits), (spec.name, word, bits)
+        seen.update([got[1]] if isinstance(got[1], str) else [kind for kind, _, _ in got])
+    # Exact and interval values, and both halting-mass errors, are met.
+    assert {ExactProb, ApproxProb} <= seen
+    assert "zero halting mass per round; the loop never ends" in seen
+    assert "cannot certify a positive halting mass per round" in seen
+
+
+def test_an_exact_restart_builds_no_interval(monkeypatch):
+    built = []
+    check = RationalInterval.__post_init__
+    monkeypatch.setattr(RationalInterval, "__post_init__", lambda self: built.append(self) or check(self))
+    result = analyze_restarting(build_exact_exptwinpal(), "abcabcaacaac" * 625)
+    assert result.expected_rounds.is_exact()
+    assert built == []
+
+
+mass_fractions = st.builds(Fraction, st.integers(0, 120), st.integers(1, 60))
+unit_fractions = st.integers(1, 60).flatmap(lambda den: st.builds(Fraction, st.integers(0, den), st.just(den)))
+
+
+@st.composite
+def mass_ends(draw) -> "tuple[Fraction, Fraction]":
+    """(lo, hi) ends of a mass >= 0: often exactly zero or a point."""
+    lo = draw(st.just(Fraction(0)) | mass_fractions)
+    return lo, lo + draw(st.just(Fraction(0)) | mass_fractions)
+
+
+@given(mass_ends(), mass_ends(), mass_ends(), st.lists(st.tuples(unit_fractions, unit_fractions), max_size=4))
+@settings(max_examples=200)
+def test_a_share_encloses_the_ratio_and_is_exact_where_it_must_be(part, other, another, inner):
+    share = analysis._share(part, other, another)
+    (p_lo, p_hi), r_lo, r_hi = part, other[0] + another[0], other[1] + another[1]
+    lo, hi = share.ends()
+    assert 0 <= lo <= hi <= 1
+    assert share.is_exact() == (r_hi == 0 or p_hi == 0 or (p_lo == p_hi and r_lo == r_hi))
+    for s, t in [(0, 0), (0, 1), (1, 0), (1, 1), *inner]:
+        x, y = p_lo + s * (p_hi - p_lo), r_lo + t * (r_hi - r_lo)
+        if x + y:
+            assert lo <= x / (x + y) <= hi
+
+
 def test_splittable_rng_children_are_stable_and_independent():
     root = SplittableRng(42)
     a1 = [SplittableRng(42).child("a").draw64() for _ in range(3)]
@@ -1946,8 +2099,10 @@ def test_self_loop_power_matches_the_matrix_power(den):
     for _ in range(12):
         rows, state = _random_self_loop_case(rng, den)
         for blocks in (1, 2, 3, 625):
-            want = _dense_power(rows, state, blocks)
-            assert analysis._self_loop_power(rows, state, den, blocks) == want
+            want_den, weights, want_decided = _dense_power(rows, state, blocks)
+            # A key whose row keeps none of its weight leaves, as in a stepped block.
+            kept = {key: w for key, w in weights.items() if rows[key][1]}
+            assert analysis._self_loop_power(rows, state, den, blocks) == (want_den, kept, want_decided)
 
 
 def _random_closed_rows(rng, diagonal: bool):
@@ -1971,6 +2126,25 @@ def _random_closed_rows(rng, diagonal: bool):
     return rows, (rng.randint(1, 9), live, _random_decided(rng, 9, wide))
 
 
+def _key_order(rows: dict, order: tuple, blocks: int) -> tuple:
+    """The live keys after ``blocks`` blocks from the keys ``order``, in
+    the order the stepped blocks give them: a block lists the keys of
+    ``rows[k][1]`` for each k in order, each at its first appearance. Only
+    keys are walked, and the orders recur, so the walk stops at the first
+    order it has met before and takes the rest of the blocks modulo that
+    cycle."""
+    history: "list[tuple]" = []
+    index: "dict[tuple, int]" = {}
+    while order not in index:
+        if len(history) == blocks:
+            return order
+        index[order] = len(history)
+        history.append(order)
+        order = tuple(dict.fromkeys(key2 for key in order for key2 in rows[key][1]))
+    first = index[order]
+    return history[first + (blocks - first) % (len(history) - first)]
+
+
 def _without_empty_ends(decided: dict) -> dict:
     # A category of zero mass reads the same as one with no ends.
     return {c: ends for c, ends in decided.items() if ends != (0, 0)}
@@ -1985,7 +2159,7 @@ def test_jump_matches_the_dense_matrix_power(monkeypatch, diagonal):
         for blocks in (1, 2, 3, 7, 625):
             (den, live, decided), base = analysis._jump(rows, state, blocks)
             want_den, weights, want_decided = _dense_power(rows, state, blocks)
-            order = analysis._key_order(rows, tuple(state[1]), blocks)
+            order = _key_order(rows, tuple(state[1]), blocks)
             assert (den, base) == (want_den, state[0] * math.lcm(*(row[0] for row in rows.values())))
             assert list(live.items()) == [(key, weights[key]) for key in order]
             assert _without_empty_ends(decided) == _without_empty_ends(want_decided)
