@@ -557,6 +557,15 @@ def _advance_blocks(kernel: _Kernel, state: tuple, block: str, reps: int) -> tup
     return state, None
 
 
+# The most squares a unary walk with a register steps before a
+# configuration recurs. A register that never recurs grows with every
+# square: a 2-dim register turned by the 3-4-5 rotation takes about 0.3 s
+# for 4,096 squares and 1.9 s for 8,192 on a 2-CPU box, so a longer walk
+# is refused. A walk with no register has finitely many configurations, so
+# Brent's search always closes, and it has no cap.
+UNARY_WALK_CAP = 1 << 12
+
+
 def _unary_end(kernel: _Kernel, key: tuple, sym: str, reps: int) -> Optional[tuple]:
     """The one certain successor of ``reps`` squares of ``sym`` from
     ``key``, as a square gives it: the branch's last key, or the category
@@ -567,13 +576,15 @@ def _unary_end(kernel: _Kernel, key: tuple, sym: str, reps: int) -> Optional[tup
     configurations: the head, and a ``mark`` that moves to the head after
     1, 2, 4, ... squares. When the head meets the mark, it has gone round
     a cycle of ``lap`` squares, and it steps only the rest of ``reps``
-    modulo ``lap``.
+    modulo ``lap``. A walk with a register that steps ``UNARY_WALK_CAP``
+    squares of a longer run before its head meets the mark raises
+    MachineError.
     """
     cstate, reg = key
     square = kernel.square(cstate, sym)
     if square.op == _OP_ROTATE and square.fixed == (None, cstate, 1):
         return None, cstate, 1, reg.rotated(square.arg.scale(reps)), _UNIT
-    end, mark, lap, power, done = (None, cstate, 0, reg, _UNIT), key, 0, 1, 0
+    end, mark, lap, power, done, recurred = (None, cstate, 0, reg, _UNIT), key, 0, 1, 0, False
     while done < reps:
         successors = kernel.successors(cstate, sym, reg)
         if not _is_deterministic(successors):
@@ -586,9 +597,11 @@ def _unary_end(kernel: _Kernel, key: tuple, sym: str, reps: int) -> Optional[tup
         done += 1
         lap += 1
         if key == mark:
-            reps = done + (reps - done) % lap
+            reps, recurred = done + (reps - done) % lap, True
         elif lap == power:
             mark, lap, power = key, 0, 2 * power
+        if done == UNARY_WALK_CAP < reps and not recurred and reg is not None:
+            raise MachineError(f"a unary walk's register did not recur within the cap of {UNARY_WALK_CAP} squares")
     return end
 
 

@@ -378,6 +378,16 @@ def _mpf_to_fraction(t, shift: int = 0) -> Fraction:
     return _reduced(man, 1 << -exp)
 
 
+@functools.cache
+def _libmp():
+    """mpmath's ``libmp``, imported at the first enclosure: only
+    irrational-angle enclosures need mpmath, and the import costs more
+    than most runs that never reach one."""
+    from mpmath import libmp
+
+    return libmp
+
+
 # Working precisions whose 2*pi and 2*pi*sqrt(2) enclosures are kept. The
 # enclosures of c*sqrt(2)*pi for c <= 10^4 at 64 bits start at 14.
 _CONSTANT_PRECISIONS = 64
@@ -391,12 +401,74 @@ def _two_pi_intervals(work: int) -> tuple:
     constant is, and pi*sqrt(2) is one interval product. Doubling an
     endpoint is exact in binary, so these equal the doubled ``iv`` values.
     """
-    from mpmath import libmp
-
+    libmp = _libmp()
     pi = (libmp.mpf_pi(work, libmp.round_floor), libmp.mpf_pi(work, libmp.round_ceiling))
     two = (libmp.from_int(2), libmp.from_int(2))
     pi_root2 = libmp.mpi_mul(pi, libmp.mpi_sqrt(two, work), work)
     return libmp.mpi_mul(two, pi, work), libmp.mpi_mul(two, pi_root2, work)
+
+
+@functools.lru_cache(maxsize=_CONSTANT_PRECISIONS)
+def _perturbations(wp: int) -> tuple:
+    """(1 + 2^(10-wp), 1 - 2^(10-wp)): the factors ``mpi_cos_sin`` multiplies
+    each end by at ``wp`` bits to force its rounding outward."""
+    libmp = _libmp()
+    return (
+        libmp.from_man_exp((libmp.MPZ_ONE << wp) + (libmp.MPZ_ONE << 10), -wp),
+        libmp.from_man_exp((libmp.MPZ_ONE << wp) - (libmp.MPZ_ONE << 10), -wp),
+    )
+
+
+def _cos_quadrant(x, wp: int) -> tuple:
+    """cos(x) rounded at ``wp`` bits and the quadrant index of x.
+
+    The cosine half of ``libmp.libmpi.cos_sin_quadrant``: ``mpf_cos`` runs
+    the code of its ``mpf_cos_sin`` call and rounds the cosine the same
+    way, and the quadrant is the same ``mod_pi2`` call.
+    """
+    libmp = _libmp()
+    if x == libmp.fzero:
+        return libmp.fone, 0
+    sign, man, exp, bc = x
+    n = libmp.libelefun.mod_pi2(man, exp, exp + bc, 15)[1]
+    return libmp.mpf_cos(x, wp), -1 - n if sign else n
+
+
+def _interval_cos(x, prec: int) -> tuple:
+    """The cosine half of ``libmp.mpi_cos_sin(x, prec)``, computed without the sine.
+
+    Each step is ``mpi_cos_sin``'s, on the cosine alone: the two ends at
+    ``prec + 20`` bits, the quadrant tests for a maximum or minimum between
+    them, and the outward perturbation and clamp at ``prec`` bits.
+    """
+    libmp = _libmp()
+    a, b = x
+    fone, fnone = libmp.fone, libmp.fnone
+    if a == b == libmp.fzero:
+        return fone, fone
+    if libmp.finf in x or libmp.fninf in x:
+        return fnone, fone
+    wp = prec + 20
+    ca, na = _cos_quadrant(a, wp)
+    cb, nb = _cos_quadrant(b, wp)
+    # Ordered as ``mpf_min_max`` orders the two.
+    if libmp.mpf_lt(cb, ca):
+        ca, cb = cb, ca
+    if na != nb:
+        if nb - na >= 4:
+            return fnone, fone
+        if na // 4 != nb // 4:
+            cb = fone
+        if (na - 2) // 4 != (nb - 2) // 4:
+            ca = fnone
+    more, less = _perturbations(wp)
+    ca = libmp.mpf_mul(ca, more if ca[0] else less, prec, libmp.round_floor)
+    cb = libmp.mpf_mul(cb, less if cb[0] else more, prec, libmp.round_ceiling)
+    if ca[2] + ca[3] >= 1:
+        ca = fnone if ca[0] else fone
+    if cb[2] + cb[3] >= 1:
+        cb = fnone if cb[0] else fone
+    return ca, cb
 
 
 def _interval_sin_squared(angle: SymbolicAngle, precision_bits: int) -> RationalInterval:
@@ -410,27 +482,29 @@ def _interval_sin_squared(angle: SymbolicAngle, precision_bits: int) -> Rational
     The endpoints are bit for bit those of mpmath's ``iv`` context, which
     evaluated ``(1 - iv.cos(2 * (iv.pi * iv.sqrt(2) * c))) / 2``, with
     ``c = iv.mpf(num) / iv.mpf(den)`` and no sqrt(2) for DyadicPi, at
-    ``iv.prec`` set to the working precision. That context calls these
-    same ``mpmath.libmp`` kernels, and here they are called in the same
-    order at the same precision, with no global context to save and
-    restore. Each kernel rounds outward to the working precision, and
-    scaling an endpoint by a power of two, or dividing it by 1, is exact in
-    binary and commutes with that rounding. So the factor 2 sits in the
-    cached constant, a denominator of 1 is not divided by, and the final
-    halving is a shift of the exponent, and no endpoint moves.
+    ``iv.prec`` set to the working precision. That context calls
+    ``mpmath.libmp`` kernels, and here the same kernels are called in the
+    same order at the same precision, with no global context to save and
+    restore. The one exception is ``iv.cos``: its ``mpi_cos`` computes sine
+    and cosine at both ends and keeps the cosine, and ``_interval_cos``
+    calls only the cosine kernel (``mpf_cos``, which rounds exactly as the
+    cosine of ``mpf_cos_sin`` does) and the same quadrant reduction, so
+    the cosine it returns is the same. Each kernel rounds outward to the
+    working precision, and scaling an endpoint by a power of two, or
+    dividing it by 1, is exact in binary and commutes with that rounding.
+    So the factor 2 sits in the cached constant, a denominator of 1 is not
+    divided by, and the final halving is a shift of the exponent, and no
+    endpoint moves. The clamps and the width test read the ends' integer
+    mantissas and exponents, which are exact, and only the two returned
+    ends become Fractions.
     """
-    # Imported here: only irrational-angle enclosures need mpmath, and the
-    # import costs more than most runs that never reach this point.
-    from mpmath import libmp
-
+    libmp = _libmp()
     coeff = angle.coeff
     if angle.kind == DYADIC_PI:
         # sin^2(c*pi) has period 1 in c; exact reduction keeps arguments small.
         coeff = coeff % 1
     num, den = coeff.numerator, coeff.denominator
-    floor, ceiling, from_int = libmp.round_floor, libmp.round_ceiling, libmp.from_int
-    one = (libmp.fone, libmp.fone)
-    target_width = Fraction(1, 1 << precision_bits)
+    floor, ceiling, from_int, fone = libmp.round_floor, libmp.round_ceiling, libmp.from_int, libmp.fone
     # Guard bits cover the argument magnitude plus rounding slack.
     magnitude_bits = max(abs(num), 1).bit_length() + 4
     work = precision_bits + magnitude_bits + 16
@@ -440,11 +514,24 @@ def _interval_sin_squared(angle: SymbolicAngle, precision_bits: int) -> Rational
             coeff_iv = libmp.mpi_div(coeff_iv, (from_int(den, work, floor), from_int(den, work, ceiling)), work)
         two_pi, two_pi_root2 = _two_pi_intervals(work)
         arg = libmp.mpi_mul(two_pi if angle.kind == DYADIC_PI else two_pi_root2, coeff_iv, work)
-        lo_t, hi_t = libmp.mpi_sub(one, libmp.mpi_cos(arg, work), work)
-        lo = max(_mpf_to_fraction(lo_t, -1), Fraction(0))
-        hi = min(_mpf_to_fraction(hi_t, -1), Fraction(1))
-        if hi >= lo and hi - lo <= target_width:
-            return RationalInterval(lo, hi)
+        cos_lo, cos_hi = _interval_cos(arg, work)
+        # 1 - cos as ``mpi_sub`` computes it; the ends are finite.
+        lo_t = libmp.mpf_sub(fone, cos_hi, work, floor)
+        hi_t = libmp.mpf_sub(fone, cos_lo, work, ceiling)
+        # Halved and clamped into [0, 1], each end as a signed man * 2^exp.
+        lo_sign, lo_man, lo_exp, _ = lo_t
+        hi_sign, hi_man, hi_exp, hi_bc = hi_t
+        lo_end = (0, 0) if lo_sign else (int(lo_man), lo_exp - 1)
+        hi_is_one = not hi_sign and hi_man and hi_exp + hi_bc >= 2
+        hi_end = (1, 0) if hi_is_one else (-int(hi_man) if hi_sign else int(hi_man), hi_exp - 1)
+        # 0 <= hi - lo <= 2^-precision_bits, on integers over 2^low.
+        low = min(lo_end[1], hi_end[1], -precision_bits)
+        width = (hi_end[0] << (hi_end[1] - low)) - (lo_end[0] << (lo_end[1] - low))
+        if 0 <= width <= 1 << (-precision_bits - low):
+            return RationalInterval(
+                Fraction(0) if lo_sign else _mpf_to_fraction(lo_t, -1),
+                Fraction(1) if hi_is_one else _mpf_to_fraction(hi_t, -1),
+            )
         work *= 2
 
 
@@ -490,18 +577,27 @@ _QUARTER_TURNS = (
 )
 
 
-def cos_sin_exact(angle: SymbolicAngle) -> "tuple[Fraction, Fraction]":
-    """(cos, sin) of an angle whose components are forced into {-1, 0, 1}.
+def quarter_turns(angle: SymbolicAngle) -> int:
+    """The number of quarter turns, mod 4, of an angle whose cos and sin are
+    forced into {-1, 0, 1}.
 
     Only DyadicPi angles with half-integer coefficients qualify. Raises
     ExactnessError otherwise.
     """
     coeff = angle.coeff
     if coeff == 0:
-        return _QUARTER_TURNS[0]
+        return 0
     if angle.kind != DYADIC_PI or coeff.denominator > 2:
         raise ExactnessError(f"cos/sin of {angle} is not exactly representable")
-    return _QUARTER_TURNS[2 * coeff.numerator // coeff.denominator % 4]
+    return 2 * coeff.numerator // coeff.denominator % 4
+
+
+def cos_sin_exact(angle: SymbolicAngle) -> "tuple[Fraction, Fraction]":
+    """(cos, sin) of an angle whose components are forced into {-1, 0, 1}.
+
+    Raises ExactnessError where ``quarter_turns`` does.
+    """
+    return _QUARTER_TURNS[quarter_turns(angle)]
 
 
 # Taylor terms of e summed by ``one_minus_inv_e_bracket``.

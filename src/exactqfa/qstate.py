@@ -41,6 +41,7 @@ from .exactnum import (
     format_gaussian,
     parse_gaussian,
     prob_complement,
+    quarter_turns,
 )
 
 EntryLike = Union[GaussianRational, Fraction, int]
@@ -424,6 +425,11 @@ class ProjectiveMeasurement:
         return total, parts
 
 
+# The rotation register's state after 0, 1, 2 and 3 quarter turns, built
+# once: ``RotationRegister.exact_vector`` runs at every rotation measurement.
+_QUARTER_TURN_VECTORS = tuple(QVector(cos_sin_exact(dyadic_pi(Fraction(k, 2)))) for k in range(4))
+
+
 @dataclass(frozen=True)
 class RotationRegister:
     """Single qubit cos(angle)|0> + sin(angle)|1> with a symbolic angle.
@@ -450,8 +456,7 @@ class RotationRegister:
 
     def exact_vector(self) -> QVector:
         """The state as a 2-dim vector; requires an exactly known angle."""
-        c, s = cos_sin_exact(self.angle)
-        return QVector([c, s])
+        return _QUARTER_TURN_VECTORS[quarter_turns(self.angle)]
 
     def outcome_probabilities(self, precision_bits: int = 64):
         """(P(observe |0>), P(observe |1>)) as exact or interval values."""

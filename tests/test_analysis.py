@@ -1332,6 +1332,46 @@ def test_a_warm_cycle_skip_keeps_two_configurations():
     assert peak < 64 * 1024
 
 
+def test_a_walk_whose_register_never_recurs_stops_at_the_cap(monkeypatch):
+    # ROT has infinite order, so the spin machine's register never recurs.
+    # ROT^n e1 = ((3 - 4i)^n real and imaginary parts) / 5^n, and the end
+    # measurement accepts on the first coordinate.
+    cap = analysis.UNARY_WALK_CAP
+    re, im = 1, 0
+    for _ in range(cap):
+        re, im = 3 * re + 4 * im, 3 * im - 4 * re
+    assert run_unary_length(spin_machine(), cap).p_accept == ExactProb(Fraction(re * re, 25 ** cap))
+    applied = []
+    apply = QMatrix.apply
+    monkeypatch.setattr(QMatrix, "apply", lambda matrix, vec: applied.append(matrix) or apply(matrix, vec))
+    for length in (cap + 1, 10**12):
+        applied.clear()
+        with pytest.raises(MachineError, match=f"did not recur within the cap of {cap} squares"):
+            run_unary_length(spin_machine(), length)
+        assert len(applied) == cap
+
+
+def test_a_walk_without_a_register_has_no_cap():
+    # The counter's cycle is twice the cap and more, so Brent's search
+    # steps past the cap before it closes.
+    modulus = 2 * analysis.UNARY_WALK_CAP + 1
+    for length in (modulus * 3, 10**12):
+        dist = run_unary_length(build_counter_dfa("MOD", modulus, {0}), length)
+        assert dist.p_accept == ExactProb(Fraction(length % modulus == 0))
+
+
+def test_a_register_walk_that_recurs_before_the_cap_may_step_past_it():
+    # A 2,000-state counter that carries a one-dimensional register: Brent's
+    # search meets its mark after 3,023 squares, and the 1,976 squares left
+    # of the cycle then take the walk past the cap.
+    counter = dataclasses.replace(
+        build_counter_dfa("MOD2000", 2000, {999}), model_class=MODEL_RTQCFA, register=REGISTER_MATRIX
+    )
+    assert validate(counter) == []
+    length = 3023 + 2000 * 5 + 1976
+    assert length % 2000 == 999 and run_unary_length(counter, length).p_accept == ExactProb(Fraction(1))
+
+
 def test_restart_ratio_of_interval_masses_is_an_enclosure():
     # Per round, accept is cos^2(3 sqrt(2) pi) and reject sin^2, both
     # intervals, and nothing restarts: each overall ratio is an interval

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -9,12 +10,12 @@ from fractions import Fraction
 
 import pytest
 
-from exactqfa import cli, verify
+from exactqfa import analysis, cli, verify
 from exactqfa.analysis import MAX_PRECISION_BITS
 from exactqfa.constructions import CONSTRUCTION_IDS, EVENODD_MCQFA_MAX_K, PARAMETRIC_BUILDERS, build
 from exactqfa.exactnum import MIN_PRECISION_BITS, one_minus_inv_e_bracket
 from exactqfa.machines import emit_spec, parse_spec, validate
-from test_analysis import fair_coin_pfa, stay_machine, turn_machine
+from test_analysis import fair_coin_pfa, spin_machine, stay_machine, turn_machine
 from test_sampling import _thirds_pfa
 
 
@@ -935,6 +936,22 @@ def test_jump_to_an_oversize_answer_exits_2(tmp_path):
     result = _run_module("analyze", "--spec-file", str(path), "--input", "a100000000", "--mode", "exact")
     assert (result.returncode, result.stdout) == (2, "")
     assert "over the cap" in result.stderr
+
+
+def test_a_unary_walk_whose_register_never_recurs_exits_2(tmp_path):
+    # The spin machine's register never recurs, so its walk on a^(10^12)
+    # stops at the cap instead of running for ever.
+    path = tmp_path / "spin.json"
+    path.write_text(emit_spec(spin_machine()) + "\n", encoding="utf-8")
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    result = _run_module("analyze", "--spec-file", str(path), "--input", "a1000000000000", "--mode", "exact")
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == (
+        "error: a unary walk's register did not recur within the cap of "
+        f"{analysis.UNARY_WALK_CAP} squares\n"
+    )
+    assert after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime < 2
 
 
 UNARY_EXACT_CASES = (

@@ -285,13 +285,13 @@ def test_an_escalating_enclosure_equals_the_iv_context_at_the_doubled_precision(
     # No angle met so far needs a second pass, so the first pass is made to
     # fail: its cosine is widened to all of [-1, 1].
     precisions = []
-    mpi_cos = libmp.mpi_cos
+    interval_cos = exactnum._interval_cos
 
     def widened_once(x, prec):
         precisions.append(prec)
-        return (libmp.fnone, libmp.fone) if len(precisions) == 1 else mpi_cos(x, prec)
+        return (libmp.fnone, libmp.fone) if len(precisions) == 1 else interval_cos(x, prec)
 
-    monkeypatch.setattr(libmp, "mpi_cos", widened_once)
+    monkeypatch.setattr(exactnum, "_interval_cos", widened_once)
     mp_prec, iv_prec = mpmath.mp.prec, mpmath.iv.prec
     for angle, bits in ((sqrt2_pi(Fraction(-7, 3)), 64), (dyadic_pi(Fraction(5, 16)), 200)):
         precisions.clear()
@@ -299,6 +299,74 @@ def test_an_escalating_enclosure_equals_the_iv_context_at_the_doubled_precision(
         assert len(precisions) == 2 and precisions[1] == 2 * precisions[0]
         assert box == iv_sin_squared(angle, bits, work=precisions[1])
     assert (mpmath.mp.prec, mpmath.iv.prec) == (mp_prec, iv_prec)
+
+
+def _mpf(value: Fraction, prec: int = 200):
+    return libmp.from_rational(value.numerator, value.denominator, prec, libmp.round_nearest)
+
+
+def _near_quarter_turns(k: int, offset: int, prec: int = 200):
+    """k * pi/2 + offset * 2^-60, rounded at ``prec`` bits."""
+    quarter = libmp.mpf_shift(libmp.mpf_mul_int(libmp.mpf_pi(prec), k, prec), -1)
+    return libmp.mpf_add(quarter, libmp.from_man_exp(offset, -60), prec)
+
+
+# Intervals that no enclosure of c*sqrt(2)*pi for c <= 10^4 reaches.
+COS_INTERVALS = [
+    # One multiple of pi/2 inside: the cosine's zero at pi/2, its
+    # minimum at pi, a maximum at 2*pi.
+    (_mpf(Fraction(3, 2)), _mpf(Fraction(17, 10))),
+    (_mpf(Fraction(3)), _mpf(Fraction(33, 10))),
+    (_mpf(Fraction(6)), _mpf(Fraction(13, 2))),
+    # Two multiples inside: pi/2 and pi, pi and 3*pi/2, 3*pi/2 and 2*pi.
+    (_mpf(Fraction(3, 2)), _mpf(Fraction(16, 5))),
+    (_mpf(Fraction(3)), _mpf(Fraction(5))),
+    (_mpf(Fraction(9, 2)), _mpf(Fraction(13, 2))),
+    # Just across a multiple, 2^-60 on either side.
+    *((_near_quarter_turns(k, -1), _near_quarter_turns(k, 1)) for k in range(1, 9)),
+    # Four or more quadrants wide.
+    (_mpf(Fraction(1, 10)), _mpf(Fraction(7))),
+    (_mpf(Fraction(-5)), _mpf(Fraction(5))),
+    (_mpf(Fraction(1)), _mpf(Fraction(1000))),
+    # Negative.
+    (_mpf(Fraction(-2)), _mpf(Fraction(-1))),
+    (_mpf(Fraction(-7)), _mpf(Fraction(-1, 10))),
+    (_mpf(Fraction(-1, 2)), _mpf(Fraction(1, 4))),
+    (_near_quarter_turns(-3, -1), _near_quarter_turns(-3, 1)),
+    # Zero ends, tiny ends below every working precision, and huge ends.
+    (libmp.fzero, libmp.fzero),
+    (libmp.fzero, _mpf(Fraction(1))),
+    (_mpf(Fraction(-1)), libmp.fzero),
+    (libmp.from_man_exp(-1, -3000), libmp.from_man_exp(1, -3000)),
+    (libmp.from_man_exp(3, 100), libmp.from_man_exp(3, 100)),
+    (libmp.from_man_exp(-(2 ** 70) - 1, 30), libmp.from_man_exp(-(2 ** 70) + 1, 30)),
+    # Unbounded.
+    (libmp.fninf, libmp.fzero),
+    (libmp.fone, libmp.finf),
+]
+
+
+@pytest.mark.parametrize("prec", [16, 53, 64, 200, 1000])
+@pytest.mark.parametrize("x", COS_INTERVALS)
+def test_the_interval_cosine_is_the_cos_half_of_mpi_cos_sin(x, prec) -> None:
+    assert exactnum._interval_cos(x, prec) == libmp.mpi_cos(x, prec)
+
+
+def test_the_interval_cosine_equals_mpi_cos_on_the_seeded_arguments(monkeypatch) -> None:
+    seen = []
+    interval_cos = exactnum._interval_cos
+
+    def recorded(x, prec):
+        seen.append((x, prec))
+        return interval_cos(x, prec)
+
+    monkeypatch.setattr(exactnum, "_interval_cos", recorded)
+    for angle, bits in seeded_angles(17, 20):
+        if bits in (16, 64, 1000):
+            angle_probability(angle, bits)
+    assert len(seen) > 100
+    for x, prec in seen:
+        assert interval_cos(x, prec) == libmp.mpi_cos(x, prec)
 
 
 def test_enclosures_leave_mpmath_global_state_alone() -> None:
