@@ -17,8 +17,8 @@ with integer cut points: the exact rational (or certified interval)
 cumulative thresholds scaled by 2^64 and rounded inward. A draw too
 close to a threshold to decide gains 64 more bits and is compared at
 the wider scale, so sampling is unbiased even for interval-valued
-probabilities. Each trial owns a generator that is seeded only at its
-first draw, so a trial with no random choice seeds nothing, and a trial
+probabilities. Each trial reseeds the run's one generator, a run with
+no random choice steps one trial and seeds nothing, and a trial
 moves from one sampled square to the next along edges cached on the
 square, without building or hashing a configuration.
 
@@ -47,6 +47,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
@@ -989,9 +990,9 @@ class SplittableRng:
     children is fully determined by the root seed and the labels,
     independent of evaluation order. Draws are ``getrandbits(64)`` of a
     stdlib ``random.Random`` seeded with the material read as a
-    big-endian integer. That generator is built at the first draw, so a
-    generator that never draws, such as the root or a trial with no
-    random choice, costs only its hash.
+    big-endian integer; ``Random.seed(n)`` leaves the state ``Random(n)``
+    starts in, so one stdlib generator can be reseeded for each of many
+    children. It is built at the first draw, so the root costs its hash.
     """
 
     __slots__ = ("_material", "_rng")
@@ -1006,11 +1007,18 @@ class SplittableRng:
         material = hashlib.sha256(self._material + b"/" + label.encode()).digest()
         return SplittableRng(None, _material=material)
 
+    def generator(self, reuse: Optional[random.Random] = None) -> random.Random:
+        """``reuse`` reseeded, or a new stdlib generator, to draw this one's bits."""
+        n = int.from_bytes(self._material, "big")
+        if reuse is None:
+            return random.Random(n)
+        reuse.seed(n)
+        return reuse
+
     def draw64(self) -> int:
-        rng = self._rng
-        if rng is None:
-            rng = self._rng = random.Random(int.from_bytes(self._material, "big"))
-        return rng.getrandbits(64)
+        if self._rng is None:
+            self._rng = self.generator()
+        return self._rng.getrandbits(64)
 
 
 @dataclass(frozen=True)
@@ -1035,6 +1043,7 @@ class _StochNode:
     ``cut_points``) of the cumulative probability bounds measured at a
     precision of ``bits``. They are kept per (precision, scale), so
     repeated draws at a node measure it only once per precision.
+    ``ends`` holds the lower and the upper ends of ``cuts(bits, 64)``.
 
     ``edges`` maps an outcome index whose target is a node to that
     node's ``_CompiledMachine.resolve`` result. It is filled the first
@@ -1042,13 +1051,14 @@ class _StochNode:
     the next sampled one without building or hashing a node key.
     """
 
-    __slots__ = ("key", "targets", "outcomes_at", "edges", "_cuts")
+    __slots__ = ("key", "targets", "outcomes_at", "edges", "ends", "_cuts")
 
     def __init__(self, key, targets, outcomes_at: Callable[[int], list]):
         self.key = key
         self.targets = targets
         self.outcomes_at = outcomes_at
         self.edges: "dict[int, tuple]" = {}
+        self.ends: "Optional[list[tuple[int, ...]]]" = None
         self._cuts: "dict[tuple[int, int], list[tuple[int, int]]]" = {}
 
     def cuts(self, bits: int, scale_bits: int) -> "list[tuple[int, int]]":
@@ -1066,23 +1076,28 @@ class _StochNode:
             cuts = self._cuts[bits, scale_bits] = cut_points(bounds, scale_bits)
         return cuts
 
+    def first_ends(self, bits: int) -> "list[tuple[int, ...]]":
+        self.ends = list(zip(*self.cuts(bits, 64)))
+        return self.ends
 
-def _sample_outcome(node: _StochNode, rng: SplittableRng, precision_bits: int) -> int:
+
+def _sample_outcome(node: _StochNode, rng, precision_bits: int, num: Optional[int] = None) -> int:
     """The outcome a refinable uniform draw picks at a node.
 
-    The draw starts as 64 random bits and gains 64 more, with the
-    bounds' precision doubled, each time it is too close to a cut point
-    to decide, so sampling is exact even for interval-valued
-    probabilities.
+    The draw starts as 64 random bits, ``num`` if given, and gains 64
+    more, with the bounds' precision doubled, each time it is too close
+    to a cut point to decide, so sampling is exact even for
+    interval-valued probabilities.
     """
-    num = rng.draw64()
+    if num is None:
+        num = rng.getrandbits(64)
     scale_bits = 64
     bits = max(64, precision_bits)
     while True:
         for i, (lo, hi) in enumerate(node.cuts(bits, scale_bits)):
             if lo <= num < hi:
                 return i
-        num = (num << 64) | rng.draw64()
+        num = (num << 64) | rng.getrandbits(64)
         scale_bits += 64
         if bits < MAX_PRECISION_BITS:
             bits *= 2
@@ -1176,22 +1191,26 @@ class _CompiledMachine:
 
 def _sample_trial(
     compiled: _CompiledMachine,
-    rng: SplittableRng,
+    rng: Optional[random.Random],
     step_cap: Optional[int],
     precision_bits: int,
 ) -> "tuple[str, int, int]":
     """One sampled execution: its verdict, squares and rounds.
 
-    A sampled edge to a node is resolved, and kept on its
-    ``_StochNode``, only after the step cap is tested, so a capped trial
-    resolves nothing past its cap.
+    The windows of ``ends`` are disjoint and in order; a draw in none of
+    them is refined by ``_sample_outcome``. A sampled edge to a node is
+    resolved, and kept on its node, only after the step cap is tested.
     """
     kind, payload, steps = compiled.resolve_start()
     rounds = 1
     while True:
         if kind == "stoch":
             node = payload
-            index = _sample_outcome(node, rng, precision_bits)
+            lowers, uppers = node.ends or node.first_ends(max(64, precision_bits))
+            num = rng.getrandbits(64)
+            index = bisect_right(uppers, num)
+            if num < lowers[index]:
+                index = _sample_outcome(node, rng, precision_bits, num)
             kind, payload = node.targets[index]
             steps += 1
         if step_cap is not None and steps > step_cap:
@@ -1244,28 +1263,29 @@ def run_monte_carlo(
 ) -> MonteCarloResult:
     """Sample full executions; restarts run until a halting decision.
 
-    Results are reproducible from the seed: every trial owns a child
-    generator derived from the seed and the trial index. Trials that
-    exceed ``step_cap`` squares are counted as capped and excluded from
-    the step and round means. Without a cap, a machine that can reach no
-    halting decision raises NonterminatingError before any trial.
+    Results are reproducible from the seed: each trial draws as the child
+    of the seed and its index, and a run whose start draws nothing steps
+    one trial, counted ``trials`` times. Trials over ``step_cap`` squares
+    are capped and left out of the step and round means. Without a cap, a
+    machine that can reach no halting decision raises NonterminatingError.
     """
     if trials <= 0:
         raise ValueError("trials must be positive")
     compiled = _CompiledMachine(spec, input_str, precision_bits)
     if step_cap is None:
         _check_halt_reachable(compiled)
-    rng_root = SplittableRng(seed)
+    draws = compiled.resolve_start()[0] == "stoch"
+    weight = 1 if draws else trials
+    rng_root, rng = SplittableRng(seed), None
     counts = {cat: 0 for cat in _TRIAL_CATEGORIES}
-    step_total = 0
-    round_total = 0
-    for index in range(trials):
-        rng = rng_root.child(f"trial:{index}")
+    step_total = round_total = 0
+    for index in range(trials if draws else 1):
+        rng = rng_root.child(f"trial:{index}").generator(rng) if draws else None
         verdict, steps, rounds = _sample_trial(compiled, rng, step_cap, precision_bits)
-        counts[verdict] += 1
+        counts[verdict] += weight
         if verdict != CATEGORY_CAPPED:
-            step_total += steps
-            round_total += rounds
+            step_total += weight * steps
+            round_total += weight * rounds
     decided = trials - counts[CATEGORY_CAPPED]
     return MonteCarloResult(
         trials=trials,

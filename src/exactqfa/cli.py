@@ -102,15 +102,32 @@ MAX_SWEEPS = 10_000
 # tick take about 1.7 s on a 2-CPU box, as long as MAX_SWEEPS sweeps.
 MAX_TICKS = 300_000
 
+# The largest --trials of a Monte Carlo run. A trial's cost depends on the
+# machine and the input, so this caps the count only: 100,000 trials of
+# EXACT_TWINPAL on abcabcbacba take about 2.9 s on a 2-CPU box.
+MAX_TRIALS = 100_000
+
+# The largest --rounds of a magic-square game. Printing the transcript
+# costs more than playing it, at about 176 B of JSON per round: 100,000
+# quantum rounds take about 2.6 s and 210 MB on a 2-CPU box.
+MAX_ROUNDS = 100_000
+
+# The largest --Q of a memory game. Round j runs a counter on a word of
+# length m * 2^(4j), so the rounds grow dearer: 8,192 rounds with the
+# quantum responder take about 2.0 s on a 2-CPU box, and 16,384 take 5.8 s.
+MAX_Q = 8_192
+
 
 def _check_length(length: int) -> None:
     if length > MAX_INPUT_LENGTH:
         raise UsageError(f"input length {length} exceeds the cap of {MAX_INPUT_LENGTH} symbols")
 
 
-def _check_count(flag: str, value: int, least: int) -> None:
+def _check_count(flag: str, value: int, least: int, most: Optional[int] = None) -> None:
     if value < least:
         raise UsageError(f"{flag} must be at least {least}, got {value}")
+    if most is not None and value > most:
+        raise UsageError(f"{flag} {value} exceeds the cap of {most}")
 
 
 def _input_runs(text: str) -> List[Tuple[str, int]]:
@@ -313,9 +330,7 @@ def cmd_analyze(args) -> int:
             if spec.model_class != MODEL_SWEEPING:
                 raise UsageError(f"mode sweep needs a sweeping machine, not {spec.model_class}")
             if args.max_sweeps is not None:
-                _check_count("--max-sweeps", args.max_sweeps, 0)
-                if args.max_sweeps > MAX_SWEEPS:
-                    raise UsageError(f"--max-sweeps {args.max_sweeps} exceeds the cap of {MAX_SWEEPS}")
+                _check_count("--max-sweeps", args.max_sweeps, 0, MAX_SWEEPS)
                 result = run_exact_sweeping(spec, word, args.max_sweeps, args.precision_bits)
             else:
                 if args.tick_cap > MAX_TICKS:
@@ -324,7 +339,7 @@ def cmd_analyze(args) -> int:
         else:
             if args.trials is None or args.seed is None:
                 raise UsageError("mode mc needs --trials and --seed")
-            _check_count("--trials", args.trials, 1)
+            _check_count("--trials", args.trials, 1, MAX_TRIALS)
             result = run_monte_carlo(
                 spec,
                 word,
@@ -445,7 +460,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_game_magic(args) -> int:
-    _check_count("--rounds", args.rounds, 1)
+    _check_count("--rounds", args.rounds, 1, MAX_ROUNDS)
     if args.strategy == "quantum":
         strategy = QuantumBell()
     else:
@@ -464,7 +479,7 @@ def cmd_game_magic(args) -> int:
 
 
 def cmd_game_memory(args) -> int:
-    _check_count("--Q", args.Q, 1)
+    _check_count("--Q", args.Q, 1, MAX_Q)
     if args.bob == "quantum":
         responder = QuantumQubit()
     else:

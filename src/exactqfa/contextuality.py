@@ -318,31 +318,38 @@ def play_magic_square(strategy: Strategy, rounds: int, seed) -> GameTranscript:
     from the strategy, win when both parities hold and the common cell
     agrees.
 
-    Every round draws its row and its column; the quantum strategy then
-    draws 64 bits and looks its round up in ``_quantum_rounds``, while a
-    classical strategy plays the one round its tables give for (i, j).
+    Every round draws its row and then its column as ``getrandbits(2)``,
+    drawn again while it is 3, which is what ``randrange(3)`` does; the
+    quantum strategy then draws 64 bits and looks its round up in the
+    (i, j) table of ``_quantum_rounds``, while a classical strategy plays
+    the one round its tables give for (i, j). The nine tables are looked
+    up once per game.
     """
     if rounds < 1:
         raise ValueError("rounds must be at least 1")
-    rng = Random(f"magic-square:{seed}")
+    draw = Random(f"magic-square:{seed}").getrandbits
     quantum = isinstance(strategy, QuantumBell)
-    if not quantum:
+    if quantum:
+        tables = [_quantum_rounds(i, j) for i in range(3) for j in range(3)]
+    else:
         fixed = [
-            [
-                GameRound(i, j, alice, bob, _round_wins(i, j, alice, bob))
-                for j, bob in enumerate(map(tuple, strategy.bob))
-            ]
+            GameRound(i, j, alice, bob, _round_wins(i, j, alice, bob))
             for i, alice in enumerate(map(tuple, strategy.alice))
+            for j, bob in enumerate(map(tuple, strategy.bob))
         ]
     played: List[GameRound] = []
     for _ in range(rounds):
-        i = rng.randrange(3)
-        j = rng.randrange(3)
+        i = draw(2)
+        while i == 3:
+            i = draw(2)
+        j = draw(2)
+        while j == 3:
+            j = draw(2)
         if quantum:
-            starts, table = _quantum_rounds(i, j)
-            played.append(table[bisect_right(starts, rng.getrandbits(64))])
+            starts, table = tables[3 * i + j]
+            played.append(table[bisect_right(starts, draw(64))])
         else:
-            played.append(fixed[i][j])
+            played.append(fixed[3 * i + j])
     wins = sum(r.win for r in played)
     return GameTranscript(tuple(played), wins, Fraction(wins, rounds))
 
@@ -448,6 +455,11 @@ def _quantum_parity_answer(counter: MachineSpec, k: int, multiplier: int) -> int
     raise ArithmeticError("the parity counter gave a non-deterministic verdict")
 
 
+# The counters of the last few games' rounds: one game plays round j with
+# exponent 4j, so games of up to 16 rounds build each counter once.
+_parity_counter = lru_cache(maxsize=16)(build_evenodd_mcqfa)
+
+
 def memory_game(responder: Responder, rounds: int, seed) -> InequalityReport:
     """Play the escalating parity game.
 
@@ -474,7 +486,7 @@ def memory_game(responder: Responder, rounds: int, seed) -> InequalityReport:
         yes_multiplier = 2 * rng.randrange(_MULTIPLIER_RANGE)
         no_multiplier = 2 * rng.randrange(_MULTIPLIER_RANGE) + 1
         if isinstance(responder, QuantumQubit):
-            counter = build_evenodd_mcqfa(k)
+            counter = _parity_counter(k)
             yes_answer = _quantum_parity_answer(counter, k, yes_multiplier)
             no_answer = _quantum_parity_answer(counter, k, no_multiplier)
             expected = Fraction(1)

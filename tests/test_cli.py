@@ -1007,6 +1007,26 @@ def test_unary_exact_stdout_is_pinned(capsys, tmp_path):
             "--rounds must be at least 1, got 0",
         ),
         (("game", "memory", "--bob", "quantum", "--Q", "0", "--seed", "1"), "--Q must be at least 1, got 0"),
+        (
+            ("analyze", "EXACT_TWINPAL", "--input", "abcabcbacba", "--mode", "mc", "--trials", "100001", "--seed", "1"),
+            "--trials 100001 exceeds the cap of 100000",
+        ),
+        (
+            ("analyze", "AW_PAL", "--input", "abcab", "--mode", "mc", "--trials", "1000000000", "--seed", "1"),
+            "--trials 1000000000 exceeds the cap of 100000",
+        ),
+        (
+            ("game", "magic-square", "--strategy", "quantum", "--rounds", "100001", "--seed", "1"),
+            "--rounds 100001 exceeds the cap of 100000",
+        ),
+        (
+            ("game", "memory", "--bob", "quantum", "--Q", "8193", "--seed", "1"),
+            "--Q 8193 exceeds the cap of 8192",
+        ),
+        (
+            ("game", "memory", "--bob", "classical", "--N", "16", "--Q", "1000000", "--seed", "1"),
+            "--Q 1000000 exceeds the cap of 8192",
+        ),
     ],
 )
 def test_out_of_range_count_is_usage_error(capsys, argv, message):

@@ -18,7 +18,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exactqfa import analysis
+from exactqfa import analysis, contextuality
 from exactqfa.analysis import (
     MAX_PRECISION_BITS,
     MonteCarloResult,
@@ -28,13 +28,27 @@ from exactqfa.analysis import (
     _StochNode,
     run_monte_carlo,
 )
-from exactqfa.constructions import build_aw_pal, build_exact_eq_restarting, build_exact_twinpal
+from exactqfa.constructions import (
+    build_aw_eq_phase,
+    build_aw_pal,
+    build_evenodd_dfa,
+    build_evenodd_mcqfa,
+    build_exact_eq_restarting,
+    build_exact_exptwinpal,
+    build_exact_pal_sweeping,
+    build_exact_twinpal,
+    build_lv_exptwinpal,
+)
 from exactqfa.contextuality import (
     ClassicalDeterministic,
     GameRound,
+    GameTranscript,
     QuantumBell,
+    QuantumQubit,
     _quantum_rounds,
+    _round_wins,
     best_classical_strategy,
+    memory_game,
     play_magic_square,
     quantum_joint_distribution,
 )
@@ -436,20 +450,22 @@ def test_generator_draws_follow_the_documented_recipe():
             assert child.child("y").draw64() == _recipe_draws(grandchild_material, 1)[0]
 
 
-def _count_generators(monkeypatch):
-    built = []
+def _count_seedings(monkeypatch):
+    """The seed of every stdlib generator seeding in ``analysis``; building
+    a generator seeds it too."""
+    seeded = []
 
     class CountingRandom(random.Random):
-        def __init__(self, *args):
-            built.append(1)
-            super().__init__(*args)
+        def seed(self, *args, **kwargs):
+            seeded.append(args[0] if args else None)
+            super().seed(*args, **kwargs)
 
     monkeypatch.setattr(analysis, "random", types.SimpleNamespace(Random=CountingRandom))
-    return built
+    return seeded
 
 
 def test_trials_that_never_draw_seed_no_generator(monkeypatch):
-    built = _count_generators(monkeypatch)
+    seeded = _count_seedings(monkeypatch)
     spec = build_aw_pal()
     assert run_monte_carlo(spec, "abbacabba", 40, seed=5) == MonteCarloResult(
         trials=40,
@@ -457,14 +473,19 @@ def test_trials_that_never_draw_seed_no_generator(monkeypatch):
         mean_steps=Fraction(11),
         mean_rounds=Fraction(1),
     )
-    assert built == []
+    assert seeded == []
     assert run_monte_carlo(spec, "abbcabb", 40, seed=5) == MonteCarloResult(
         trials=40,
         counts={"accept": 29, "reject": 11, "dont_know": 0, "continue": 0, "capped": 0},
         mean_steps=Fraction(9),
         mean_rounds=Fraction(1),
     )
-    assert len(built) == 40
+    # One seeding per trial, with the trial's integer from the recipe.
+    root = hashlib.sha256(b"exactqfa:5").digest()
+    assert seeded == [
+        int.from_bytes(hashlib.sha256(root + f"/trial:{index}".encode()).digest(), "big")
+        for index in range(40)
+    ]
 
 
 # Recorded before trials followed cached edges: 120 trials at seed 11.
@@ -497,3 +518,177 @@ def test_step_capped_runs_match_recorded_results():
             mean_steps=steps,
             mean_rounds=rounds,
         ), (name, cap)
+
+
+# --- the trial loop against the one-generator-per-trial loop ---------
+
+
+def _reference_trial(compiled, rng, step_cap, precision_bits):
+    """One trial as the loop stepped it when every trial owned its own
+    generator: every draw goes through ``_reference_sample_outcome``."""
+    kind, payload, steps = compiled.resolve(compiled.start)
+    rounds = 1
+    while True:
+        if kind == "stoch":
+            kind, payload = payload.targets[_reference_sample_outcome(payload, rng, precision_bits)]
+            steps += 1
+        if step_cap is not None and steps > step_cap:
+            return "capped", steps, rounds
+        if kind == "halt":
+            return payload, steps, rounds
+        if kind == "restart":
+            rounds += 1
+            kind, payload, consumed = compiled.resolve(compiled.start)
+        else:
+            kind, payload, consumed = compiled.resolve(payload)
+        steps += consumed
+
+
+def _reference_monte_carlo(spec, word, trials, seed, step_cap=None, precision_bits=64):
+    """``run_monte_carlo`` with a fresh ``SplittableRng`` child per trial
+    and every trial stepped, draw-free or not."""
+    compiled = _CompiledMachine(spec, word, precision_bits)
+    if step_cap is None:
+        analysis._check_halt_reachable(compiled)
+    root = SplittableRng(seed)
+    counts = dict.fromkeys(("accept", "reject", "dont_know", "continue", "capped"), 0)
+    step_total = round_total = 0
+    for index in range(trials):
+        verdict, steps, rounds = _reference_trial(compiled, root.child(f"trial:{index}"), step_cap, precision_bits)
+        counts[verdict] += 1
+        if verdict != "capped":
+            step_total += steps
+            round_total += rounds
+    decided = trials - counts["capped"]
+    return MonteCarloResult(
+        trials=trials,
+        counts=counts,
+        mean_steps=Fraction(step_total, decided) if decided else None,
+        mean_rounds=Fraction(round_total, decided) if decided else None,
+    )
+
+
+def _outcome(run):
+    try:
+        return run()
+    except (analysis.MachineError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def test_trial_loop_matches_one_generator_per_trial():
+    # test_analysis imports this module, so its machines load here.
+    from test_analysis import fair_coin_pfa, spin_machine, turn_machine
+
+    # Every built-in machine, and the spin, turn and fair-coin test
+    # machines, on words that sample and words with one deterministic
+    # path. Outside their promise, acacbcbc reaches a table hole and the
+    # single-letter twins can never halt.
+    runs = (
+        (build_aw_pal, ("abbacabba", "abbcabb", "abcab")),
+        (build_exact_twinpal, ("aacaacabcab", "abcabcaacaa", "acacbcbc")),
+        (build_exact_eq_restarting, ("aabaaa", "abaa")),
+        (build_aw_eq_phase, ("aabaaa", "aba")),
+        (build_exact_pal_sweeping, ("abcba", "abcab")),
+        (build_lv_exptwinpal, ("aacaacabcabc" * 625, "acacbcbc" * 25)),
+        (build_exact_exptwinpal, ("abcabcaacaac" * 625, "acacbcbc" * 25)),
+        (lambda: build_evenodd_mcqfa(2), ("a" * 8, "a" * 6, "a" * 5)),
+        (lambda: build_evenodd_dfa(2), ("a" * 12,)),
+        (spin_machine, ("aa", "aaa")),
+        (turn_machine, ("a", "aa")),
+        (fair_coin_pfa, ("aaa",)),
+    )
+    drew = free = 0
+    for build, words in runs:
+        spec = build()
+        for word in words:
+            kind, _, length = _CompiledMachine(spec, word, 64).resolve_start()
+            if kind == "stoch":
+                drew += 1
+            else:
+                free += 1
+            # No cap, caps below, at and above the path to the first
+            # random choice or to the one deterministic decision, and caps
+            # that stop some trials.
+            for cap in (None, *sorted({max(length - 1, 0), length, length + 1, 40, 400})):
+                for seed in ("x", 7919):
+                    got = _outcome(lambda: run_monte_carlo(spec, word, 16, seed, step_cap=cap))
+                    want = _outcome(lambda: _reference_monte_carlo(spec, word, 16, seed, step_cap=cap))
+                    assert got == want, (spec.name, word, cap, seed)
+    assert drew and free
+
+
+def _interval_gap_draws():
+    """Draws that take EXACT_EQ_RESTARTING on a^2 b a^3 from its first
+    random choice to an interval-valued rotation measurement, then land
+    in a gap between that measurement's windows."""
+    compiled = _CompiledMachine(build_exact_eq_restarting(), "aabaaa", 64)
+    kind, start, _ = compiled.resolve_start()
+    assert kind == "stoch"
+    for index, (kind, target) in enumerate(start.targets):
+        kind, node, _ = compiled.resolve(target)
+        if kind == "stoch" and any(isinstance(p, ApproxProb) for _, _, p in node.outcomes_at(64)):
+            cuts = node.cuts(64, 64)
+            gaps = [hi for (_, hi), (lo, _) in zip(cuts, cuts[1:]) if hi < lo]
+            if gaps:
+                return [start.cuts(64, 64)[index][0], gaps[0]]
+    raise AssertionError("no interval measurement with a gap")
+
+
+def test_a_draw_in_a_gap_is_refined_as_before(monkeypatch):
+    refined = []
+    sample_outcome = analysis._sample_outcome
+
+    def spy(node, rng, precision_bits, num=None):
+        before = rng.calls
+        index = sample_outcome(node, rng, precision_bits, num)
+        refined.append((node, num, rng.calls - before))
+        return index
+
+    monkeypatch.setattr(analysis, "_sample_outcome", spy)
+    prefix = _interval_gap_draws()
+    for last in (0, THIRD, TOP - 1):
+        draws = prefix + [last]
+        fast, ref = ScriptedRng(draws), ScriptedRng(draws)
+        compiled = _CompiledMachine(build_exact_eq_restarting(), "aabaaa", 64)
+        reference = _CompiledMachine(build_exact_eq_restarting(), "aabaaa", 64)
+        got = analysis._sample_trial(compiled, fast, None, 64)
+        assert got == _reference_trial(reference, ref, None, 64)
+        assert fast.calls == ref.calls
+    assert len(refined) == 3
+    for node, num, extra in refined:
+        assert num == prefix[1] and extra >= 1
+        assert any(isinstance(p, ApproxProb) for _, _, p in node.outcomes_at(64))
+
+
+# --- the magic-square stream against randrange ------------------------
+
+
+def _reference_magic_square(strategy, rounds, seed):
+    """``play_magic_square`` with its inputs drawn by ``randrange(3)``."""
+    rng = random.Random(f"magic-square:{seed}")
+    played = []
+    for _ in range(rounds):
+        i = rng.randrange(3)
+        j = rng.randrange(3)
+        if isinstance(strategy, QuantumBell):
+            alice, bob = _reference_sample_joint(i, j, rng)
+        else:
+            alice, bob = tuple(strategy.alice[i]), tuple(strategy.bob[j])
+        played.append(GameRound(i, j, alice, bob, _round_wins(i, j, alice, bob)))
+    wins = sum(r.win for r in played)
+    return GameTranscript(tuple(played), wins, Fraction(wins, rounds))
+
+
+def test_magic_square_inputs_follow_randrange():
+    strategies = (QuantumBell(), best_classical_strategy()[1])
+    for seed in (0, 1, 7919, "pin", 2024):
+        for strategy in strategies:
+            assert play_magic_square(strategy, 300, seed) == _reference_magic_square(strategy, 300, seed)
+
+
+def test_memory_games_build_each_counter_once():
+    contextuality._parity_counter.cache_clear()
+    first = memory_game(QuantumQubit(), 3, seed=1)
+    assert memory_game(QuantumQubit(), 3, seed=1) == first
+    info = contextuality._parity_counter.cache_info()
+    assert (info.misses, info.hits) == (3, 3)
