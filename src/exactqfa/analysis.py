@@ -23,8 +23,10 @@ moves from one sampled square to the next along edges cached on the
 square, without building or hashing a configuration.
 
 Every runner drives one kernel, whose squares are compiled once per
-machine; a certain square makes no Fraction. A realtime run resolves
-each square it meets. A realtime PFA's square branches on each nonzero
+machine; a certain square makes no Fraction, and a branch that decides
+or restarts carries no register. A realtime run resolves only the
+squares that measure or decide, and walks the certain ones
+(``_Square.walk``). A realtime PFA's square branches on each nonzero
 entry of its matrix row, and it decides only at the right end-marker.
 
 Every realtime run takes one path (``_run_blocks``): its input is its
@@ -63,6 +65,7 @@ from .exactnum import (
     ProbValue,
     RationalInterval,
     cut_points,
+    ratio,
     reduced_over,
     to_json,
 )
@@ -133,7 +136,8 @@ def _masses_to_distribution(decided: dict, den: int, base: Optional[int] = None)
     maps a category to the integer ends (lo, hi) of its mass times den.
 
     The total-mass check asks whether lo_total <= den <= hi_total, and
-    each category is divided once, exact when its two ends agree. After a
+    each category is divided once (``ratio``), exact when its two ends
+    agree and ``PROB_ZERO`` when both are 0. After a
     jump every prime of den divides ``base``, so each division is
     ``reduced_over``: no gcd runs on integers the size of the answer.
     """
@@ -144,10 +148,11 @@ def _masses_to_distribution(decided: dict, den: int, base: Optional[int] = None)
         raise MachineError(f"total terminal mass {total} does not cover 1")
 
     def over(x: int) -> Fraction:
-        return Fraction(x, den) if base is None else reduced_over(x, den, base)
+        return ratio(x, den) if base is None else reduced_over(x, den, base)
 
     return OutcomeDistribution(
-        *(ExactProb(over(lo)) if lo == hi else ApproxProb(RationalInterval(over(lo), over(hi))) for lo, hi in sums)
+        *(ApproxProb(RationalInterval(over(lo), over(hi))) if lo != hi else ExactProb(over(lo)) if lo else PROB_ZERO
+          for lo, hi in sums)
     )
 
 
@@ -214,9 +219,11 @@ class _Square:
     a unitary or a rotation), or a PFA square's successors: one per
     nonzero entry of its row, moving right and deciding only at ``$``.
     ``walk`` is the (next_state, offset) of a certain live exit, or None.
+    ``live`` holds the labels whose exit stays live: a branch that decides
+    or restarts carries no register (None), as no reader reads it.
     """
 
-    __slots__ = ("op", "arg", "pre", "exits", "fixed", "walk")
+    __slots__ = ("op", "arg", "pre", "exits", "fixed", "walk", "live")
 
     def __init__(self, spec: MachineSpec, cstate: str, sym: str):
         action = spec.quantum_delta.get((cstate, sym))
@@ -245,8 +252,17 @@ class _Square:
             else f"no classical transition for ({cstate!r}, {sym!r}, {label!r})"
             for label, step in steps.items()
         }
+        self.live = {label for label, exit in self.exits.items() if exit.__class__ is tuple and exit[0] is None}
         fixed = self.fixed = self.exits.get(UNIT_OUTCOME)
         self.walk = fixed[1:] if self.op < _OP_MEASURE and fixed.__class__ is tuple and fixed[0] is None else None
+
+    def stepped(self, reg: Register) -> Register:
+        """The register after a certain square (no action, a unitary or a rotation)."""
+        if self.op == _OP_UNITARY:
+            return self.arg.apply(reg)
+        if self.op == _OP_ROTATE:
+            return reg.rotated(self.arg)
+        return reg
 
     def resolve(self, reg: Register, bits: int) -> tuple:
         """The successors of ``reg``, certified at ``bits`` (see ``_Kernel``)."""
@@ -254,13 +270,9 @@ class _Square:
         if op < _OP_MEASURE:
             if op == _OP_PFA:
                 return self.fixed
-            if op == _OP_UNITARY:
-                reg = self.arg.apply(reg)
-            elif op == _OP_ROTATE:
-                reg = reg.rotated(self.arg)
             if self.fixed.__class__ is str:
                 raise MachineError(self.fixed)
-            return ((*self.fixed, reg, _UNIT),)
+            return ((*self.fixed, self.walk and self.stepped(reg), _UNIT),)
         out = []
         for label, reg2, p in self.outcomes(reg, bits):
             exit = self.exits[label]
@@ -271,7 +283,8 @@ class _Square:
 
     def outcomes(self, reg: Register, bits: int) -> "list[tuple[str, Register, Union[Fraction, ApproxProb]]]":
         """(label, register, probability) of each nonzero branch of a measuring or PFA square.
-        A measurement's are its integer masses over one total, ``_UNIT`` when certain."""
+        A measurement's are its integer masses over one total, ``_UNIT`` when certain;
+        a branch whose exit is not live carries no register."""
         if self.op == _OP_PFA:
             return [(s, None, p) for _, s, _, _, p in self.fixed]
         vec = reg
@@ -284,14 +297,17 @@ class _Square:
                     raise ExactnessError(
                         "rotation measurement with a pre-unitary requires an exactly known angle"
                     ) from None
-                pairs = zip(("1", "2"), (ROTATION_AT_ZERO, ROTATION_AT_ONE), reg.outcome_probabilities(bits))
-                return [(label, post, p.value if p.is_exact() else p) for label, post, p in pairs if p != PROB_ZERO]
+                pairs = zip(("1", "2"), reg.outcome_probabilities(bits))
+                return [(x, self._rotation_post(x), p.value if p.is_exact() else p) for x, p in pairs if p != PROB_ZERO]
         if self.pre is not None:
             vec = self.pre.apply(vec)
-        total, parts = self.arg.split(vec)
+        total, parts = self.arg.split(vec, self.live)
         if self.op == _OP_MEASURE_ROTATION:
-            parts = [(label, ROTATION_AT_ZERO if label == "1" else ROTATION_AT_ONE, mass) for label, _, mass in parts]
-        return [(label, post, _UNIT if mass == total else Fraction(mass, total)) for label, post, mass in parts]
+            parts = [(label, self._rotation_post(label), mass) for label, _, mass in parts]
+        return [(label, post, _UNIT if mass == total else ratio(mass, total)) for label, post, mass in parts]
+
+    def _rotation_post(self, label: str) -> Optional[RotationRegister]:
+        return (ROTATION_AT_ZERO if label == "1" else ROTATION_AT_ONE) if label in self.live else None
 
 
 class _Kernel:
@@ -404,13 +420,17 @@ def _run_blocks(kernel: _Kernel, block: str, reps: int) -> OutcomeDistribution:
 
 def _step(kernel: _Kernel, state: tuple, sym: str) -> tuple:
     """The state (den, live, decided) of a realtime run after one square
-    of ``sym`` (see ``_spread``), each live key's square resolved once."""
+    of ``sym`` (see ``_spread``), each live key's square resolved once,
+    or none when every one walks (``_Square.walk``): then den stays."""
     (den, live, decided), squares, bits = state, kernel._squares, kernel.precision_bits
-    resolved = (
-        ((squares.get((cstate, sym)) or kernel.square(cstate, sym)).resolve(reg, bits), num)
-        for (cstate, reg), num in live.items()
-    )
-    return _spread(den, decided, resolved)
+    compiled = [(squares.get((cs, sym)) or kernel.square(cs, sym), reg, num) for (cs, reg), num in live.items()]
+    if all(square.walk for square, _, _ in compiled):
+        walked: "dict[tuple[str, Register], int]" = {}
+        for square, reg, num in compiled:
+            key = (square.walk[0], square.stepped(reg))
+            walked[key] = walked.get(key, 0) + num
+        return den, walked, decided
+    return _spread(den, decided, ((square.resolve(reg, bits), num) for square, reg, num in compiled))
 
 
 def _uncertain_dens(successors: tuple, dens: set) -> None:
@@ -493,12 +513,17 @@ def _lowest(den: int, live: dict, decided: dict) -> tuple:
 
 def _block_row(kernel: _Kernel, key: tuple, block: str) -> tuple:
     """One block from ``key`` at weight one, as a row (den, live, decided)
-    in lowest terms. The walk follows the one live branch; where a square
+    in lowest terms. The walk follows the one live branch, stepping a
+    certain square (``_Square.walk``) without resolving it; where a square
     leaves more live branches, ``_step`` goes on from the next symbol."""
     (cstate, reg), bits, squares = key, kernel.precision_bits, kernel._squares
     den, num, decided = 1, 1, {}
     for i, sym in enumerate(block):
-        successors = (squares.get((cstate, sym)) or kernel.square(cstate, sym)).resolve(reg, bits)
+        square = squares.get((cstate, sym)) or kernel.square(cstate, sym)
+        if square.walk is not None:
+            cstate, reg = square.walk[0], square.stepped(reg)
+            continue
+        successors = square.resolve(reg, bits)
         if len(successors) == 1 and successors[0][0] is None and successors[0][4] is _UNIT:
             cstate, reg = successors[0][1], successors[0][3]
             continue
@@ -788,11 +813,7 @@ def _walk(kernel: _Kernel, tape: "list[str]", key: tuple, limit: int, start) -> 
         walk = square.walk
         if walk is None or not 0 <= pos + walk[1] <= last:
             break
-        if square.op == _OP_UNITARY:
-            reg = square.arg.apply(reg)
-        elif square.op == _OP_ROTATE:
-            reg = reg.rotated(square.arg)
-        cstate, pos, n = walk[0], pos + walk[1], n + 1
+        cstate, reg, pos, n = walk[0], square.stepped(reg), pos + walk[1], n + 1
         if pos == 0 or pos == last:
             sweeps += walk[1] != 0
             if (pos, cstate, reg) == start:
@@ -973,11 +994,11 @@ def analyze_sweeping(
     survive = den - loop_weight
     return SweepingAnalysis(
         per_iteration=_masses_to_distribution(decided, den),
-        overall_accept=ExactProb(Fraction(decided.get(CATEGORY_ACCEPT, (0, 0))[0], survive)),
-        overall_reject=ExactProb(Fraction(decided.get(CATEGORY_REJECT, (0, 0))[0], survive)),
-        expected_iterations=ExactProb(Fraction(den, survive)),
-        expected_sweeps=ExactProb(Fraction(swept + cycle_sweeps * loop_weight, survive)),
-        expected_steps=ExactProb(Fraction(ticked, survive)),
+        overall_accept=ExactProb(ratio(decided.get(CATEGORY_ACCEPT, (0, 0))[0], survive)),
+        overall_reject=ExactProb(ratio(decided.get(CATEGORY_REJECT, (0, 0))[0], survive)),
+        expected_iterations=ExactProb(ratio(den, survive)),
+        expected_sweeps=ExactProb(ratio(swept + cycle_sweeps * loop_weight, survive)),
+        expected_steps=ExactProb(ratio(ticked, survive)),
     )
 
 

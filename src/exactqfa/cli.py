@@ -117,6 +117,10 @@ MAX_ROUNDS = 100_000
 # quantum responder take about 2.0 s on a 2-CPU box, and 16,384 take 5.8 s.
 MAX_Q = 8_192
 
+# The largest --count of generate, sized on the dearest problem: 1,000
+# EXPPromiseTWINPAL instances at size 2 print 7.6 MB in about 1.1 s on a 2-CPU box.
+MAX_COUNT = 1_000
+
 
 def _check_length(length: int) -> None:
     if length > MAX_INPUT_LENGTH:
@@ -411,6 +415,7 @@ def cmd_generate(args) -> int:
     statuses = tuple(args.statuses.split(",")) if args.statuses else (STATUS_YES, STATUS_NO)
     try:
         base, k = _parse_problem(args.problem, args.k)
+        _check_count("--count", args.count, 0, MAX_COUNT)
         _check_generated_length(base, k, args.size, args.t, statuses)
         instances = generate(
             args.problem,

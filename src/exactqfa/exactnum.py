@@ -134,6 +134,12 @@ def _reduced(num: int, den: int) -> Fraction:
     return value
 
 
+def ratio(num: int, den: int) -> Fraction:
+    """Fraction(num, den) for integers with den > 0, from one gcd."""
+    g = math.gcd(num, den)
+    return _reduced(num // g, den // g)
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" (or a bare integer "p"); denominator 0 is a ValueError."""
     body = text.strip()
@@ -278,11 +284,6 @@ class RationalInterval:
         if self.lo > self.hi:
             raise ValueError(f"interval endpoints out of order: [{self.lo}, {self.hi}]")
 
-    @staticmethod
-    def point(value: Fraction) -> "RationalInterval":
-        value = Fraction(value)
-        return RationalInterval(value, value)
-
 
 @dataclass(frozen=True)
 class ExactProb:
@@ -291,7 +292,7 @@ class ExactProb:
     value: Fraction
 
     def as_interval(self) -> RationalInterval:
-        return RationalInterval.point(self.value)
+        return RationalInterval(self.value, self.value)
 
     def ends(self) -> "tuple[Fraction, Fraction]":
         return self.value, self.value
@@ -328,14 +329,9 @@ def prob_exact(value) -> ExactProb:
     return ExactProb(Fraction(value))
 
 
-def prob_of_ends(lo: Fraction, hi: Fraction) -> ProbValue:
-    """The probability with ends lo <= hi: exact when they are equal."""
-    return ExactProb(lo) if lo == hi else ApproxProb(RationalInterval(lo, hi))
-
-
 def prob_complement(p: ProbValue) -> ProbValue:
     lo, hi = p.ends()
-    return prob_of_ends(1 - hi, 1 - lo)
+    return ExactProb(1 - lo) if lo == hi else ApproxProb(RationalInterval(1 - hi, 1 - lo))
 
 
 def cut_points(bounds: "Sequence[tuple[Fraction, Fraction]]", scale_bits: int) -> "list[tuple[int, int]]":

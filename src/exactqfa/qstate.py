@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from types import CodeType
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .exactnum import (
     GR_ONE,
@@ -391,17 +391,18 @@ class ProjectiveMeasurement:
     def measure(self, vector: QVector) -> "list[MeasurementBranch]":
         """``split`` with each probability as a Fraction. No runner reads it;
         the benchmark's tracer (``perfbench/tracing.py``) wraps it by name."""
-        total, parts = self.split(vector)
+        total, parts = self.split(vector, [label for label, _ in self.outcomes])
         return [
             MeasurementBranch(label, post, Fraction(mass, total), math.isqrt(mass) ** 2 == mass)
             for label, post, mass in parts
         ]
 
-    def split(self, vector: QVector) -> "tuple[int, list[tuple[str, QVector, int]]]":
+    def split(self, vector: QVector, kept: Iterable[str]) -> "tuple[int, list[tuple[str, Optional[QVector], int]]]":
         """The measurement in integers: (total, [(outcome, post, mass)]),
         one entry per outcome of nonzero mass, whose probability is
         mass/total. Masses are squared norms in units of 1/den^2, so they
-        sum to total exactly."""
+        sum to total exactly. Only an outcome in ``kept`` gets its post
+        vector; any other outcome's post is None."""
         if vector.dim != self.dim:
             raise ValueError(f"vector dim {vector.dim} != measurement dim {self.dim}")
         nums = vector.nums
@@ -413,6 +414,9 @@ class ProjectiveMeasurement:
         for label, indices in self.outcomes:
             mass = sum(squares[i] for i in indices)
             if mass == 0:
+                continue
+            if label not in kept:
+                parts.append((label, None, mass))
                 continue
             projected = [pair if i in indices else (0, 0) for i, pair in enumerate(nums)]
             # The projection has squared norm mass / den^2, a rational

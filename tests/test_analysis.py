@@ -1,5 +1,6 @@
 """Exact runs, restart/sweep analyses, Monte Carlo, and unary fast paths."""
 
+import collections
 import dataclasses
 import fractions
 import itertools
@@ -1882,17 +1883,21 @@ def test_a_split_mid_block_hands_the_branch_to_step(monkeypatch):
 
 def test_a_split_square_is_resolved_once(monkeypatch):
     # The walk spreads the branches of the square where it splits, so the
-    # block path resolves what the square-by-square run does, and no more.
+    # block path resolves each measuring square as often as the
+    # square-by-square run does, and it steps every certain square
+    # (``_Square.walk``) without resolving it.
     calls = []
     resolve = analysis._Square.resolve
-    monkeypatch.setattr(analysis._Square, "resolve", lambda square, *a: calls.append(1) or resolve(square, *a))
+    monkeypatch.setattr(analysis._Square, "resolve", lambda square, *a: calls.append(square) or resolve(square, *a))
     spec = mid_block_machine()
-    counts = []
+    measured, certain = [], []
     for run in (reference_realtime, run_exact_realtime):
         calls.clear()
         run(spec, "abaab")
-        counts.append(len(calls))
-    assert counts[0] == counts[1] > 0
+        measured.append(collections.Counter(id(square) for square in calls if square.op >= analysis._OP_MEASURE))
+        certain.append(sum(square.walk is not None for square in calls))
+    assert measured[0] == measured[1] and sum(measured[0].values()) == 3
+    assert certain[0] > 0 == certain[1]
 
 
 # Every realtime built-in, EVENODD at k = 2, and the test machines that

@@ -5,6 +5,7 @@ import json
 import resource
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -1027,10 +1028,27 @@ def test_unary_exact_stdout_is_pinned(capsys, tmp_path):
             ("game", "memory", "--bob", "classical", "--N", "16", "--Q", "1000000", "--seed", "1"),
             "--Q 1000000 exceeds the cap of 8192",
         ),
+        (
+            ("generate", "--problem", "EXPPromiseTWINPAL", "--count", "1001", "--seed", "1", "--size", "2"),
+            "--count 1001 exceeds the cap of 1000",
+        ),
+        (
+            ("generate", "--problem", "PromisePAL", "--count", "-1", "--seed", "1", "--size", "2"),
+            "--count must be at least 0, got -1",
+        ),
     ],
 )
 def test_out_of_range_count_is_usage_error(capsys, argv, message):
     assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_evenodd_dfa_over_its_cap_is_refused_at_once(capsys):
+    # EVENODD_DFA has 2^(k+1) states; k = 16 takes about 2 s on a long input.
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "analyze", "EVENODD_DFA", "--k", "17", "--input", "a8", "--mode", "exact")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == "error: k=17 exceeds the supported cap 16 (the machine needs 2^(k+1) states)\n"
 
 
 # Each built-in machine with the inputs it runs on in every mode: promise

@@ -42,6 +42,7 @@ from exactqfa.exactnum import (
     one_minus_inv_e_bracket,
     parse_gaussian,
     parse_rational,
+    ratio,
     reduced_over,
     sqrt2_pi,
 )
@@ -507,6 +508,25 @@ def test_reduced_over_matches_fraction(case) -> None:
     assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
     assert got == want and hash(got) == hash(want)
     assert format_rational(got) == format_rational(want)
+
+
+def test_ratio_matches_fraction() -> None:
+    # Signed numerators, 0 among them, over denominators of 1 to 12,000
+    # bits, with a shared factor half the time.
+    rng = random.Random(20261020)
+    cases = [(0, 1), (0, 7), (5, 1), (-6, 4), (2 ** 12000, 2 ** 11999 * 3)]
+    for _ in range(400):
+        den = rng.getrandbits(rng.randint(1, 12000)) or 1
+        num = rng.choice((0, 1, -1)) * rng.getrandbits(rng.randint(1, 12000))
+        shared = rng.choice((1, rng.getrandbits(rng.randint(1, 600)) | 1))
+        cases.append((num * shared, den * shared))
+    assert max(den.bit_length() for _, den in cases) > 10 ** 4
+    for num, den in cases:
+        got, want = ratio(num, den), Fraction(num, den)
+        assert type(got) is Fraction
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+        assert got == want and hash(got) == hash(want)
+        assert exactnum.to_json(got) == exactnum.to_json(want)
 
 
 def test_reduced_over_skips_fractions_gcd_on_a_coprime_pair(monkeypatch) -> None:
