@@ -26,7 +26,8 @@ Every runner drives one kernel, whose squares are compiled once per
 machine; a certain square makes no Fraction, and a branch that decides
 or restarts carries no register. A realtime run resolves only the
 squares that measure or decide, and walks the certain ones
-(``_Square.walk``). A realtime PFA's square branches on each nonzero
+(``_Square.walk``), a run of a self-looping square's letter in one step
+(``_Square.run``). A realtime PFA's square branches on each nonzero
 entry of its matrix row, and it decides only at the right end-marker.
 
 Every realtime run takes one path (``_run_blocks``): its input is its
@@ -37,7 +38,7 @@ time. Once the block rows recur, a jump (``_jump``) raises them by square
 and multiply on that same state, with the product that adds a block's
 rows into it (``_combine``). A unary run takes this path on its letter,
 where each live branch first tries a closed form: a self-looping
-rotation turns by its angle times the length, and a deterministic walk
+square takes the whole length as one run, and a deterministic walk
 skips its whole cycles. A two-way run carries the same state, keyed
 also by head position and sweeps; it walks certain squares (``_stretch``)
 and resolves a tick (``_sweep_tick``) only where a square measures,
@@ -49,6 +50,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -219,11 +221,13 @@ class _Square:
     a unitary or a rotation), or a PFA square's successors: one per
     nonzero entry of its row, moving right and deciding only at ``$``.
     ``walk`` is the (next_state, offset) of a certain live exit, or None.
+    ``loops`` marks a certain square that moves right into its own state
+    with no action or a rotation: its letter's run takes one step (``run``).
     ``live`` holds the labels whose exit stays live: a branch that decides
     or restarts carries no register (None), as no reader reads it.
     """
 
-    __slots__ = ("op", "arg", "pre", "exits", "fixed", "walk", "live")
+    __slots__ = ("op", "arg", "pre", "exits", "fixed", "walk", "live", "loops")
 
     def __init__(self, spec: MachineSpec, cstate: str, sym: str):
         action = spec.quantum_delta.get((cstate, sym))
@@ -233,7 +237,7 @@ class _Square:
             if matrix is None:
                 raise MachineError(f"no stochastic matrix for symbol {sym!r}")
             end = sym == RIGHT_MARKER
-            self.op, self.walk, self.fixed = _OP_PFA, None, tuple(
+            self.op, self.walk, self.loops, self.fixed = _OP_PFA, None, False, tuple(
                 ((_decision(spec, s) or CATEGORY_CONTINUE) if end else None, s, 1, None, p)
                 for s, p in zip(matrix.order, matrix.rows[matrix.order.index(cstate)])
                 if p
@@ -255,6 +259,7 @@ class _Square:
         self.live = {label for label, exit in self.exits.items() if exit.__class__ is tuple and exit[0] is None}
         fixed = self.fixed = self.exits.get(UNIT_OUTCOME)
         self.walk = fixed[1:] if self.op < _OP_MEASURE and fixed.__class__ is tuple and fixed[0] is None else None
+        self.loops = self.op in (_OP_NONE, _OP_ROTATE) and self.walk == (cstate, 1)
 
     def stepped(self, reg: Register) -> Register:
         """The register after a certain square (no action, a unitary or a rotation)."""
@@ -263,6 +268,12 @@ class _Square:
         if self.op == _OP_ROTATE:
             return reg.rotated(self.arg)
         return reg
+
+    def run(self, reg: Register, k: int) -> Register:
+        """The register after ``k`` squares of a ``loops`` square: as it is, or
+        one turn by the angle times ``k``. Fraction sums are exact, so this is
+        the angle, or the ``ExactnessError`` of mixed kinds, of ``k`` turns."""
+        return reg.rotated(self.arg.scale(k)) if self.op == _OP_ROTATE else reg
 
     def resolve(self, reg: Register, bits: int) -> tuple:
         """The successors of ``reg``, certified at ``bits`` (see ``_Kernel``)."""
@@ -511,17 +522,30 @@ def _lowest(den: int, live: dict, decided: dict) -> tuple:
     return den // g, {k: w // g for k, w in live.items()}, {c: (lo // g, hi // g) for c, (lo, hi) in decided.items()}
 
 
+# A compiled match per letter: at a position that holds the letter, its
+# end is where that letter's run stops, found in C without copying.
+_RUNS: "dict[str, Callable]" = {}
+
+
 def _block_row(kernel: _Kernel, key: tuple, block: str) -> tuple:
     """One block from ``key`` at weight one, as a row (den, live, decided)
     in lowest terms. The walk follows the one live branch, stepping a
-    certain square (``_Square.walk``) without resolving it; where a square
-    leaves more live branches, ``_step`` goes on from the next symbol."""
+    certain square (``_Square.walk``) without resolving it, a self-looping
+    one's run in one step (``_Square.run``); where a square leaves more
+    live branches, ``_step`` goes on from the next symbol."""
     (cstate, reg), bits, squares = key, kernel.precision_bits, kernel._squares
     den, num, decided = 1, 1, {}
-    for i, sym in enumerate(block):
+    i, end = 0, len(block)
+    while i < end:
+        sym, i = block[i], i + 1
         square = squares.get((cstate, sym)) or kernel.square(cstate, sym)
         if square.walk is not None:
-            cstate, reg = square.walk[0], square.stepped(reg)
+            if square.loops and i < end and block[i] == sym:
+                run = _RUNS.get(sym) or _RUNS.setdefault(sym, re.compile(re.escape(sym) + "+").match)
+                run_end = run(block, i).end()
+                reg, i = square.run(reg, run_end - i + 1), run_end
+            else:
+                cstate, reg = square.walk[0], square.stepped(reg)
             continue
         successors = square.resolve(reg, bits)
         if len(successors) == 1 and successors[0][0] is None and successors[0][4] is _UNIT:
@@ -529,7 +553,7 @@ def _block_row(kernel: _Kernel, key: tuple, block: str) -> tuple:
             continue
         state = den, live, decided = _spread(den, decided, ((successors, num),))
         if len(live) != 1:
-            for later in block[i + 1 :]:
+            for later in block[i:]:
                 state = _step(kernel, state, later)
             return _lowest(*state)
         (((cstate, reg), num),) = live.items()
@@ -597,8 +621,8 @@ def _unary_end(kernel: _Kernel, key: tuple, sym: str, reps: int) -> Optional[tup
     ``key``, as a square gives it: the branch's last key, or the category
     it halts in on the way; or None at a square that is not deterministic.
 
-    A self-looping rotation state turns by its angle times ``reps``. Any
-    other branch walks by Brent's cycle search, which keeps two
+    A self-looping square takes all ``reps`` in one step (``_Square.run``).
+    Any other branch walks by Brent's cycle search, which keeps two
     configurations: the head, and a ``mark`` that moves to the head after
     1, 2, 4, ... squares. When the head meets the mark, it has gone round
     a cycle of ``lap`` squares, and it steps only the rest of ``reps``
@@ -608,8 +632,8 @@ def _unary_end(kernel: _Kernel, key: tuple, sym: str, reps: int) -> Optional[tup
     """
     cstate, reg = key
     square = kernel.square(cstate, sym)
-    if square.op == _OP_ROTATE and square.fixed == (None, cstate, 1):
-        return None, cstate, 1, reg.rotated(square.arg.scale(reps)), _UNIT
+    if square.loops:
+        return None, cstate, 1, square.run(reg, reps), _UNIT
     end, mark, lap, power, done, recurred = (None, cstate, 0, reg, _UNIT), key, 0, 1, 0, False
     while done < reps:
         successors = kernel.successors(cstate, sym, reg)
@@ -813,7 +837,9 @@ def _walk(kernel: _Kernel, tape: "list[str]", key: tuple, limit: int, start) -> 
         walk = square.walk
         if walk is None or not 0 <= pos + walk[1] <= last:
             break
-        cstate, reg, pos, n = walk[0], square.stepped(reg), pos + walk[1], n + 1
+        if square.op:
+            reg = square.stepped(reg)
+        cstate, pos, n = walk[0], pos + walk[1], n + 1
         if pos == 0 or pos == last:
             sweeps += walk[1] != 0
             if (pos, cstate, reg) == start:

@@ -418,16 +418,28 @@ def _perturbations(wp: int) -> tuple:
 def _cos_quadrant(x, wp: int) -> tuple:
     """cos(x) rounded at ``wp`` bits and the quadrant index of x.
 
-    The cosine half of ``libmp.libmpi.cos_sin_quadrant``: ``mpf_cos`` runs
-    the code of its ``mpf_cos_sin`` call and rounds the cosine the same
-    way, and the quadrant is the same ``mod_pi2`` call.
+    The cosine half of ``libmp.libmpi.cos_sin_quadrant`` on one reduction,
+    where it makes two: the code of ``mpf_cos_sin(x, wp, round_fast,
+    which=1)`` off its pi path, whose ``mod_pi2`` also gives the quadrant.
     """
     libmp = _libmp()
     if x == libmp.fzero:
         return libmp.fone, 0
     sign, man, exp, bc = x
-    n = libmp.libelefun.mod_pi2(man, exp, exp + bc, 15)[1]
-    return libmp.mpf_cos(x, wp), -1 - n if sign else n
+    mag = exp + bc
+    if mag < -(wp + 10):
+        return libmp.mpf_perturb(libmp.fone, 1, wp, libmp.libmpf.round_fast), -1 if sign else 0
+    # ``cos_sin_quadrant`` takes n from a second ``mod_pi2(man, exp, mag,
+    # 15)``, and the two agree. For mag > 0, ``mod_pi2`` at w bits truncates
+    # |x| and ``pi_fixed`` floors pi/2, which together move the remainder by
+    # at most 1 + 2^mag units, and it stops only once the remainder is at
+    # least 2^(w + mag - 10) units from a multiple of pi/2. At every w >= 15
+    # that is more than the error, so n is the exact floor(|x| / (pi/2)) at
+    # w = 15 and at w = wp + 10 alike. For mag <= 0 it is 0, as above.
+    t, n, work = libmp.libelefun.mod_pi2(man, exp, mag, wp + 10)
+    c, s = libmp.libelefun.cos_sin_basecase(t, work)
+    c = (c, -s, -c, s)[n & 3]
+    return libmp.from_man_exp(c, -work, wp, libmp.libmpf.round_fast), -1 - n if sign else n
 
 
 def _interval_cos(x, prec: int) -> tuple:
@@ -482,17 +494,17 @@ def _interval_sin_squared(angle: SymbolicAngle, precision_bits: int) -> Rational
     ``mpmath.libmp`` kernels, and here the same kernels are called in the
     same order at the same precision, with no global context to save and
     restore. The one exception is ``iv.cos``: its ``mpi_cos`` computes sine
-    and cosine at both ends and keeps the cosine, and ``_interval_cos``
-    calls only the cosine kernel (``mpf_cos``, which rounds exactly as the
-    cosine of ``mpf_cos_sin`` does) and the same quadrant reduction, so
-    the cosine it returns is the same. Each kernel rounds outward to the
-    working precision, and scaling an endpoint by a power of two, or
-    dividing it by 1, is exact in binary and commutes with that rounding.
-    So the factor 2 sits in the cached constant, a denominator of 1 is not
-    divided by, and the final halving is a shift of the exponent, and no
-    endpoint moves. The clamps and the width test read the ends' integer
-    mantissas and exponents, which are exact, and only the two returned
-    ends become Fractions.
+    and cosine at both ends, reducing each end mod pi/2 twice, and keeps
+    the cosine. ``_interval_cos`` runs the cosine's code of ``mpf_cos_sin``
+    on one reduction per end, which also gives the end's quadrant
+    (``_cos_quadrant``), so the cosine it returns is the same. Each kernel
+    rounds outward to the working precision, and scaling an endpoint by a
+    power of two, or dividing it by 1, is exact in binary and commutes
+    with that rounding. So the factor 2 sits in the cached constant, a
+    denominator of 1 is not divided by, and the final halving is a shift
+    of the exponent, and no endpoint moves. The clamps and the width test
+    read the ends' integer mantissas and exponents, which are exact, and
+    only the two returned ends become Fractions.
     """
     libmp = _libmp()
     coeff = angle.coeff

@@ -79,7 +79,7 @@ from exactqfa.machines import (
     UnitaryAction,
     validate,
 )
-from exactqfa.qstate import ProjectiveMeasurement, QMatrix
+from exactqfa.qstate import ProjectiveMeasurement, QMatrix, RotationRegister
 from test_exactnum import contains
 from test_sampling import _thirds_pfa
 
@@ -956,6 +956,29 @@ def test_a_sweep_analysis_ticks_only_where_a_square_measures_decides_or_fails(mo
     # measurement at the right one resolve their squares.
     assert len(met) == 2
     assert all(any(stops(square) for square in squares) for squares in met)
+
+
+def test_a_two_way_walk_steps_no_idle_square(monkeypatch):
+    # A walked square with no action keeps its register without a call,
+    # and a walked unitary still goes through QMatrix.apply.
+    ops, applied, walking = [], [], []
+    walk, stepped, apply = analysis._walk, analysis._Square.stepped, QMatrix.apply
+
+    def walked(*args):
+        walking.append(True)
+        try:
+            return walk(*args)
+        finally:
+            walking.pop()
+
+    monkeypatch.setattr(analysis, "_walk", walked)
+    monkeypatch.setattr(analysis._Square, "stepped", lambda square, reg: walking and ops.append(square.op) or stepped(square, reg))
+    monkeypatch.setattr(QMatrix, "apply", lambda matrix, vec: applied.append(matrix) or apply(matrix, vec))
+    analyze_sweeping(build_exact_pal_sweeping(), "abaabcaabab")
+    analyze_sweeping(bounce_machine(), "aaa")
+    run_exact_sweeping(two_way_turn_machine(), "aaa", 4)
+    assert {analysis._OP_UNITARY, analysis._OP_ROTATE} <= set(ops) and analysis._OP_NONE not in ops
+    assert len(applied) >= ops.count(analysis._OP_UNITARY)
 
 
 def _within_five_sigma(count: int, trials: int, p_lo: Fraction, p_hi: Fraction) -> bool:
@@ -1900,6 +1923,145 @@ def test_a_split_square_is_resolved_once(monkeypatch):
     assert certain[0] > 0 == certain[1]
 
 
+def idle_split_machine() -> MachineSpec:
+    """ROT turns the register on the left end-marker, "s" idles at "a",
+    and "b" measures with both outcomes live: a run of "a"s ends right
+    before a split. "t" turns by ROT at "a", and at "b" rejects on
+    outcome "1"."""
+    classical = {
+        ("s", LEFT_MARKER, "1"): ClassicalStep("s", MOVE_RIGHT),
+        ("s", "a", "1"): ClassicalStep("s", MOVE_RIGHT),
+        ("s", "b", "1"): ClassicalStep("s", MOVE_RIGHT),
+        ("s", "b", "2"): ClassicalStep("t", MOVE_RIGHT),
+        ("t", "a", "1"): ClassicalStep("t", MOVE_RIGHT),
+        ("t", "b", "1"): ClassicalStep("s_r", MOVE_RIGHT),
+        ("t", "b", "2"): ClassicalStep("t", MOVE_RIGHT),
+        ("s", RIGHT_MARKER, "1"): ClassicalStep("s_a", MOVE_RIGHT),
+        ("t", RIGHT_MARKER, "1"): ClassicalStep("s_r", MOVE_RIGHT),
+    }
+    return MachineSpec(
+        name="idle-split",
+        model_class=MODEL_RTQCFA,
+        register=REGISTER_MATRIX,
+        quantum_dim=2,
+        states=frozenset({"s", "t", "s_a", "s_r"}),
+        initial_state="s",
+        accept_state="s_a",
+        reject_state="s_r",
+        dont_know_state=None,
+        alphabet=("a", "b"),
+        quantum_delta={
+            ("s", LEFT_MARKER): UnitaryAction(ROT),
+            ("t", "a"): UnitaryAction(ROT),
+            ("s", "b"): MeasureAction(BASIS2),
+            ("t", "b"): MeasureAction(BASIS2),
+        },
+        classical_delta=classical,
+    )
+
+
+def test_a_run_right_before_a_split_hands_the_next_symbol_to_step(monkeypatch):
+    steps = []
+    step = analysis._step
+    monkeypatch.setattr(analysis, "_step", lambda k, state, sym: steps.append(sym) or step(k, state, sym))
+    spec = idle_split_machine()
+    for word in ("aaabab", "aaaabaab" * 3, "aab" * 4, "b" + "a" * 50 + "ba"):
+        assert outcome(run_exact_realtime, spec, word) == outcome(reference_realtime, spec, word), word
+    steps.clear()
+    run_exact_realtime(spec, "aaabab")
+    # The walk takes "aaa" as one run, splits at the "b", and steps "ab".
+    assert steps == [LEFT_MARKER, "a", "b", RIGHT_MARKER]
+
+
+def two_run_machine(left, up, down, alphabet=("a", "b")) -> MachineSpec:
+    """Turns by ``left`` on the left end-marker, by ``up`` at each "a"
+    before the first "b" and by ``down`` at each "a" after it, and
+    measures at the right end-marker; a turn of None is no action."""
+    turns = {("up", LEFT_MARKER): left, ("up", "a"): up, ("down", "a"): down}
+    quantum = {square: RotateAction(angle) for square, angle in turns.items() if angle is not None}
+    classical = {
+        ("up", LEFT_MARKER, "1"): ClassicalStep("up", MOVE_RIGHT),
+        ("up", "a", "1"): ClassicalStep("up", MOVE_RIGHT),
+    }
+    if "b" in alphabet:
+        classical[("up", "b", "1")] = classical[("down", "b", "1")] = ClassicalStep("down", MOVE_RIGHT)
+        classical[("down", "a", "1")] = ClassicalStep("down", MOVE_RIGHT)
+    for state in ("up", "down"):
+        quantum[(state, RIGHT_MARKER)] = MeasureRotationAction()
+        classical[(state, RIGHT_MARKER, "1")] = ClassicalStep("s_a", MOVE_RIGHT)
+        classical[(state, RIGHT_MARKER, "2")] = ClassicalStep("s_r", MOVE_RIGHT)
+    return MachineSpec(
+        name="two-run",
+        model_class=MODEL_RTQCFA,
+        register=REGISTER_ROTATION,
+        quantum_dim=2,
+        states=frozenset({"up", "down", "s_a", "s_r"}),
+        initial_state="up",
+        accept_state="s_a",
+        reject_state="s_r",
+        dont_know_state=None,
+        alphabet=alphabet,
+        quantum_delta=quantum,
+        classical_delta=classical,
+    )
+
+
+# (left, up, down): zero angles of both kinds, idle runs, and kinds that
+# mix at once, after the first run, or never.
+TWO_RUN_TURNS = [
+    (sqrt2_pi(1), dyadic_pi(0), sqrt2_pi(-1)),
+    (None, sqrt2_pi(0), dyadic_pi(Fraction(1, 4))),
+    (sqrt2_pi(0), sqrt2_pi(Fraction(1, 3)), dyadic_pi(0)),
+    (dyadic_pi(Fraction(1, 8)), sqrt2_pi(1), None),
+    (None, dyadic_pi(Fraction(1, 4)), sqrt2_pi(1)),
+    (dyadic_pi(Fraction(3, 16)), None, dyadic_pi(Fraction(-1, 8))),
+    (sqrt2_pi(1), None, dyadic_pi(Fraction(1, 2))),
+]
+
+
+def _eq_words(lengths, tails) -> "list[str]":
+    """a^m b a^n, and a^m b a^n b a^z for each z in ``tails``."""
+    words = []
+    for m, n in itertools.product(lengths, repeat=2):
+        words.append("a" * m + "b" + "a" * n)
+        words += ["a" * m + "b" + "a" * n + "b" + "a" * z for z in tails]
+    return words
+
+
+@pytest.mark.parametrize("turns", TWO_RUN_TURNS)
+def test_a_self_looping_run_matches_its_single_turns(turns):
+    spec = two_run_machine(*turns)
+    for word in _eq_words((0, 1, 2, 5, 40), (0, 3)):
+        assert outcome(run_exact_realtime, spec, word) == outcome(reference_realtime, spec, word), word
+    unary = two_run_machine(*turns, alphabet=("a",))
+    for n in (0, 1, 2, 7, 100):
+        assert outcome(lambda s, w: run_unary_length(s, len(w)), unary, "a" * n) == outcome(reference_realtime, unary, "a" * n)
+
+
+def test_eq_runs_of_a_few_hundred_letters_match_the_references():
+    eq, phase = build_exact_eq_restarting(), build("AW_EQ_PHASE")
+    for word in _eq_words((0, 1, 7, 64, 300), (0, 299)):
+        for spec in (eq, phase):
+            assert outcome(run_exact_realtime, spec, word) == outcome(reference_realtime, spec, word), word
+        assert _restart_outcome(analyze_restarting, eq, word, 64) == _restart_outcome(reference_restart, eq, word, 64)
+
+
+def test_a_million_letter_eq_word_turns_each_run_once(monkeypatch):
+    rotated, stepped = [], []
+    rotate, step = RotationRegister.rotated, analysis._Square.stepped
+    monkeypatch.setattr(RotationRegister, "rotated", lambda reg, delta: rotated.append(delta) or rotate(reg, delta))
+    monkeypatch.setattr(analysis._Square, "stepped", lambda square, reg: stepped.append(square) or step(square, reg))
+    m = 10 ** 6
+    word = "a" * m + "b" + "a" * (m + 1)
+    analyze_restarting(build_exact_eq_restarting(), word)
+    # One turn per run of each branch, and one where a branch changes state.
+    assert 0 < len(rotated) <= 6 and len(stepped) <= 4
+    rotated.clear()
+    stepped.clear()
+    run_exact_realtime(build("AW_EQ_PHASE"), word)
+    assert 0 < len(rotated) <= 2 and len(stepped) <= 2
+
+
 # Every realtime built-in, EVENODD at k = 2, and the test machines that
 # split mid-block, halt before a hole, carry interval masses or are PFAs.
 DIFFERENTIAL_MACHINES = [
@@ -1913,6 +2075,7 @@ DIFFERENTIAL_MACHINES = [
     block_counter_machine(),
     walk_or_toss_machine(),
     live_turn_machine(),
+    idle_split_machine(),
     halt_before_hole_machine(),
     fair_coin_pfa(),
     _thirds_pfa(),

@@ -370,6 +370,44 @@ def test_the_interval_cosine_equals_mpi_cos_on_the_seeded_arguments(monkeypatch)
         assert interval_cos(x, prec) == libmp.mpi_cos(x, prec)
 
 
+def _two_reduction_cos_quadrant(x, wp: int) -> tuple:
+    """``cos_sin_quadrant``'s cosine and quadrant: ``mpf_cos`` at ``wp``
+    bits, and a second reduction mod pi/2 at 15 bits."""
+    if x == libmp.fzero:
+        return libmp.fone, 0
+    sign, man, exp, bc = x
+    n = libmp.libelefun.mod_pi2(man, exp, exp + bc, 15)[1]
+    return libmp.mpf_cos(x, wp), -1 - n if sign else n
+
+
+def _cos_quadrant_arguments(wp: int) -> list:
+    """Zero; every magnitude from below 2^-(wp + 10) to 2^-wp and a few
+    above, of both signs; ends 2^-40, 2^-60 and 2^-200 either side of
+    k*pi/2 for k = 1..8 and -3; and magnitudes up to 2^64."""
+    rng = random.Random(wp)
+    args = [libmp.fzero]
+    for mag in [*range(-(wp + 14), -wp + 3), *range(1, 65)]:
+        for sign in (1, -1):
+            args.append(libmp.from_man_exp(sign * (rng.getrandbits(52) | 1 << 52), mag - 53))
+    for k in (*range(1, 9), -3):
+        quarter = libmp.mpf_shift(libmp.mpf_mul_int(libmp.mpf_pi(400), k, 400), -1)
+        for offset in (40, 60, 200):
+            args += [libmp.mpf_add(quarter, libmp.from_man_exp(d, -offset), 400) for d in (-1, 1)]
+    return args
+
+
+@pytest.mark.parametrize("wp", [36, 84, 118, 220, 1044])
+def test_one_reduction_gives_the_cosine_and_quadrant_of_two(wp) -> None:
+    quadrants, negative = set(), 0
+    for x in _cos_quadrant_arguments(wp):
+        got = exactnum._cos_quadrant(x, wp)
+        assert got == _two_reduction_cos_quadrant(x, wp), x
+        quadrants.add(got[1] % 4)
+        negative += got[0][0]
+    # Every quadrant rotation is taken, and negative cosines are rounded.
+    assert quadrants == {0, 1, 2, 3} and negative > 20
+
+
 def test_enclosures_leave_mpmath_global_state_alone() -> None:
     mp_prec, iv_prec = mpmath.mp.prec, mpmath.iv.prec
     for angle, bits in seeded_angles(16, 3):
