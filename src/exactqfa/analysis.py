@@ -438,7 +438,7 @@ def _step(kernel: _Kernel, state: tuple, sym: str) -> tuple:
     if all(square.walk for square, _, _ in compiled):
         walked: "dict[tuple[str, Register], int]" = {}
         for square, reg, num in compiled:
-            key = (square.walk[0], square.stepped(reg))
+            key = (square.walk[0], square.stepped(reg) if square.op else reg)
             walked[key] = walked.get(key, 0) + num
         return den, walked, decided
     return _spread(den, decided, ((square.resolve(reg, bits), num) for square, reg, num in compiled))
@@ -545,7 +545,7 @@ def _block_row(kernel: _Kernel, key: tuple, block: str) -> tuple:
                 run_end = run(block, i).end()
                 reg, i = square.run(reg, run_end - i + 1), run_end
             else:
-                cstate, reg = square.walk[0], square.stepped(reg)
+                cstate, reg = square.walk[0], square.stepped(reg) if square.op else reg
             continue
         successors = square.resolve(reg, bits)
         if len(successors) == 1 and successors[0][0] is None and successors[0][4] is _UNIT:

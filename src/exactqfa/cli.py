@@ -118,7 +118,7 @@ MAX_ROUNDS = 100_000
 MAX_Q = 8_192
 
 # The largest --count of generate, sized on the dearest problem: 1,000
-# EXPPromiseTWINPAL instances at size 2 print 7.6 MB in about 1.1 s on a 2-CPU box.
+# EXPPromiseTWINPAL instances at size 2 print 7.6 MB in about 0.25 s on a 2-CPU box.
 MAX_COUNT = 1_000
 
 
@@ -259,10 +259,15 @@ def _instance_word(args, problem: Optional[Tuple[str, Optional[int]]]) -> str:
             return f"{args.u}c{args.v}"
         if base == PROBLEM_TWINPAL:
             return f"{args.u}c{args.u}c{args.v}c{args.v}"
+        block = f"{args.u}c{args.u}c{args.v}c{args.v}c"
+        if args.t is None and len(args.u) > MAX_INPUT_LENGTH.bit_length():
+            # The block times 25^|u| is over the cap; 25**|u| is never built.
+            raise UsageError(
+                f"input length {len(block)}*25^{len(args.u)} exceeds the cap of {MAX_INPUT_LENGTH} symbols"
+            )
         reps = args.t if args.t is not None else 25 ** len(args.u)
         if reps < 0:
             raise UsageError(f"--t must be nonnegative, got {reps}")
-        block = f"{args.u}c{args.u}c{args.v}c{args.v}c"
         _check_length(len(block) * reps)
         return block * reps
     if base == PROBLEM_EQ:

@@ -2,7 +2,8 @@
 
 Every problem is a pair of disjoint languages; strings outside both
 sides carry the explicit third status "OutsidePromise".  Membership is
-decided by direct predicate evaluation, and the machines in
+one full match of the problem's shape (``_SHAPES``), which yields u and
+v or the block lengths, then the comparisons below; the machines in
 ``constructions`` are only guaranteed to behave on promise inputs, so
 callers are expected to consult :func:`membership` first.
 
@@ -23,6 +24,7 @@ Five problems are covered:
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from math import gcd
 from random import Random
@@ -96,10 +98,6 @@ def _is_pal(word: str) -> bool:
     return word == word[::-1]
 
 
-def _letters_only(word: str) -> bool:
-    return all(ch in "ab" for ch in word)
-
-
 def _pal_pair_status(u: str, v: str) -> str:
     if _is_pal(u) and not _is_pal(v):
         return STATUS_YES
@@ -108,127 +106,46 @@ def _pal_pair_status(u: str, v: str) -> str:
     return STATUS_OUTSIDE
 
 
-def split_pal_instance(word: str) -> Optional[Tuple[str, str]]:
-    """Split u c v into (u, v); None when the shape is malformed."""
-    if word.count("c") != 1:
-        return None
-    u, v = word.split("c")
-    if not (_letters_only(u) and _letters_only(v)):
-        return None
-    return u, v
-
-
-def _membership_pal(word: str) -> str:
-    parts = split_pal_instance(word)
-    if parts is None:
-        return STATUS_OUTSIDE
-    u, v = parts
-    if len(u) != len(v):
-        return STATUS_OUTSIDE
-    return _pal_pair_status(u, v)
-
-
-def split_twin_instance(word: str) -> Optional[Tuple[str, str]]:
-    """Split u c u c v c v into (u, v); None when malformed."""
-    parts = word.split("c")
-    if len(parts) != 4:
-        return None
-    if not all(_letters_only(p) for p in parts):
-        return None
-    if parts[0] != parts[1] or parts[2] != parts[3]:
-        return None
-    return parts[0], parts[2]
-
-
-def _membership_twinpal(word: str) -> str:
-    parts = split_twin_instance(word)
-    if parts is None:
-        return STATUS_OUTSIDE
-    u, v = parts
-    if not u or not v or len(u) != len(v):
-        return STATUS_OUTSIDE
-    return _pal_pair_status(u, v)
-
-
-def split_exp_instance(word: str) -> Optional[Tuple[str, str, int]]:
-    """Split (u c u c v c v c)^t into (u, v, t); None when malformed."""
-    if not word.endswith("c"):
-        return None
-    parts = word.split("c")
-    if parts[-1] != "":
-        return None
-    runs = parts[:-1]
-    if len(runs) % 4 != 0 or not runs:
-        return None
-    t = len(runs) // 4
-    u, v = runs[0], runs[2]
-    if not all(_letters_only(p) for p in runs):
-        return None
-    for j in range(t):
-        if runs[4 * j] != u or runs[4 * j + 1] != u:
-            return None
-        if runs[4 * j + 2] != v or runs[4 * j + 3] != v:
-            return None
-    return u, v, t
-
-
-def _membership_exp_twinpal(word: str) -> str:
-    parts = split_exp_instance(word)
-    if parts is None:
-        return STATUS_OUTSIDE
-    u, v, t = parts
-    if not u or not v or len(u) != len(v):
-        return STATUS_OUTSIDE
-    # The repetition count is part of the promise; the comparison is
-    # exact big-integer arithmetic.
-    if t < 25 ** len(u):
-        return STATUS_OUTSIDE
-    return _pal_pair_status(u, v)
-
-
-def split_eq_instance(word: str) -> Optional[Tuple[int, int, int]]:
-    """Split a^x b a^y b a^z into block lengths (x, y, z)."""
-    if any(ch not in "ab" for ch in word) or word.count("b") != 2:
-        return None
-    blocks = word.split("b")
-    return len(blocks[0]), len(blocks[1]), len(blocks[2])
-
-
-def _membership_eq(word: str) -> str:
-    blocks = split_eq_instance(word)
-    if blocks is None:
-        return STATUS_OUTSIDE
-    x, y, z = blocks
-    if x == y and x != z:
-        return STATUS_YES
-    if x == z and x != y:
-        return STATUS_NO
-    return STATUS_OUTSIDE
-
-
-def _membership_evenodd(word: str, k: int) -> str:
-    if any(ch != "a" for ch in word):
-        return STATUS_OUTSIDE
-    length = len(word)
-    if length % (2 ** k) != 0:
-        return STATUS_OUTSIDE
-    i = length // (2 ** k)
-    return STATUS_YES if i % 2 == 0 else STATUS_NO
+# Each problem's shape, compiled once: a full match whose groups are u
+# and v, or PromiseEQ's three blocks. EXPPromiseTWINPAL's shape is one
+# block at the start of the word; the rest must repeat it.
+_SHAPES = {
+    PROBLEM_PAL: re.compile(r"([ab]*)c([ab]*)").fullmatch,
+    PROBLEM_TWINPAL: re.compile(r"([ab]+)c\1c([ab]+)c\2").fullmatch,
+    PROBLEM_EXP_TWINPAL: re.compile(r"([ab]+)c\1c([ab]+)c\2c").match,
+    PROBLEM_EQ: re.compile(r"(a*)b(a*)b(a*)").fullmatch,
+}
 
 
 def membership(problem: str, word: str, k: Optional[int] = None) -> str:
-    """Classify ``word`` as Yes, No, or OutsidePromise by direct
-    predicate evaluation."""
+    """Classify ``word`` as Yes, No, or OutsidePromise: one full match
+    of the problem's shape, then the comparisons of its definition."""
     base, k = _parse_problem(problem, k)
-    if base == PROBLEM_PAL:
-        return _membership_pal(word)
-    if base == PROBLEM_TWINPAL:
-        return _membership_twinpal(word)
-    if base == PROBLEM_EXP_TWINPAL:
-        return _membership_exp_twinpal(word)
+    if base == PROBLEM_EVENODD:
+        # a^(i * 2^k): n mod 2^k is read off n's bits, and a nonzero n
+        # narrower than k bits is no multiple, so 2^k is never built.
+        n = len(word)
+        if word.count("a") != n or n and (k >= n.bit_length() or n & ((1 << k) - 1)):
+            return STATUS_OUTSIDE
+        return STATUS_NO if n >> k & 1 else STATUS_YES
+    match = _SHAPES[base](word)
+    if match is None:
+        return STATUS_OUTSIDE
     if base == PROBLEM_EQ:
-        return _membership_eq(word)
-    return _membership_evenodd(word, k)
+        x, y, z = map(len, match.groups())
+        return STATUS_YES if x == y != z else STATUS_NO if x == z != y else STATUS_OUTSIDE
+    u, v = match.groups()
+    if len(u) != len(v):
+        return STATUS_OUTSIDE
+    if base == PROBLEM_EXP_TWINPAL:
+        # The word is its first block t times exactly when t disjoint
+        # copies fill it. A t below 2^|u| is below 25^|u| too, so the
+        # power is built only for a u shorter than t's bit length.
+        block = match[0]
+        t = word.count(block)
+        if t * len(block) != len(word) or len(u) >= t.bit_length() or t < 25 ** len(u):
+            return STATUS_OUTSIDE
+    return _pal_pair_status(u, v)
 
 
 def twin_expand(word: str) -> str:
@@ -237,10 +154,10 @@ def twin_expand(word: str) -> str:
     The rewrite preserves the promise status: (u, v) is unchanged, and
     the doubled shape is well-formed exactly when the input was.
     """
-    parts = split_pal_instance(word)
-    if parts is None:
+    match = _SHAPES[PROBLEM_PAL](word)
+    if match is None:
         raise ValueError("malformed input: expected letters with exactly one 'c'")
-    u, v = parts
+    u, v = match.groups()
     return f"{u}c{u}c{v}c{v}"
 
 
@@ -357,7 +274,7 @@ def generate(
                 i = rng.choice(choices)
                 string = "a" * (i * 2 ** k)
                 params = {"i": i, "k": k}
-        got = membership(base, string, k) if base == PROBLEM_EVENODD else membership(base, string)
+        got = membership(base, string, k)
         if got != status:
             raise AssertionError(
                 f"generator bug: built {status} instance classified as {got}"

@@ -6,6 +6,7 @@ import fractions
 import itertools
 import math
 import random
+import sys
 import time
 import tracemalloc
 import types
@@ -979,6 +980,28 @@ def test_a_two_way_walk_steps_no_idle_square(monkeypatch):
     run_exact_sweeping(two_way_turn_machine(), "aaa", 4)
     assert {analysis._OP_UNITARY, analysis._OP_ROTATE} <= set(ops) and analysis._OP_NONE not in ops
     assert len(applied) >= ops.count(analysis._OP_UNITARY)
+
+
+def test_a_realtime_run_steps_no_idle_square(monkeypatch):
+    # _step's all-walk branch and _block_row keep a walked idle square's
+    # register without a call, and a walked unitary still goes through
+    # QMatrix.apply.
+    calls, applied = [], []
+    stepped, apply = analysis._Square.stepped, QMatrix.apply
+
+    def spied(square, reg):
+        calls.append((sys._getframe(1).f_code.co_name, square.op))
+        return stepped(square, reg)
+
+    monkeypatch.setattr(analysis._Square, "stepped", spied)
+    monkeypatch.setattr(QMatrix, "apply", lambda matrix, vec: applied.append(matrix) or apply(matrix, vec))
+    for spec, word in ((idle_split_machine(), "abab"), (coin_turn_machine(), "aabab"), (build("AW_EQ_PHASE"), "aaba")):
+        run_exact_realtime(spec, word)
+    callers = ("_step", "_block_row")
+    # Both paths step unitaries and rotations, and neither an idle square.
+    realtime = {(caller, op) for caller, op in calls if caller in callers}
+    assert realtime == {(caller, op) for caller in callers for op in (analysis._OP_UNITARY, analysis._OP_ROTATE)}
+    assert len(applied) >= sum(op == analysis._OP_UNITARY for _, op in calls)
 
 
 def _within_five_sigma(count: int, trials: int, p_lo: Fraction, p_hi: Fraction) -> bool:

@@ -469,6 +469,7 @@ class TestAnalyze:
             (("EVENODD_MCQFA", "--problem", "EVENODD", "--k", "40", "--i", "3"), "3*2^40"),
             (("AW_PAL", "--problem", "EVENODD^1000000000000", "--i", "3"), "3*2^1000000000000"),
             (("AW_EQ_PHASE", "--problem", "PromiseEQ", "--blocks", "1000000000000,1,1"), 10**12 + 4),
+            (("LV_EXPTWINPAL", "--problem", "EXPPromiseTWINPAL", "--u", "a" * 27, "--v", "b" * 27), 112 * 25**27),
         ],
     )
     def test_huge_input_fails_before_allocating(self, capsys, argv, length):
@@ -481,6 +482,20 @@ class TestAnalyze:
         assert code == 2 and out == ""
         assert f"input length {length} exceeds the cap of {cli.MAX_INPUT_LENGTH}" in err
         assert peak < cli.MAX_INPUT_LENGTH // 8
+
+    def test_a_long_config_u_fails_before_its_power(self, capsys, tmp_path):
+        # A config file has no argv length limit; 25^|u| is never built or printed.
+        u = "ab" * 500_000
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"u": u, "v": "ab"}))
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "analyze", "LV_EXPTWINPAL", "--problem", "EXPPromiseTWINPAL", "--config", str(config), "--mode", "exact"
+        )
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err == f"error: input length {2 * len(u) + 8}*25^{len(u)} exceeds the cap of {cli.MAX_INPUT_LENGTH} symbols\n"
+        assert len(err) < 200
 
     def test_negative_block_count_is_usage_error(self, capsys):
         code, out, err = run_cli(

@@ -202,10 +202,10 @@ def inputs(spec):
 def reached_squares(monkeypatch):
     """Run every machine on its inputs in each mode that fits, and collect
     every (spec, state, symbol, register) that the kernel was asked about,
-    or that a walk stepped without resolving."""
+    that a walk stepped without resolving, or that a block row passed."""
     reached, owners = {}, {}
     successors, square, resolve = analysis._Kernel.successors, analysis._Kernel.square, analysis._Square.resolve
-    stepped = analysis._Square.stepped
+    stepped, block_row = analysis._Square.stepped, analysis._block_row
 
     def record(spec, cstate, sym, reg):
         reached.setdefault((id(spec), cstate, sym, reg), (spec, cstate, sym, reg))
@@ -227,12 +227,27 @@ def reached_squares(monkeypatch):
         record(*owners[id(compiled)], reg)
         return stepped(compiled, reg)
 
+    def row(kernel, key, block):
+        # A block row passes an idle square with no call: walk the row
+        # again with the oracle, up to where it leaves no live branch or
+        # more than one.
+        cstate, reg = key
+        for sym in block:
+            record(kernel.spec, cstate, sym, reg)
+            got = outcome_of(lambda: oracle_resolve(kernel.spec, cstate, sym, reg, kernel.precision_bits))
+            live = [] if isinstance(got, Raised) else [s for s in got if s[0] is None]
+            if len(live) != 1:
+                break
+            _, cstate, _, reg, _ = live[0]
+        return block_row(kernel, key, block)
+
     # Runs ask ``successors``; a unary walk resolves the squares it gets,
     # and block rows, realtime steps and two-way walks step certain ones.
     monkeypatch.setattr(analysis._Kernel, "successors", asked)
     monkeypatch.setattr(analysis._Kernel, "square", owned)
     monkeypatch.setattr(analysis._Square, "resolve", walked)
     monkeypatch.setattr(analysis._Square, "stepped", certain)
+    monkeypatch.setattr(analysis, "_block_row", row)
     for spec in machines():
         for word in inputs(spec):
             if spec.is_realtime():

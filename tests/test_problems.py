@@ -1,6 +1,8 @@
 """Tests for the promise-problem predicates, generators, and witnesses."""
 
 import json
+import time
+import tracemalloc
 
 import pytest
 
@@ -179,6 +181,112 @@ class TestEvenOddMembership:
             membership("NoSuchProblem", "a")
         with pytest.raises(ValueError):
             membership("EVENODD^x", "a")
+
+
+def oracle(problem, word, k=None):
+    """The module docstring's definitions, read off the parts between
+    separators: no shapes, no regular expressions."""
+    def letters(*parts):
+        return all(set(part) <= {"a", "b"} for part in parts)
+
+    def pal_pair(u, v):
+        if is_pal(u) == is_pal(v):
+            return STATUS_OUTSIDE
+        return STATUS_YES if is_pal(u) else STATUS_NO
+
+    if problem == "EVENODD":
+        n = len(word)
+        if set(word) - {"a"} or n % 2**k:
+            return STATUS_OUTSIDE
+        return STATUS_YES if n // 2**k % 2 == 0 else STATUS_NO
+    if problem == "PromiseEQ":
+        parts = word.split("b")
+        if len(parts) != 3 or set("".join(parts)) - {"a"}:
+            return STATUS_OUTSIDE
+        x, y, z = map(len, parts)
+        if x == y and x != z:
+            return STATUS_YES
+        if x == z and x != y:
+            return STATUS_NO
+        return STATUS_OUTSIDE
+    parts = word.split("c")
+    if problem == "PromisePAL":
+        if len(parts) != 2 or not letters(*parts) or len(parts[0]) != len(parts[1]):
+            return STATUS_OUTSIDE
+        return pal_pair(*parts)
+    if problem == "EXPPromiseTWINPAL":
+        # (u c u c v c v c)^t: every fourth part repeats, and a "c" ends the word.
+        if parts.pop() or len(parts) % 4:
+            return STATUS_OUTSIDE
+        t = len(parts) // 4
+        if t < 1 or parts != parts[:4] * t or t < 25 ** len(parts[0]):
+            return STATUS_OUTSIDE
+    elif len(parts) != 4:
+        return STATUS_OUTSIDE
+    u, u2, v, v2 = parts[:4]
+    if u != u2 or v != v2 or not u or len(u) != len(v) or not letters(u, v):
+        return STATUS_OUTSIDE
+    return pal_pair(u, v)
+
+
+PROBLEM_CONFIGS = [("PromisePAL", None), ("PromiseTWINPAL", None), ("EXPPromiseTWINPAL", None), ("PromiseEQ", None)] + [
+    ("EVENODD", k) for k in (0, 1, 3, 40)
+]
+
+
+class TestMembershipShapes:
+    def test_every_short_word_matches_the_oracle(self):
+        words, frontier = [""], [""]
+        for _ in range(8):
+            frontier = [w + ch for w in frontier for ch in "abc"]
+            words += frontier
+        for word in words:
+            for problem, k in PROBLEM_CONFIGS:
+                assert membership(problem, word, k=k) == oracle(problem, word, k), (problem, k, word)
+
+    def test_exp_words_around_the_threshold_match_the_oracle(self):
+        # One letter is always a palindrome, so only |u| = 2 enters the promise.
+        seen = set()
+        for halves, thresholds in ((("a", "b"), (24, 25, 26)), (("aa", "ab", "ba", "bb"), (624, 625, 626))):
+            for u in halves:
+                for v in halves:
+                    block = f"{u}c{u}c{v}c{v}c"
+                    for t in thresholds:
+                        word = block * t
+                        swapped = word[: -len(block)] + f"{v}c{v}c{u}c{u}c"
+                        for variant in (word, word + "a", word + "c", word[:-1], swapped):
+                            got = membership("EXPPromiseTWINPAL", variant)
+                            assert got == oracle("EXPPromiseTWINPAL", variant), (u, v, t, len(variant))
+                            seen.add(got)
+        assert seen == {STATUS_YES, STATUS_NO, STATUS_OUTSIDE}
+
+    def test_a_huge_evenodd_exponent_builds_no_power(self):
+        tracemalloc.start()
+        try:
+            statuses = [membership("EVENODD^100000000000", word) for word in ("a" * 8, "")]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert statuses == [STATUS_OUTSIDE, STATUS_YES]
+        assert peak < 1 << 20
+
+    def test_a_long_exp_word_is_checked_without_copies(self):
+        word = "acacbcbc" * 10**6
+        tracemalloc.start()
+        try:
+            status = membership("EXPPromiseTWINPAL", word)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert status == STATUS_OUTSIDE
+        assert peak < len(word)
+
+    def test_a_long_block_is_refused_at_once(self):
+        a, b = "a" * 4_000_000, "b" * 4_000_000
+        word = f"{a}c{a}c{b}c{b}c"
+        start = time.perf_counter()
+        assert membership("EXPPromiseTWINPAL", word) == STATUS_OUTSIDE
+        assert time.perf_counter() - start < 0.5
 
 
 class TestTwinExpand:
