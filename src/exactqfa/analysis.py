@@ -283,7 +283,7 @@ class _Square:
                 return self.fixed
             if self.fixed.__class__ is str:
                 raise MachineError(self.fixed)
-            return ((*self.fixed, self.walk and self.stepped(reg), _UNIT),)
+            return ((*self.fixed, self.walk and (self.stepped(reg) if op else reg), _UNIT),)
         out = []
         for label, reg2, p in self.outcomes(reg, bits):
             exit = self.exits[label]

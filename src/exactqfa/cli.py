@@ -32,17 +32,6 @@ from .analysis import (
     run_unary_length,
 )
 from .constructions import CONSTRUCTION_IDS, PARAMETRIC_BUILDERS, build
-from .contextuality import (
-    ClassicalBounded,
-    QuantumBell,
-    QuantumQubit,
-    best_classical_strategy,
-    memory_game,
-    memory_game_summary_csv,
-    play_magic_square,
-    report_to_json_text,
-    transcript_to_json_text,
-)
 from .exactnum import (
     MAX_PRECISION_BITS,
     MIN_PRECISION_BITS,
@@ -60,22 +49,12 @@ from .machines import (
     parse_spec,
     validate,
 )
-from .problems import (
-    PROBLEM_EQ,
-    PROBLEM_EVENODD,
-    PROBLEM_EXP_TWINPAL,
-    PROBLEM_PAL,
-    PROBLEM_TWINPAL,
-    STATUS_NO,
-    STATUS_OUTSIDE,
-    STATUS_YES,
-    InfeasibleParameters,
-    _parse_problem,
-    generate,
-    instances_to_jsonl,
-    membership,
-)
-from .verify import STOCHASTIC_SUITES, SUITES, run_suites
+
+# ``problems``, ``contextuality`` and ``verify`` are imported in the
+# commands that use them, so that a process loads only what its command
+# runs. The parser names the suites from this copy of ``verify.SUITES``'
+# keys, which a test pins, rather than import ``verify`` on every command.
+SUITE_NAMES = ("awpal", "contextuality", "eq", "evenodd", "lasvegas", "twinpal", "witnesses")
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
@@ -88,6 +67,13 @@ class UsageError(Exception):
 # The longest input the CLI builds as a string. Lengths are computed
 # before anything is allocated, so a longer request fails at once.
 MAX_INPUT_LENGTH = 1 << 26
+
+
+# The most digits of a run-length count in --input. Parsing is quadratic
+# in the digits: a count of 100,000 digits takes about 0.05 s to parse and
+# 0.16 s to print on a 2-CPU box. A unary machine's input in mode exact
+# runs from its length alone, so counts far over MAX_INPUT_LENGTH still run.
+MAX_COUNT_DIGITS = 100_000
 
 
 # The largest --max-sweeps of a capped sweep run. The run's integers
@@ -140,10 +126,10 @@ def _input_runs(text: str) -> List[Tuple[str, int]]:
     "a2b3" is aabbb."""
     if not re.fullmatch(r"(?:[a-z][0-9]*)*", text):
         raise UsageError(f"cannot parse input {text!r}")
-    return [
-        (letter, int(count) if count else 1)
-        for letter, count in re.findall(r"([a-z])([0-9]*)", text)
-    ]
+    runs = re.findall(r"([a-z])([0-9]*)", text)
+    if any(len(count) > MAX_COUNT_DIGITS for _, count in runs):
+        raise UsageError(f"a run-length count exceeds the cap of {MAX_COUNT_DIGITS} digits")
+    return [(letter, int(count) if count else 1) for letter, count in runs]
 
 
 def _expand_input(text: str) -> str:
@@ -238,6 +224,8 @@ def _build_machine(args):
 def _problem_of(args) -> Tuple[str, Optional[int]]:
     """The problem id and EVENODD's k. ``--k`` also sets the machine
     parameter, so it counts for the problem only on the bare EVENODD id."""
+    from .problems import PROBLEM_EVENODD, _parse_problem
+
     try:
         return _parse_problem(args.problem, args.k if args.problem == PROBLEM_EVENODD else None)
     except ValueError as exc:
@@ -251,6 +239,8 @@ def _instance_word(args, problem: Optional[Tuple[str, Optional[int]]]) -> str:
         return _expand_input(args.input)
     if problem is None:
         raise UsageError("provide --input or --problem with instance parameters")
+    from .problems import PROBLEM_EQ, PROBLEM_EXP_TWINPAL, PROBLEM_PAL, PROBLEM_TWINPAL
+
     base, k = problem
     if base in (PROBLEM_PAL, PROBLEM_TWINPAL, PROBLEM_EXP_TWINPAL):
         if args.u is None or args.v is None:
@@ -296,6 +286,8 @@ def _instance_word(args, problem: Optional[Tuple[str, Optional[int]]]) -> str:
 def _check_promise(args, problem: Optional[Tuple[str, Optional[int]]], word: Optional[str]) -> Optional[str]:
     if problem is None:
         return None
+    from .problems import STATUS_OUTSIDE, membership
+
     base, k = problem
     status = membership(base, word, k=k)
     if status == STATUS_OUTSIDE and not args.allow_unpromised:
@@ -361,11 +353,14 @@ def cmd_analyze(args) -> int:
         # AW_EQ_PHASE reads a^m b a^n, so every PromiseEQ instance it is
         # given reaches a hole in its tables; say why.
         built = args.spec_file is None and args.input is None and problem is not None
-        if built and (args.machine, problem[0]) == ("AW_EQ_PHASE", PROBLEM_EQ):
-            raise MachineError(
-                "a PromiseEQ instance has three blocks, a^x b a^y b a^z, "
-                f"but AW_EQ_PHASE reads a^m b a^n: {exc}"
-            ) from exc
+        if built and args.machine == "AW_EQ_PHASE":
+            from .problems import PROBLEM_EQ
+
+            if problem[0] == PROBLEM_EQ:
+                raise MachineError(
+                    "a PromiseEQ instance has three blocks, a^x b a^y b a^z, "
+                    f"but AW_EQ_PHASE reads a^m b a^n: {exc}"
+                ) from exc
         raise
     doc = {
         "input_length": length,
@@ -394,6 +389,15 @@ def _check_generated_length(
 ) -> None:
     """Refuse a request whose longest generated string would be over the
     cap, before any string is built."""
+    from .problems import (
+        PROBLEM_EQ,
+        PROBLEM_EVENODD,
+        PROBLEM_EXP_TWINPAL,
+        PROBLEM_PAL,
+        PROBLEM_TWINPAL,
+        STATUS_OUTSIDE,
+    )
+
     if base == PROBLEM_PAL:
         _check_length(2 * size + 1)
     elif base == PROBLEM_TWINPAL:
@@ -417,6 +421,8 @@ def _check_generated_length(
 
 
 def cmd_generate(args) -> int:
+    from .problems import STATUS_NO, STATUS_YES, _parse_problem, generate, instances_to_jsonl
+
     statuses = tuple(args.statuses.split(",")) if args.statuses else (STATUS_YES, STATUS_NO)
     try:
         base, k = _parse_problem(args.problem, args.k)
@@ -431,7 +437,7 @@ def cmd_generate(args) -> int:
             k=args.k,
             statuses=statuses,
         )
-    except (InfeasibleParameters, ValueError) as exc:
+    except ValueError as exc:  # InfeasibleParameters among them
         raise UsageError(str(exc))
     if args.format == "csv":
         lines = ["problem,string,status,params"]
@@ -449,6 +455,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import STOCHASTIC_SUITES, SUITES, run_suites
+
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     if any(n in STOCHASTIC_SUITES for n in names) and args.seed is None:
         raise UsageError("this suite samples game rounds; pass an explicit --seed")
@@ -470,6 +478,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_game_magic(args) -> int:
+    from .contextuality import (
+        QuantumBell,
+        best_classical_strategy,
+        play_magic_square,
+        transcript_to_json_text,
+    )
+
     _check_count("--rounds", args.rounds, 1, MAX_ROUNDS)
     if args.strategy == "quantum":
         strategy = QuantumBell()
@@ -489,6 +504,14 @@ def cmd_game_magic(args) -> int:
 
 
 def cmd_game_memory(args) -> int:
+    from .contextuality import (
+        ClassicalBounded,
+        QuantumQubit,
+        memory_game,
+        memory_game_summary_csv,
+        report_to_json_text,
+    )
+
     _check_count("--Q", args.Q, 1, MAX_Q)
     if args.bob == "quantum":
         responder = QuantumQubit()
@@ -568,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_generate)
 
     p = sub.add_parser("verify", help="run a named verification suite")
-    p.add_argument("suite", choices=sorted(SUITES) + ["all"])
+    p.add_argument("suite", choices=SUITE_NAMES + ("all",))
     p.add_argument("--seed", help="required for suites that sample game rounds")
     _add_common_output(p)
     p.set_defaults(fn=cmd_verify)
@@ -641,7 +664,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (MachineError, NonterminatingError, ExactnessError, InfeasibleParameters, SpecFormatError) as exc:
+    except (MachineError, NonterminatingError, ExactnessError, SpecFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except OSError as exc:

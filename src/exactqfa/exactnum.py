@@ -140,16 +140,31 @@ def ratio(num: int, den: int) -> Fraction:
     return _reduced(num // g, den // g)
 
 
+# The most digits of a numerator or denominator that ``parse_rational``
+# reads. int() is quadratic in the digits. The longest numeral a
+# construction writes is EVENODD_MCQFA's turn 1/2^(k+1) at its largest k,
+# 2^(2^20+1) with 315,654 digits, which takes about 0.55 s to read on a
+# 2-CPU box.
+MAX_NUMERAL_DIGITS = 320_000
+
+
+def _numeral(text: str) -> int:
+    if len(text.strip().lstrip("+-")) > MAX_NUMERAL_DIGITS:
+        raise ValueError(f"a numeral exceeds the cap of {MAX_NUMERAL_DIGITS} digits")
+    return int(text)
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" (or a bare integer "p"); denominator 0 is a ValueError."""
+    """Parse "p/q" (or a bare integer "p"); denominator 0 is a ValueError,
+    and so is a numerator or denominator of over MAX_NUMERAL_DIGITS digits."""
     body = text.strip()
     if "/" in body:
         num_text, den_text = body.split("/", 1)
-        den = int(den_text)
+        den = _numeral(den_text)
         if den == 0:
             raise ValueError(f"rational with denominator 0: {text!r}")
-        return Fraction(int(num_text), den)
-    return Fraction(int(body))
+        return Fraction(_numeral(num_text), den)
+    return Fraction(_numeral(body))
 
 
 @dataclass(frozen=True)

@@ -983,9 +983,9 @@ def test_a_two_way_walk_steps_no_idle_square(monkeypatch):
 
 
 def test_a_realtime_run_steps_no_idle_square(monkeypatch):
-    # _step's all-walk branch and _block_row keep a walked idle square's
-    # register without a call, and a walked unitary still goes through
-    # QMatrix.apply.
+    # _step's all-walk branch, _block_row and _Square.resolve keep a walked
+    # idle square's register without a call, and a walked unitary still
+    # goes through QMatrix.apply.
     calls, applied = [], []
     stepped, apply = analysis._Square.stepped, QMatrix.apply
 
@@ -997,10 +997,13 @@ def test_a_realtime_run_steps_no_idle_square(monkeypatch):
     monkeypatch.setattr(QMatrix, "apply", lambda matrix, vec: applied.append(matrix) or apply(matrix, vec))
     for spec, word in ((idle_split_machine(), "abab"), (coin_turn_machine(), "aabab"), (build("AW_EQ_PHASE"), "aaba")):
         run_exact_realtime(spec, word)
+    # A sampled run resolves each square it meets, the idle "s" at "a" too.
+    run_monte_carlo(idle_split_machine(), "abab", trials=5, seed="1")
     callers = ("_step", "_block_row")
     # Both paths step unitaries and rotations, and neither an idle square.
     realtime = {(caller, op) for caller, op in calls if caller in callers}
     assert realtime == {(caller, op) for caller in callers for op in (analysis._OP_UNITARY, analysis._OP_ROTATE)}
+    assert {op for caller, op in calls if caller == "resolve"} == {analysis._OP_UNITARY}
     assert len(applied) >= sum(op == analysis._OP_UNITARY for _, op in calls)
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import resource
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import pytest
 from exactqfa import analysis, cli, verify
 from exactqfa.analysis import MAX_PRECISION_BITS
 from exactqfa.constructions import CONSTRUCTION_IDS, EVENODD_MCQFA_MAX_K, PARAMETRIC_BUILDERS, build
-from exactqfa.exactnum import MIN_PRECISION_BITS, one_minus_inv_e_bracket
+from exactqfa.exactnum import MAX_NUMERAL_DIGITS, MIN_PRECISION_BITS, one_minus_inv_e_bracket
 from exactqfa.machines import emit_spec, parse_spec, validate
 from test_analysis import fair_coin_pfa, spin_machine, stay_machine, turn_machine
 from test_sampling import _thirds_pfa
@@ -728,6 +729,10 @@ class TestVerify:
             run_cli(capsys, "verify", "nonsense")
         assert exc.value.code == 2
 
+    def test_the_parser_names_every_suite(self):
+        # The parser's choices come from a copy, so that it need not import verify.
+        assert list(cli.SUITE_NAMES) == sorted(verify.SUITES)
+
 
 class TestGame:
     def test_magic_square_quantum(self, capsys):
@@ -1064,6 +1069,79 @@ def test_evenodd_dfa_over_its_cap_is_refused_at_once(capsys):
     assert time.perf_counter() - start < 1
     assert (code, out) == (2, "")
     assert err == "error: k=17 exceeds the supported cap 16 (the machine needs 2^(k+1) states)\n"
+
+
+def test_the_largest_construction_reads_back_under_the_numeral_cap(capsys, tmp_path):
+    # EVENODD_MCQFA turns by pi/2^(k+1): at its largest k the denominator
+    # has 315,654 digits, the longest numeral any construction writes.
+    code, spec_text, _ = run_cli(capsys, "construct", "EVENODD_MCQFA", "--k", str(EVENODD_MCQFA_MAX_K))
+    assert code == 0
+    path = tmp_path / "evenodd.json"
+    path.write_text(spec_text)
+    code, out, err = run_cli(capsys, "analyze", "--spec-file", str(path), "--input", "", "--mode", "exact")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["result"]["p_accept"] == "1/1"
+
+
+@pytest.mark.parametrize("where", ["spec-file numeral", "config count"])
+def test_a_million_digit_numeral_or_count_exits_2_at_once(capsys, tmp_path, where):
+    # int() is quadratic in the digits: each of these took 10 s or more
+    # before the digit caps.
+    zeros = "0" * 10**6
+    path = tmp_path / "run.json"
+    if where == "spec-file numeral":
+        # 4*10^(10^6) / 5*10^(10^6) is 4/5, so the machine is valid but for its size.
+        path.write_text(emit_spec(build("AW_PAL")).replace('"4/5+0/1 i"', f'"4{zeros}/5{zeros}+0/1 i"', 1))
+        argv = ("analyze", "--spec-file", str(path), "--input", "abcab", "--mode", "exact")
+        message = f"malformed machine-spec document: a numeral exceeds the cap of {MAX_NUMERAL_DIGITS} digits"
+    else:
+        path.write_text(json.dumps({"input": "a1" + zeros}))
+        argv = ("analyze", "AW_PAL", "--config", str(path), "--mode", "exact")
+        message = f"a run-length count exceeds the cap of {cli.MAX_COUNT_DIGITS} digits"
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+# Runs CLI commands in a fresh interpreter, then names the modules that
+# only some commands need which it loaded.
+IMPORT_PROBE = """
+import contextlib, io, json, sys
+from exactqfa import cli
+
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+print(*(name for name in ("exactqfa.contextuality", "exactqfa.problems", "exactqfa.verify") if name in sys.modules))
+"""
+
+
+@pytest.mark.parametrize(
+    "commands, loaded",
+    [
+        (
+            [["analyze", "AW_PAL", "--input", "abbacabba", "--mode", "exact"], ["construct", "AW_PAL"]],
+            [],
+        ),
+        (
+            [["analyze", "AW_PAL", "--input", "abbacabab", "--mode", "exact", "--problem", "PromisePAL"]],
+            ["exactqfa.problems"],
+        ),
+        ([["game", "memory", "--bob", "quantum", "--Q", "2", "--seed", "1"]], ["exactqfa.contextuality"]),
+    ],
+)
+def test_a_command_loads_only_the_modules_it_runs(commands, loaded):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, json.dumps(commands)],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+        timeout=60,
+    )
+    assert done.stdout.split() == loaded
 
 
 # Each built-in machine with the inputs it runs on in every mode: promise
